@@ -18,7 +18,6 @@ from .endnode_policy import (
 from .mc_engine import SimReport, run_fpa, run_opa
 from .outage_analytics import (
     FpaConfig,
-    OutageCase,
     OutageReport,
     min_outage,
     outage_fpa,
@@ -57,7 +56,6 @@ __all__ = [
     "EndNodePolicy",
     "FadingSampler",
     "FpaConfig",
-    "OutageCase",
     "OutageReport",
     "RelayPolicy",
     "SimReport",

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .outage_analytics import FpaConfig
-from .relay_policy import _UnboundedRho, policies_from_config
+from .relay_policy import UNBOUNDED, policies_from_config
 from .system_model import FadingSampler, SystemConfig
 
 __all__ = [
@@ -89,7 +89,7 @@ def run_opa(config: SystemConfig, trials: int = 1_000_000, seed: int = 0,
     _validate_trials(trials)
     node1, node2, relay = policies_from_config(config)
     rho = relay.rho
-    capped = not isinstance(rho, _UnboundedRho)
+    capped = rho is not UNBOUNDED
     sizes = _chunk_sizes(trials)
 
     def one_chunk(i: int) -> tuple:

@@ -3,22 +3,21 @@
 A cycle succeeds only if both uplinks clear their cutoffs and the relay's
 capped broadcast can serve both directions; the outage probability is the
 fading measure of everything else.  Under the adaptive policies the served
-set is a union of two wedges whose measure reduces to exponentials; the
-fixed-power baseline collapses to a product of two per-axis tail terms.
+set is the quadrant above the truncation corners (lambda1, lambda2); the
+fixed-power baseline is a quadrant too, above the larger of its uplink and
+broadcast thresholds on each axis.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .relay_policy import RelayPolicy, _UnboundedRho
+from .relay_policy import RelayPolicy
 from .specfun import require_positive
 from .system_model import SystemConfig
 
 __all__ = [
-    "OutageCase",
     "OutageReport",
     "FpaConfig",
     "min_outage",
@@ -27,21 +26,11 @@ __all__ = [
 ]
 
 
-class OutageCase(enum.Enum):
-    """Which closed-form branch produced the probability."""
-
-    A = "A"      # delta2 * y0 <= delta1 * x0, finite cap
-    B = "B"      # delta2 * y0 > delta1 * x0, finite cap
-    MIN = "MIN"  # cap unbounded: the outage floor
-
-
 @dataclass(frozen=True)
 class OutageReport:
-    """Outage probability, the branch that produced it, and the policy it
-    was evaluated for."""
+    """Outage probability and the policy it was evaluated for."""
 
     p_out: float
-    case_used: OutageCase
     policy: RelayPolicy
 
     def __post_init__(self) -> None:
@@ -70,8 +59,9 @@ class FpaConfig:
 
 
 def min_outage(x0: float, y0: float, omega_x: float, omega_y: float) -> float:
-    """Outage floor once the relay budget stops binding: only the two uplink
-    cutoffs can fail, so 1 - exp(-x0/omega_x) * exp(-y0/omega_y)."""
+    """Fading measure of the complement of the quadrant {x >= x0, y >= y0}:
+    1 - exp(-x0/omega_x) * exp(-y0/omega_y).  At the end-node cutoffs this
+    is the outage floor that no relay budget can lower."""
     x0 = require_positive(x0, "x0")
     y0 = require_positive(y0, "y0")
     omega_x = require_positive(omega_x, "omega_x")
@@ -79,67 +69,19 @@ def min_outage(x0: float, y0: float, omega_x: float, omega_y: float) -> float:
     return -math.expm1(-(x0 / omega_x + y0 / omega_y))
 
 
-def _outage_branch_a(policy: RelayPolicy) -> float:
-    """Finite-cap branch for delta2 * y0 <= delta1 * x0.
-
-    One minus the measure of the two served wedges.  The head term is the
-    quadrant above (a1, lambda2); the three tail terms are the wedge-overlap
-    corrections, whose coefficients sum to one so they cancel whenever their
-    exponents coincide.  a1 = max(x0, (delta2 / delta1) lambda2) keeps the
-    first wedge's x range from starting where its y interval is empty.
-    """
-    d1, d2 = policy.delta1, policy.delta2
-    ox, oy = policy.omega_x, policy.omega_y
-    l1, l2 = policy.lambda1, policy.lambda2
-    a1 = max(policy.x0, d2 * l2 / d1)
-    k = 1.0 / ox + d1 / (d2 * oy)
-    sigma = d1 * ox + d2 * oy
-    head = -math.expm1(-(a1 / ox + l2 / oy))
-    tail = (
-        -math.exp(-l1 * k)
-        + (d2 * oy / sigma) * math.exp(-a1 * k)
-        + (d1 * ox / sigma) * math.exp(-l1 * k)
-    )
-    return head + tail
-
-
-def _outage_branch_b(policy: RelayPolicy) -> float:
-    """Finite-cap branch for delta2 * y0 > delta1 * x0 (axes swapped)."""
-    d1, d2 = policy.delta1, policy.delta2
-    ox, oy = policy.omega_x, policy.omega_y
-    l1, l2 = policy.lambda1, policy.lambda2
-    b2 = max(policy.y0, d1 * l1 / d2)
-    k = 1.0 / oy + d2 / (d1 * ox)
-    sigma = d1 * ox + d2 * oy
-    head = -math.expm1(-(b2 / oy + l1 / ox))
-    tail = (
-        -math.exp(-l2 * k)
-        + (d1 * ox / sigma) * math.exp(-b2 * k)
-        + (d2 * oy / sigma) * math.exp(-l2 * k)
-    )
-    return head + tail
-
-
 def outage_opa(policy: RelayPolicy) -> OutageReport:
     """System outage probability under the adaptive policies.
 
-    An unbounded cap gives the floor directly; a finite cap adds the states
-    the relay suppresses, evaluated by the branch matching the wedge
-    geometry.  The result is clamped to [floor, 1] against roundoff in the
-    exponential tail terms.
+    The relay serves a cycle exactly when it decodes (x >= x0, y >= y0) and
+    its broadcast power max(delta1 / y, delta2 / x) fits under the cap,
+    i.e. when x >= max(x0, delta2 / rho) = lambda1 and
+    y >= max(y0, delta1 / rho) = lambda2.  The cap only moves the corner of
+    the served quadrant, so the outage is the measure outside it.
     """
-    if isinstance(policy.rho, _UnboundedRho):
-        p = min_outage(policy.x0, policy.y0, policy.omega_x, policy.omega_y)
-        return OutageReport(p, OutageCase.MIN, policy)
-    if policy.uses_case_a:
-        p = _outage_branch_a(policy)
-        case = OutageCase.A
-    else:
-        p = _outage_branch_b(policy)
-        case = OutageCase.B
-    floor = min_outage(policy.x0, policy.y0, policy.omega_x, policy.omega_y)
-    p = min(1.0, max(p, floor))
-    return OutageReport(p, case, policy)
+    return OutageReport(
+        min_outage(policy.lambda1, policy.lambda2, policy.omega_x, policy.omega_y),
+        policy,
+    )
 
 
 def outage_fpa(config: SystemConfig, fpa: FpaConfig) -> float:
@@ -152,4 +94,4 @@ def outage_fpa(config: SystemConfig, fpa: FpaConfig) -> float:
     d1, d2 = config.delta1, config.delta2
     x_floor = max(d1 / fpa.p_s1_fix, d2 / fpa.p_r_fix)
     y_floor = max(d2 / fpa.p_s2_fix, d1 / fpa.p_r_fix)
-    return -math.expm1(-(x_floor / config.omega_x + y_floor / config.omega_y))
+    return min_outage(x_floor, y_floor, config.omega_x, config.omega_y)

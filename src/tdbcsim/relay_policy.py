@@ -97,8 +97,9 @@ class RelayPolicy:
 
     @property
     def uses_case_a(self) -> bool:
-        """Which wedge geometry applies: True when delta2 * y0 <= delta1 * x0
-        (ties resolve to this branch; both branches agree there)."""
+        """Which wedge geometry applies: True when delta2 * y0 <= delta1 * x0,
+        False when the average power is evaluated with the end nodes swapped
+        (ties resolve to True; both orientations agree there)."""
         return self.delta2 * self.y0 <= self.delta1 * self.x0
 
     @classmethod
@@ -143,10 +144,9 @@ def relay_power_optimal(policy: RelayPolicy, state: ChannelState) -> float:
     return 0.0
 
 
-def _avg_power_branch_a(delta1: float, delta2: float, x0: float, y0: float,
-                        omega_x: float, omega_y: float,
-                        l1: float, l2: float) -> float:
-    """Average broadcast power for delta2 * y0 <= delta1 * x0.
+def _wedge_power(delta1: float, delta2: float, x0: float,
+                 omega_x: float, omega_y: float, l1: float, l2: float) -> float:
+    """Average broadcast power for the geometry delta2 * y0 <= delta1 * x0.
 
     Wedge toward the second node: (delta1 / y) over {x >= a1,
     l2 <= y <= (delta1 / delta2) x}; wedge toward the first:
@@ -167,29 +167,13 @@ def _avg_power_branch_a(delta1: float, delta2: float, x0: float, y0: float,
     )
 
 
-def _avg_power_branch_b(delta1: float, delta2: float, x0: float, y0: float,
-                        omega_x: float, omega_y: float,
-                        l1: float, l2: float) -> float:
-    """Average broadcast power for delta2 * y0 > delta1 * x0 (mirror of the
-    other branch with the axes and indices swapped)."""
-    b2 = max(y0, delta1 * l1 / delta2)
-    k = 1.0 / omega_y + delta2 / (delta1 * omega_x)
-    c1 = delta1 / omega_y
-    c2 = delta2 / omega_x
-    return (
-        c2 * math.exp(-b2 / omega_y)
-        * (exp_integral_e1(l1 / omega_x) - exp_integral_e1(delta2 * b2 / (delta1 * omega_x)))
-        + c2 * exp_integral_e1(k * b2)
-        + c1 * exp_integral_e1(k * l2)
-    )
-
-
 def _avg_power(delta1: float, delta2: float, x0: float, y0: float,
                omega_x: float, omega_y: float, rho: RhoValue) -> float:
     l1, l2 = _lambdas(delta1, delta2, x0, y0, rho)
     if delta2 * y0 <= delta1 * x0:
-        return _avg_power_branch_a(delta1, delta2, x0, y0, omega_x, omega_y, l1, l2)
-    return _avg_power_branch_b(delta1, delta2, x0, y0, omega_x, omega_y, l1, l2)
+        return _wedge_power(delta1, delta2, x0, omega_x, omega_y, l1, l2)
+    # The other geometry is this one with the two end nodes swapped.
+    return _wedge_power(delta2, delta1, y0, omega_y, omega_x, l2, l1)
 
 
 def avg_relay_power(policy: RelayPolicy) -> float:

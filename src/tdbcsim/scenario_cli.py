@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -27,26 +28,16 @@ import numpy as np
 
 from .endnode_policy import solve_cutoff
 from .mc_engine import run_fpa, run_opa
-from .outage_analytics import (
-    FpaConfig,
-    _outage_branch_a,
-    _outage_branch_b,
-    min_outage,
-    outage_fpa,
-    outage_opa,
-)
+from .outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
 from .relay_policy import (
     UNBOUNDED,
     RelayPolicy,
-    _avg_power_branch_a,
-    _avg_power_branch_b,
-    _lambdas,
     avg_relay_power,
     avg_relay_power_max,
     policies_from_config,
     solve_rho,
 )
-from .specfun import exp_integral_e1, require_positive, solve_monotone
+from .specfun import ConvergenceError, exp_integral_e1, require_positive, solve_monotone
 from .system_model import SystemConfig, delta_of_rate
 
 __all__ = [
@@ -232,11 +223,12 @@ def _fmt(value) -> str:
 
 def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
     """Comma-separated, '.' decimal, header row, LF endings, 12 significant
-    digits: stable enough to diff and to pin as goldens."""
+    digits: stable enough to diff and to pin as goldens.  Fields holding a
+    comma or a quote are quoted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[name]) for name in fieldnames) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([_fmt(row[name]) for name in fieldnames] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -406,45 +398,21 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
         dev = max(dev, abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
     rows.append(_row("saturation_identity", f"{len(_SATURATION_GRID)} pts", 0.0, dev, dev, 1e-12))
 
+    # A policy and its mirror (end nodes swapped) evaluate the two
+    # orientations of the wedge formula only on an exact tie; off it both
+    # evaluate the same expression, so a lost tie fails the row.
     dev = 0.0
-    for d1, d2, x0, y0, ox, oy in _SATURATION_GRID:
-        sigma = d1 * ox + d2 * oy
-        dev = max(dev, abs(d2 * oy / sigma + d1 * ox / sigma - 1.0))
-    rows.append(_row("tail_coefficient_sum", f"{len(_SATURATION_GRID)} pts", 1.0, 1.0 - dev, dev, 1e-12))
-
-    # Finite cap chosen inside the window where only the y-corner has moved:
-    # the tail terms of the closed form must cancel to the quadrant head.
-    dev = 0.0
-    count = 0
-    for d1, d2, x0, y0, ox, oy in _SATURATION_GRID:
-        if d2 * y0 > d1 * x0:
-            continue
-        lo, hi = d2 / x0, d1 / y0
-        if hi <= lo * (1.0 + 1e-9):
-            continue
-        count += 1
-        policy = RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, math.sqrt(lo * hi))
-        head = -math.expm1(-(policy.x0 / ox + policy.lambda2 / oy))
-        dev = max(dev, abs(outage_opa(policy).p_out - head))
-    rows.append(_row("tail_cancellation", f"{count} pts", 0.0, dev, dev, 1e-12))
-
-    dev_power = 0.0
-    dev_outage = 0.0
     for d1, d2, x0, ox, oy in _TIE_GRID:
         y0 = d1 * x0 / d2
+        if d2 * y0 != d1 * x0:
+            dev = math.inf
+            continue
         saturation = max(d1 / y0, d2 / x0)
         for cap in (UNBOUNDED, 0.7 * saturation, 0.2 * saturation):
-            l1, l2 = _lambdas(d1, d2, x0, y0, cap)
-            pa = _avg_power_branch_a(d1, d2, x0, y0, ox, oy, l1, l2)
-            pb = _avg_power_branch_b(d1, d2, x0, y0, ox, oy, l1, l2)
-            dev_power = max(dev_power, _rel_dev(pa, pb))
             policy = RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, cap)
-            dev_outage = max(dev_outage,
-                             _rel_dev(_outage_branch_a(policy), _outage_branch_b(policy)))
-    rows.append(_row("tie_avg_power", f"{len(_TIE_GRID)} pts x 3 caps", 0.0,
-                     dev_power, dev_power, 1e-10))
-    rows.append(_row("tie_outage", f"{len(_TIE_GRID)} pts x 3 caps", 0.0,
-                     dev_outage, dev_outage, 1e-10))
+            mirror = RelayPolicy.from_rho(d2, d1, y0, x0, oy, ox, cap)
+            dev = max(dev, _rel_dev(avg_relay_power(policy), avg_relay_power(mirror)))
+    rows.append(_row("tie_avg_power", f"{len(_TIE_GRID)} pts x 3 caps", 0.0, dev, dev, 1e-10))
 
     margin = -math.inf
     for x in np.logspace(-6, math.log10(50.0), 200):
@@ -572,7 +540,8 @@ def _absorb_negative_grid(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI.  Exit status: 0 success, 1 usage or configuration error,
+    """Run the CLI.  Exit status: 0 success; 1 usage, configuration, numerical
+    or I/O error, reported as one `tdbcsim: error:` line on stderr;
     2 validation failure."""
     parser = _build_parser()
     if argv is None:
@@ -595,10 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         write_csv(spec.output_path, fieldnames, rows)
         print(f"{args.command}: wrote {len(rows)} rows -> {spec.output_path}")
         return 0
-    except ConfigError as exc:
-        print(f"tdbcsim: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, ArithmeticError, ConvergenceError, OSError) as exc:
         print(f"tdbcsim: error: {exc}", file=sys.stderr)
         return 1
 

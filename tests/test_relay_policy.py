@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from tdbcsim.relay_policy import (
     UNBOUNDED,
     RelayPolicy,
-    _avg_power_branch_a,
-    _avg_power_branch_b,
-    _lambdas,
     avg_relay_power,
     avg_relay_power_max,
     policies_from_config,
@@ -190,19 +187,32 @@ class TestAveragePower:
             assert avg_relay_power(_policy(x0=0.4, y0=0.2, rho=rho)) <= p_max + 1e-12
 
     def test_case_boundary_continuity(self):
-        """At delta2*y0 = delta1*x0 both branch formulas give the same number,
-        for saturated and truncating caps alike."""
+        """At delta2*y0 = delta1*x0 a policy and its mirror (end nodes
+        swapped) evaluate the two orientations of the wedge formula and give
+        the same number, for saturated and truncating caps alike."""
         combos = [(1.0, 1.0, 0.3, 1.0, 1.0), (1.0, 3.0, 0.3, 1.0, 1.0),
                   (3.0, 1.0, 0.5, 2.0, 0.5), (0.5, 2.0, 0.8, 0.5, 2.0),
                   (7.0, 1.0, 0.2, 1.0, 4.0)]
         for d1, d2, x0, ox, oy in combos:
             y0 = d1 * x0 / d2
+            assert d2 * y0 == d1 * x0   # else both sides take one orientation
             saturation = max(d1 / y0, d2 / x0)
             for cap in (UNBOUNDED, 0.6 * saturation, 0.15 * saturation):
-                l1, l2 = _lambdas(d1, d2, x0, y0, cap)
-                a = _avg_power_branch_a(d1, d2, x0, y0, ox, oy, l1, l2)
-                b = _avg_power_branch_b(d1, d2, x0, y0, ox, oy, l1, l2)
+                a = avg_relay_power(_policy(d1, d2, x0, y0, ox, oy, cap))
+                b = avg_relay_power(_policy(d2, d1, y0, x0, oy, ox, cap))
                 assert a == pytest.approx(b, rel=1e-10)
+
+    def test_swapping_end_nodes_keeps_the_spend(self):
+        """Relabelling the two end nodes changes nothing the relay spends,
+        in either wedge geometry and under any cap."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            d1, d2, x0, y0, ox, oy = (float(v) for v in 10.0 ** rng.uniform(-1, 1, size=6))
+            saturation = max(d1 / y0, d2 / x0)
+            for cap in (UNBOUNDED, float(rng.uniform(0.05, 1.0)) * saturation):
+                a = avg_relay_power(_policy(d1, d2, x0, y0, ox, oy, cap))
+                b = avg_relay_power(_policy(d2, d1, y0, x0, oy, ox, cap))
+                assert a == pytest.approx(b, rel=1e-14)
 
     @pytest.mark.parametrize("d1,d2,x0,y0,ox,oy,rho", [
         # both wedge geometries, saturated / windowed / deeply truncated caps

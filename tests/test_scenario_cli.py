@@ -1,5 +1,6 @@
 """CLI front end: grid/config parsing, sweeps, validation, determinism."""
 
+import csv
 import math
 
 import pytest
@@ -190,9 +191,7 @@ class TestValidateScenario:
         spec = ScenarioSpec(scenario="validate", grid=(0.0,), trials=50_000, seed=777)
         fieldnames, rows, ok = scenario_validate(spec)
         assert fieldnames[0] == "check" and fieldnames[-1] == "status"
-        identity_checks = {"saturation_identity", "tail_coefficient_sum",
-                           "tail_cancellation", "tie_avg_power", "tie_outage",
-                           "e1_bracket", "e1_solver_roundtrip", "cutoff_roundtrip",
+        identity_checks = {"saturation_identity", "tie_avg_power", "e1_bracket", "e1_solver_roundtrip", "cutoff_roundtrip",
                            "rho_roundtrip", "avg_power_monotone_in_cap"}
         by_check = {row["check"] for row in rows}
         assert identity_checks <= by_check
@@ -245,6 +244,36 @@ class TestCsvAndCli:
         path = tmp_path / "exp.ini"
         path.write_text("[validate]\ntrials = 10\n")
         assert main(["validate", "--config", str(path)]) == 1
+
+    def test_validate_csv_parses(self, tmp_path):
+        """Every row of the validate CSV reads back as exactly the header's
+        fields, including params that hold a comma."""
+        out = tmp_path / "v.csv"
+        main(["validate", "--trials", "1000", "--seed", "777", "--out", str(out)])
+        with open(out, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert len(reader.fieldnames) == 7
+        assert rows and all(None not in row and None not in row.values() for row in rows)
+        assert "200 pts in [1e-6, 50]" in {row["params"] for row in rows}
+
+    @pytest.mark.parametrize("argv,ini", [
+        # the cutoff underflows at 34 dB
+        (["sweep-total-power", "--grid", "30:40:2", "--trials", "1000"], None),
+        # 2**(3 * 400) overflows a double
+        (["sweep-total-power", "--grid", "0:0:1", "--trials", "1000"],
+         "[sweep_total_power]\nrate_1 = 400\n"),
+    ], ids=["cutoff-underflow", "rate-overflow"])
+    def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini):
+        argv = argv + ["--out", str(tmp_path / "s.csv")]
+        if ini is not None:
+            path = tmp_path / "exp.ini"
+            path.write_text(ini)
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("tdbcsim: error: ")
 
     def test_unwritable_output_exit_code(self, capsys):
         code = main(["power-gains", "--grid", "0.1:0.9:0.2", "--trials", "20000",

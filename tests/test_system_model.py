@@ -32,7 +32,7 @@ class TestDeltaOfRate:
     def test_phases_parameter(self):
         assert delta_of_rate(1.0, phases=2) == 3.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 400.0])
     def test_rejects_bad_rate(self, bad):
         with pytest.raises(ValueError):
             delta_of_rate(bad)
