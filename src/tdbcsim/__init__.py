@@ -9,12 +9,7 @@ validates every closed form against a seeded Monte Carlo simulation of the
 transmission cycle.
 """
 
-from .endnode_policy import (
-    EndNodePolicy,
-    endnode_power,
-    link_supports_rate,
-    solve_cutoff,
-)
+from .endnode_policy import EndNodePolicy, solve_cutoff
 from .mc_engine import SimReport, run_fpa, run_opa
 from .outage_analytics import (
     FpaConfig,
@@ -28,10 +23,8 @@ from .relay_policy import (
     RelayPolicy,
     avg_relay_power,
     avg_relay_power_max,
+    cycle_powers,
     policies_from_config,
-    relay_decodes,
-    relay_power_optimal,
-    relay_power_static,
     solve_rho,
 )
 from .specfun import (
@@ -63,17 +56,13 @@ __all__ = [
     "UNBOUNDED",
     "avg_relay_power",
     "avg_relay_power_max",
+    "cycle_powers",
     "delta_of_rate",
-    "endnode_power",
     "exp_integral_e1",
-    "link_supports_rate",
     "min_outage",
     "outage_fpa",
     "outage_opa",
     "policies_from_config",
-    "relay_decodes",
-    "relay_power_optimal",
-    "relay_power_static",
     "run_fpa",
     "run_opa",
     "solve_cutoff",

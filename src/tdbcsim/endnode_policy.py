@@ -4,7 +4,8 @@ Above a cutoff gain the node inverts its own channel, spending exactly the
 power that makes the link capacity meet the session rate; below it the node
 stays silent and the cycle is written off.  The cutoff is pinned by equating
 the resulting average spend, (delta / omega) * E1(cutoff / omega) under
-exponential fading, to the node's long-term budget.
+exponential fading, to the node's long-term budget.  The per-cycle powers
+are evaluated by `relay_policy.cycle_powers`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import exp_integral_e1, require_positive, solve_monotone
+from .specfun import BracketingError, exp_integral_e1, require_positive, solve_monotone
 from .system_model import TDBC_PHASES
 
 __all__ = [
@@ -21,8 +22,6 @@ __all__ = [
     "POLICY_CONSISTENCY_RTOL",
     "EndNodePolicy",
     "solve_cutoff",
-    "endnode_power",
-    "link_supports_rate",
 ]
 
 #: Initial cutoff bracket, in units of omega; the solver widens it on demand.
@@ -51,13 +50,16 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
     def avg_power(cutoff: float) -> float:
         return scale * exp_integral_e1(cutoff / omega)
 
-    return solve_monotone(
-        avg_power,
-        pbar,
-        omega * CUTOFF_BRACKET_LO_SCALE,
-        omega * CUTOFF_BRACKET_HI_SCALE,
-        "decreasing",
-    )
+    try:
+        return solve_monotone(
+            avg_power,
+            pbar,
+            omega * CUTOFF_BRACKET_LO_SCALE,
+            omega * CUTOFF_BRACKET_HI_SCALE,
+            "decreasing",
+        )
+    except BracketingError as exc:
+        raise BracketingError(f"cutoff solve for budget {pbar!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -99,25 +101,3 @@ class EndNodePolicy:
         """Session rate implied by the SNR threshold."""
         return math.log2(1.0 + self.delta) / TDBC_PHASES
 
-
-def endnode_power(policy: EndNodePolicy, gain: float) -> float:
-    """Transmit power at channel gain `gain`: delta / gain at or above the
-    cutoff (boundary included), zero below it."""
-    if not (isinstance(gain, (int, float)) and not isinstance(gain, bool)) \
-            or not math.isfinite(gain) or gain < 0.0:
-        raise ValueError(f"gain must be finite and >= 0, got {gain!r}")
-    if gain < policy.cutoff:
-        return 0.0
-    return policy.delta / gain
-
-
-def link_supports_rate(policy: EndNodePolicy, gain: float) -> bool:
-    """Whether the link carries the session rate under the inversion rule.
-
-    Inversion makes the capacity meet the rate with equality whenever the
-    node transmits, so this reduces to gain >= cutoff.
-    """
-    if not (isinstance(gain, (int, float)) and not isinstance(gain, bool)) \
-            or not math.isfinite(gain) or gain < 0.0:
-        raise ValueError(f"gain must be finite and >= 0, got {gain!r}")
-    return gain >= policy.cutoff

@@ -1,10 +1,10 @@
 """Chunked, reproducible Monte Carlo simulation of transmission cycles.
 
 The engine is the empirical oracle for every closed form in the package: it
-replays the protocol state by state and simply counts.  Trials are cut into
-fixed-size chunks, chunk i always consumes fading substream (seed, i), and
-partial sums are reduced in chunk order, so a report is bit-identical for
-any worker count and any scheduling.
+replays the protocol, `relay_policy.cycle_powers`, and simply counts.  Trials
+are cut into fixed-size chunks, chunk i always consumes fading substream
+(seed, i), and partial sums are reduced in chunk order, so a report is
+bit-identical for any worker count and any scheduling.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .outage_analytics import FpaConfig
-from .relay_policy import UNBOUNDED, policies_from_config
+from .relay_policy import RelayPolicy, cycle_powers
 from .system_model import FadingSampler, SystemConfig
 
 __all__ = [
@@ -77,36 +77,22 @@ def _map_chunks(fn: Callable[[int], tuple], n_chunks: int, workers: int) -> list
         return list(pool.map(fn, range(n_chunks)))
 
 
-def run_opa(config: SystemConfig, trials: int = 1_000_000, seed: int = 0,
+def run_opa(policy: RelayPolicy, trials: int = 1_000_000, seed: int = 0,
             workers: int = 1) -> SimReport:
-    """Simulate cycles under the adaptive policies solved from `config`.
+    """Simulate cycles under an adaptive policy, e.g. the relay policy of
+    `policies_from_config`, which also fixes both end-node cutoffs.
 
-    Per trial: draw (x, y); each end node inverts its own channel above its
-    cutoff and is silent below; the relay broadcasts the capped minimum power
-    when it decoded both codewords and the cap permits.  A cycle is an outage
-    exactly when the relay ends up silent.
+    Per trial: draw (x, y) with the policy's mean gains and apply the
+    per-cycle rule `cycle_powers`.  A cycle is an outage exactly when the
+    relay ends up silent.
     """
     _validate_trials(trials)
-    node1, node2, relay = policies_from_config(config)
-    rho = relay.rho
-    capped = rho is not UNBOUNDED
     sizes = _chunk_sizes(trials)
 
     def one_chunk(i: int) -> tuple:
-        sampler = FadingSampler(seed, config.omega_x, config.omega_y, stream_index=i)
-        x, y = sampler.sample_block(sizes[i])
-        m1 = x >= node1.cutoff
-        m2 = y >= node2.cutoff
-        p1 = np.zeros(sizes[i])
-        p1[m1] = node1.delta / x[m1]
-        p2 = np.zeros(sizes[i])
-        p2[m2] = node2.delta / y[m2]
-        decoded = m1 & m2
-        pr = np.zeros(sizes[i])
-        pr[decoded] = np.maximum(relay.delta1 / y[decoded], relay.delta2 / x[decoded])
-        if capped:
-            pr[pr > rho] = 0.0
-        served = int(np.count_nonzero(pr > 0.0))
+        sampler = FadingSampler(seed, policy.omega_x, policy.omega_y, stream_index=i)
+        p1, p2, pr = cycle_powers(policy, *sampler.sample_block(sizes[i]))
+        served = int(np.count_nonzero(pr))
         return sizes[i] - served, float(p1.sum()), float(p2.sum()), float(pr.sum())
 
     parts = _map_chunks(one_chunk, len(sizes), workers)

@@ -1,10 +1,12 @@
-"""Relay-side power allocation.
+"""Relay-side power allocation, and the per-cycle protocol of the system.
 
 The relay decodes both uplink codewords only when both channel gains clear
 the end-node cutoffs (the decode region).  Inside that region the cheapest
 broadcast power serving both directions is max(delta1 / y, delta2 / x); the
 relay's own long-term budget then imposes a cap rho, above which the relay
-stays silent rather than overspend.  The cap is pinned by inverting the
+stays silent rather than overspend.  A RelayPolicy holds both thresholds,
+both end-node cutoffs and the cap, so `cycle_powers` evaluates what all three
+nodes send in a cycle from it alone.  The cap is pinned by inverting the
 closed-form average broadcast power, which this module evaluates in terms of
 the effective truncation corners
 
@@ -21,17 +23,17 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .endnode_policy import EndNodePolicy
-from .specfun import exp_integral_e1, require_positive, solve_monotone
-from .system_model import ChannelState, SystemConfig
+from .specfun import BracketingError, exp_integral_e1, require_positive, solve_monotone
+from .system_model import SystemConfig
 
 __all__ = [
     "UNBOUNDED",
     "RelayPolicy",
     "RhoValue",
-    "relay_decodes",
-    "relay_power_static",
-    "relay_power_optimal",
+    "cycle_powers",
     "avg_relay_power",
     "avg_relay_power_max",
     "solve_rho",
@@ -118,30 +120,35 @@ class RelayPolicy:
         return cls.from_rho(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
-def relay_decodes(policy: RelayPolicy, state: ChannelState) -> bool:
-    """Whether both uplink codewords decode at the relay (boundaries count)."""
-    return state.x >= policy.x0 and state.y >= policy.y0
+def _gains(values, name: str) -> np.ndarray:
+    g = np.asarray(values, dtype=float)
+    # min and max propagate NaN, which fails both comparisons.
+    if g.size and not (g.min() >= 0.0 and g.max() < math.inf):
+        raise ValueError(f"{name} gains must be finite and >= 0")
+    return g
 
 
-def relay_power_static(policy: RelayPolicy, state: ChannelState) -> float:
-    """Cheapest broadcast power serving both directions, ignoring the cap.
+def cycle_powers(policy: RelayPolicy, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Powers (p1, p2, pr) of the two end nodes and the relay at channel
+    gains x, y: arrays or scalars, broadcast together (0-d for scalars).
 
-    Inside the decode region this is max(delta1 / y, delta2 / x): the binding
-    direction's inversion power; outside the region the relay has nothing to
-    forward and is silent.
+    End node 1 sends delta1 / x from x >= x0 on, end node 2 delta2 / y from
+    y >= y0 on; below its cutoff a node is silent.  When both send, the relay
+    decodes and broadcasts max(delta1 / y, delta2 / x) if that fits under the
+    cap, and is silent otherwise: pr == 0 marks an outage.  Raises ValueError
+    on a negative or non-finite gain.
     """
-    if not relay_decodes(policy, state):
-        return 0.0
-    return max(policy.delta1 / state.y, policy.delta2 / state.x)
-
-
-def relay_power_optimal(policy: RelayPolicy, state: ChannelState) -> float:
-    """Budget-respecting broadcast power: the static power when it fits under
-    the cap, silence otherwise."""
-    p = relay_power_static(policy, state)
-    if isinstance(policy.rho, _UnboundedRho) or p <= policy.rho:
-        return p
-    return 0.0
+    x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
+    sends1 = x >= policy.x0
+    sends2 = y >= policy.y0
+    p1 = np.divide(policy.delta1, x, out=np.zeros(x.shape), where=sends1)
+    p2 = np.divide(policy.delta2, y, out=np.zeros(y.shape), where=sends2)
+    decoded = sends1 & sends2
+    pr = np.zeros(decoded.shape)
+    pr[decoded] = np.maximum(policy.delta1 / y[decoded], policy.delta2 / x[decoded])
+    if not isinstance(policy.rho, _UnboundedRho):
+        pr[pr > policy.rho] = 0.0
+    return p1, p2, pr
 
 
 def _wedge_power(delta1: float, delta2: float, x0: float,
@@ -177,7 +184,8 @@ def _avg_power(delta1: float, delta2: float, x0: float, y0: float,
 
 
 def avg_relay_power(policy: RelayPolicy) -> float:
-    """Closed-form expectation of relay_power_optimal over the fading law.
+    """Closed-form expectation of the relay power of cycle_powers over the
+    fading law.
 
     The truncation corners are recomputed from the stored cap, so the value
     reflects the cap even on hand-built policies.
@@ -213,14 +221,8 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     avg_relay_power_max once the cap clears max(delta1 / y0, delta2 / x0).
     Budgets at or above the saturation value return UNBOUNDED.
     """
-    delta1 = require_positive(delta1, "delta1")
-    delta2 = require_positive(delta2, "delta2")
-    x0 = require_positive(x0, "x0")
-    y0 = require_positive(y0, "y0")
-    omega_x = require_positive(omega_x, "omega_x")
-    omega_y = require_positive(omega_y, "omega_y")
     p_avg = require_positive(p_avg, "p_avg")
-
+    # avg_relay_power_max validates the other six parameters.
     p_max = avg_relay_power_max(delta1, delta2, x0, y0, omega_x, omega_y)
     if p_avg >= p_max:
         return UNBOUNDED
@@ -230,13 +232,16 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     def spend(rho: float) -> float:
         return _avg_power(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
-    return solve_monotone(
-        spend,
-        p_avg,
-        saturation_rho * RHO_BRACKET_LO_FRACTION,
-        saturation_rho * (1.0 + 1e-12),
-        "increasing",
-    )
+    try:
+        return solve_monotone(
+            spend,
+            p_avg,
+            saturation_rho * RHO_BRACKET_LO_FRACTION,
+            saturation_rho * (1.0 + 1e-12),
+            "increasing",
+        )
+    except BracketingError as exc:
+        raise BracketingError(f"cap solve for relay budget {p_avg!r}: {exc}") from None
 
 
 def policies_from_config(config: SystemConfig) -> tuple[EndNodePolicy, EndNodePolicy, RelayPolicy]:

@@ -250,7 +250,7 @@ def scenario_total_power(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
         rows.append({
             "P_T_dB": float(p_t_db),
             "op_opa_analytic": outage_opa(relay).p_out,
-            "op_opa_mc": run_opa(config, spec.trials, spec.seed).outage_rate,
+            "op_opa_mc": run_opa(relay, spec.trials, spec.seed).outage_rate,
             "op_fpa_analytic": outage_fpa(config, fpa),
             "op_fpa_mc": run_fpa(config, fpa, spec.trials, spec.seed).outage_rate,
         })
@@ -362,10 +362,10 @@ def _rel_dev(a: float, b: float) -> float:
 def _mc_consistency_rows(spec: ScenarioSpec) -> list[dict]:
     rows = []
     for label, config in validation_configs():
-        node1, node2, relay = policies_from_config(config)
+        _, _, relay = policies_from_config(config)
         analytic_op = outage_opa(relay).p_out
         analytic_pr = avg_relay_power(relay)
-        report = run_opa(config, spec.trials, spec.seed)
+        report = run_opa(relay, spec.trials, spec.seed)
         sigma = math.sqrt(max(analytic_op * (1.0 - analytic_op), 1e-12) / spec.trials)
         rows.append(_row("outage_mc", label, analytic_op, report.outage_rate,
                          abs(report.outage_rate - analytic_op), 4.0 * sigma))

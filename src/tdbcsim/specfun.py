@@ -139,7 +139,8 @@ def solve_monotone(
     error near SOLVER_WIDTH_TOL even for roots far below 1.
 
     Raises BracketingError when expansion cannot straddle the target (the
-    target is outside the function's range) and ConvergenceError when the
+    target is outside the function's range, or a positive lower end would
+    have to underflow to 0) and ConvergenceError when the
     bisection cap is hit, which indicates a non-monotone f.
     """
     if direction not in ("increasing", "decreasing"):
@@ -160,6 +161,8 @@ def solve_monotone(
         if g_lo <= t:
             break
         lo = lo / BRACKET_GROWTH if lo > 0.0 else lo - BRACKET_GROWTH * (hi - lo)
+        if lo == 0.0:   # only a positive end shrinking past the smallest double
+            raise BracketingError(f"lower bracket end underflowed to 0 (target {target!r})")
         g_lo = sign * f(lo)
     else:
         raise BracketingError(

@@ -146,7 +146,7 @@ def test_criterion_5_monte_carlo_validation():
         _, _, relay = policies_from_config(config)
         analytic_op = outage_opa(relay).p_out
         analytic_pr = avg_relay_power(relay)
-        report = run_opa(config, trials=trials, seed=20240915)
+        report = run_opa(relay, trials=trials, seed=20240915)
         sigma = math.sqrt(analytic_op * (1.0 - analytic_op) / trials)
         ratio = abs(report.outage_rate - analytic_op) / sigma
         worst_sigma_ratio = max(worst_sigma_ratio, ratio)
@@ -221,7 +221,8 @@ def test_criterion_8_determinism(tmp_path):
                   "--out", str(out2)])
     bytes_equal = out1.read_bytes() == out2.read_bytes()
     config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.8, 1.2, 0.6)
-    reports = [run_opa(config, trials=200_000, seed=99, workers=w) for w in (1, 2, 8)]
+    _, _, relay = policies_from_config(config)
+    reports = [run_opa(relay, trials=200_000, seed=99, workers=w) for w in (1, 2, 8)]
     workers_equal = reports[0] == reports[1] == reports[2]
     ok = bytes_equal and workers_equal and code1 == code2 == 0
     _report(8, "determinism", ok,

@@ -1,16 +1,13 @@
-"""End-node inversion policies: cutoff equation, power rule, rate support."""
+"""End-node inversion policies: cutoff equation, and the end-node side of
+the per-cycle rule (power, rate support)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tdbcsim.endnode_policy import (
-    EndNodePolicy,
-    endnode_power,
-    link_supports_rate,
-    solve_cutoff,
-)
+from tdbcsim.endnode_policy import EndNodePolicy, solve_cutoff
+from tdbcsim.relay_policy import UNBOUNDED, RelayPolicy, cycle_powers
 from tdbcsim.specfun import exp_integral_e1
 from tdbcsim.system_model import FadingSampler
 
@@ -71,52 +68,65 @@ class TestEndNodePolicy:
 
 
 def _policy(delta=1.0, cutoff=0.5, omega=1.0):
-    return EndNodePolicy.from_cutoff(delta, omega, cutoff)
+    """A system whose first end node has the given threshold and cutoff."""
+    return RelayPolicy.from_rho(delta, 1.0, cutoff, 1.0, omega, 1.0, UNBOUNDED)
+
+
+def _power(policy, gain):
+    """Power of the first end node at own-link gain `gain`."""
+    p1, _, _ = cycle_powers(policy, gain, 1.0)
+    return p1
 
 
 class TestEndnodePower:
     def test_inverts_above_cutoff(self):
-        assert endnode_power(_policy(), 2.0) == 0.5
+        assert _power(_policy(), 2.0) == 0.5
 
     def test_silent_below_cutoff(self):
-        assert endnode_power(_policy(), 0.4) == 0.0
+        assert _power(_policy(), 0.4) == 0.0
 
     def test_boundary_transmits(self):
-        assert endnode_power(_policy(), 0.5) == 2.0
+        assert _power(_policy(), 0.5) == 2.0
 
     def test_rejects_negative_gain(self):
-        with pytest.raises(ValueError):
-            endnode_power(_policy(), -0.1)
+        for gain in (-0.1, math.nan, math.inf, [1.0, -0.1]):
+            with pytest.raises(ValueError):
+                cycle_powers(_policy(), gain, 1.0)
+            with pytest.raises(ValueError):
+                cycle_powers(_policy(), 1.0, gain)
 
     def test_exact_inversion_meets_rate(self):
         """Capacity equals the session rate to machine precision whenever the
         node transmits."""
         policy = _policy(delta=3.0, cutoff=0.2)
-        for gain in np.logspace(math.log10(0.2), 3, 200):
-            power = endnode_power(policy, float(gain))
-            capacity = math.log2(1.0 + power * float(gain)) / 3.0
-            assert capacity == pytest.approx(policy.rate, rel=1e-14)
+        rate = math.log2(1.0 + 3.0) / 3.0
+        gains = np.logspace(math.log10(0.2), 3, 200)
+        for gain, power in zip(gains, _power(policy, gains)):
+            capacity = math.log2(1.0 + float(power) * float(gain)) / 3.0
+            assert capacity == pytest.approx(rate, rel=1e-14)
 
 
 class TestLinkSupportsRate:
+    """The link carries the session rate exactly when the node transmits."""
+
     def test_boundary_counts_as_support(self):
-        assert link_supports_rate(_policy(), 0.5) is True
+        assert _power(_policy(), 0.5) > 0.0
 
     def test_zero_gain_fails(self):
-        assert link_supports_rate(_policy(), 0.0) is False
+        assert _power(_policy(), 0.0) == 0.0
 
     def test_just_below_cutoff_fails(self):
-        assert link_supports_rate(_policy(), 0.5 * 0.999) is False
+        assert _power(_policy(), 0.5 * 0.999) == 0.0
 
     def test_matches_capacity_predicate(self):
         policy = _policy(delta=1.0, cutoff=0.3)
-        for gain in np.linspace(0.0, 2.0, 400):
-            gain = float(gain)
-            power = endnode_power(policy, gain)
-            capacity = math.log2(1.0 + power * gain) / 3.0
+        rate = math.log2(1.0 + 1.0) / 3.0
+        gains = np.linspace(0.0, 2.0, 400)
+        for gain, power in zip(gains, _power(policy, gains)):
+            capacity = math.log2(1.0 + float(power) * float(gain)) / 3.0
             # tiny slack: the capacity side is float-rounded at equality
-            by_capacity = capacity >= policy.rate - 1e-12
-            assert link_supports_rate(policy, gain) == by_capacity
+            by_capacity = capacity >= rate - 1e-12
+            assert (power > 0.0) == by_capacity
 
 
 class TestBudgetStatistics:

@@ -1,4 +1,5 @@
-"""Relay policy: decode region, minimal power, cap truncation, averages."""
+"""Relay policy: the per-cycle rule (decode region, minimal power, cap
+truncation), construction, averages."""
 
 import math
 
@@ -12,14 +13,12 @@ from tdbcsim.relay_policy import (
     RelayPolicy,
     avg_relay_power,
     avg_relay_power_max,
+    cycle_powers,
     policies_from_config,
-    relay_decodes,
-    relay_power_optimal,
-    relay_power_static,
     solve_rho,
 )
 from tdbcsim.specfun import exp_integral_e1
-from tdbcsim.system_model import ChannelState, FadingSampler, SystemConfig
+from tdbcsim.system_model import FadingSampler, SystemConfig
 
 # Frozen from the quadrature oracle (rel 1e-13): 2 * E1(0.4).
 TWICE_E1_04 = 1.4047602377313249
@@ -30,23 +29,33 @@ def _policy(delta1=1.0, delta2=1.0, x0=0.1, y0=0.1, omega_x=1.0, omega_y=1.0,
     return RelayPolicy.from_rho(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
+def _relay_power(policy, x, y):
+    _, _, pr = cycle_powers(policy, x, y)
+    return pr
+
+
 class TestDecodeRegion:
+    """Without a cap the relay transmits exactly where it decodes both
+    codewords."""
+
     def test_interior_point(self):
-        assert relay_decodes(_policy(), ChannelState(0.2, 0.2)) is True
+        assert _relay_power(_policy(), 0.2, 0.2) > 0.0
 
     def test_one_link_below(self):
-        assert relay_decodes(_policy(), ChannelState(0.05, 0.2)) is False
+        assert _relay_power(_policy(), 0.05, 0.2) == 0.0
 
     def test_boundary_inclusive(self):
-        assert relay_decodes(_policy(), ChannelState(0.1, 0.1)) is True
+        assert _relay_power(_policy(), 0.1, 0.1) > 0.0
 
 
 class TestStaticPower:
+    """The uncapped broadcast power."""
+
     def test_binding_direction(self):
-        assert relay_power_static(_policy(), ChannelState(2.0, 4.0)) == 0.5
+        assert _relay_power(_policy(), 2.0, 4.0) == 0.5
 
     def test_silent_outside_region(self):
-        assert relay_power_static(_policy(), ChannelState(0.05, 4.0)) == 0.0
+        assert _relay_power(_policy(), 0.05, 4.0) == 0.0
 
     def test_branches_agree_on_the_ray(self):
         """Along y = (delta1/delta2) x both directions demand the same power."""
@@ -62,13 +71,11 @@ class TestStaticPower:
         rate_1 = math.log2(1.0 + policy.delta1) / 3.0
         rate_2 = math.log2(1.0 + policy.delta2) / 3.0
         x, y = FadingSampler(60, 1.0, 1.0).sample_block(2000)
-        for xi, yi in zip(x, y):
-            state = ChannelState(float(xi), float(yi))
-            power = relay_power_static(policy, state)
+        for xi, yi, power in zip(x, y, _relay_power(policy, x, y)):
             if power == 0.0:
                 continue
-            cap_toward_1 = math.log2(1.0 + power * state.y) / 3.0
-            cap_toward_2 = math.log2(1.0 + power * state.x) / 3.0
+            cap_toward_1 = math.log2(1.0 + power * yi) / 3.0
+            cap_toward_2 = math.log2(1.0 + power * xi) / 3.0
             assert cap_toward_1 >= rate_1 - 1e-12
             assert cap_toward_2 >= rate_2 - 1e-12
             assert (cap_toward_1 == pytest.approx(rate_1, rel=1e-12)
@@ -92,23 +99,21 @@ class TestRegionPartition:
 
 class TestOptimalPower:
     def test_cap_truncates(self):
-        policy = _policy(rho=0.4)
-        state = ChannelState(2.0, 4.0)
-        assert relay_power_static(policy, state) == 0.5
-        assert relay_power_optimal(policy, state) == 0.0
+        assert _relay_power(_policy(), 2.0, 4.0) == 0.5
+        assert _relay_power(_policy(rho=0.4), 2.0, 4.0) == 0.0
 
     def test_unbounded_cap_passes_through(self):
-        assert relay_power_optimal(_policy(), ChannelState(2.0, 4.0)) == 0.5
+        assert _relay_power(_policy(), 2.0, 4.0) == 0.5
 
     def test_wedge_form_example(self):
         """(2, 4) with unit thresholds lies in the wedge toward the first
         node (x <= (delta2/delta1) y, corner cleared), so the relay spends
         delta2 / x = 0.5, under the cap of 2."""
         policy = _policy(rho=2.0)
-        state = ChannelState(2.0, 4.0)
-        assert max(policy.delta2 / policy.rho, policy.x0) <= state.x
-        assert state.x <= (policy.delta2 / policy.delta1) * state.y
-        assert relay_power_optimal(policy, state) == 0.5
+        x, y = 2.0, 4.0
+        assert max(policy.delta2 / policy.rho, policy.x0) <= x
+        assert x <= (policy.delta2 / policy.delta1) * y
+        assert _relay_power(policy, x, y) == 0.5
 
     def test_equivalent_to_wedge_membership_rule(self):
         """Cap-truncation and the wedge-form rule (transmit delta1/y on one
@@ -118,26 +123,49 @@ class TestOptimalPower:
         d1, d2 = policy.delta1, policy.delta2
         l1, l2 = policy.lambda1, policy.lambda2
         x, y = FadingSampler(61, 1.0, 1.5).sample_block(4000)
-        for xi, yi in zip(x, y):
-            state = ChannelState(float(xi), float(yi))
-            if state.x >= policy.x0 and l2 <= state.y <= (d1 / d2) * state.x:
-                expected = d1 / state.y
-            elif state.y >= policy.y0 and l1 <= state.x <= (d2 / d1) * state.y:
-                expected = d2 / state.x
+        for xi, yi, power in zip(x, y, _relay_power(policy, x, y)):
+            if xi >= policy.x0 and l2 <= yi <= (d1 / d2) * xi:
+                expected = d1 / yi
+            elif yi >= policy.y0 and l1 <= xi <= (d2 / d1) * yi:
+                expected = d2 / xi
             else:
                 expected = 0.0
-            assert relay_power_optimal(policy, state) == pytest.approx(expected, abs=1e-15)
+            assert power == pytest.approx(expected, abs=1e-15)
 
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.1, max_value=5.0))
     @settings(max_examples=200, deadline=None)
     def test_dominance(self, x, y, rho):
+        """The relay either sends the uncapped power or nothing, and never
+        more than the cap."""
         policy = _policy(delta1=1.5, delta2=0.7, x0=0.2, y0=0.3, rho=rho)
-        state = ChannelState(x, y)
-        optimal = relay_power_optimal(policy, state)
-        assert optimal <= relay_power_static(policy, state)
-        assert optimal <= rho
+        power = _relay_power(policy, x, y)
+        assert power <= rho
+        assert power == 0.0 or power == max(policy.delta1 / y, policy.delta2 / x)
+
+
+class TestCyclePowers:
+    @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
+    def test_served_set_is_the_outage_quadrant(self, rho):
+        """The relay transmits exactly on the quadrant x >= lambda1,
+        y >= lambda2 whose complement outage_opa integrates, and each end
+        node exactly at or above its cutoff."""
+        policy = _policy(delta1=1.0, delta2=3.0, x0=0.3, y0=0.15, rho=rho)
+        x, y = FadingSampler(62, 1.0, 1.5).sample_block(65_536)
+        p1, p2, pr = cycle_powers(policy, x, y)
+        assert np.array_equal(pr > 0.0, (x >= policy.lambda1) & (y >= policy.lambda2))
+        assert np.array_equal(p1 > 0.0, x >= policy.x0)
+        assert np.array_equal(p2 > 0.0, y >= policy.y0)
+
+    def test_scalars_and_arrays_agree(self):
+        policy = _policy(delta1=1.0, delta2=3.0, x0=0.3, y0=0.15, rho=2.5)
+        x, y = FadingSampler(63, 1.0, 1.5).sample_block(200)
+        arrays = cycle_powers(policy, x, y)
+        for i in range(len(x)):
+            scalars = cycle_powers(policy, float(x[i]), float(y[i]))
+            assert all(s.shape == () for s in scalars)
+            assert tuple(float(s) for s in scalars) == tuple(a[i] for a in arrays)
 
 
 class TestPolicyConstruction:

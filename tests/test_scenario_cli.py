@@ -257,14 +257,18 @@ class TestCsvAndCli:
         assert rows and all(None not in row and None not in row.values() for row in rows)
         assert "200 pts in [1e-6, 50]" in {row["params"] for row in rows}
 
-    @pytest.mark.parametrize("argv,ini", [
+    @pytest.mark.parametrize("argv,ini,names", [
         # the cutoff underflows at 34 dB
-        (["sweep-total-power", "--grid", "30:40:2", "--trials", "1000"], None),
+        (["sweep-total-power", "--grid", "30:40:2", "--trials", "1000"], None,
+         "cutoff solve"),
+        # the cap solver's lower bracket end cannot reach the 33 dB budget
+        (["sweep-total-power", "--grid", "33:33:1", "--trials", "1000"], None,
+         "cap solve"),
         # 2**(3 * 400) overflows a double
         (["sweep-total-power", "--grid", "0:0:1", "--trials", "1000"],
-         "[sweep_total_power]\nrate_1 = 400\n"),
-    ], ids=["cutoff-underflow", "rate-overflow"])
-    def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini):
+         "[sweep_total_power]\nrate_1 = 400\n", "rate"),
+    ], ids=["cutoff-underflow", "cap-bracket", "rate-overflow"])
+    def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini, names):
         argv = argv + ["--out", str(tmp_path / "s.csv")]
         if ini is not None:
             path = tmp_path / "exp.ini"
@@ -274,6 +278,7 @@ class TestCsvAndCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("tdbcsim: error: ")
+        assert names in err
 
     def test_unwritable_output_exit_code(self, capsys):
         code = main(["power-gains", "--grid", "0.1:0.9:0.2", "--trials", "20000",

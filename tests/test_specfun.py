@@ -98,6 +98,13 @@ class TestSolveMonotone:
         with pytest.raises(BracketingError):
             solve_monotone(exp_integral_e1, -1.0, 1e-6, 10.0, "decreasing")
 
+    def test_underflowing_lower_end_is_a_bracketing_failure(self):
+        """E1 reaches 1000 only below the smallest double; the lower end
+        underflows to 0, where E1 is undefined, and the solver says so
+        instead of evaluating it."""
+        with pytest.raises(BracketingError, match="underflowed"):
+            solve_monotone(exp_integral_e1, 1000.0, 1e-300, 1.0, "decreasing")
+
     def test_expansion_reaches_root_outside_bracket(self):
         got = solve_monotone(lambda v: v, 250.0, 0.0, 1.0, "increasing")
         assert got == pytest.approx(250.0, rel=1e-12)
