@@ -10,7 +10,7 @@ transmission cycle.
 """
 
 from .endnode_policy import EndNodePolicy, solve_cutoff
-from .mc_engine import SimReport, run_fpa, run_opa
+from .mc_engine import SimReport, run_fpa, run_opa, simulate
 from .outage_analytics import (
     FpaConfig,
     OutageReport,
@@ -34,7 +34,6 @@ from .specfun import (
     solve_monotone,
 )
 from .system_model import (
-    ChannelState,
     FadingSampler,
     SystemConfig,
     delta_of_rate,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketingError",
-    "ChannelState",
     "ConvergenceError",
     "EndNodePolicy",
     "FadingSampler",
@@ -65,6 +63,7 @@ __all__ = [
     "policies_from_config",
     "run_fpa",
     "run_opa",
+    "simulate",
     "solve_cutoff",
     "solve_monotone",
     "solve_rho",

@@ -20,6 +20,7 @@ power over each wedge reduces to E1 terms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -141,14 +142,36 @@ def cycle_powers(policy: RelayPolicy, x, y) -> tuple[np.ndarray, np.ndarray, np.
     x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
     sends1 = x >= policy.x0
     sends2 = y >= policy.y0
-    p1 = np.divide(policy.delta1, x, out=np.zeros(x.shape), where=sends1)
-    p2 = np.divide(policy.delta2, y, out=np.zeros(y.shape), where=sends2)
     decoded = sends1 & sends2
-    pr = np.zeros(decoded.shape)
-    pr[decoded] = np.maximum(policy.delta1 / y[decoded], policy.delta2 / x[decoded])
+    # Every divide runs unmasked, so no step branches per element: a silent
+    # entry divides by gain + 1 >= 1, a finite quotient that the mask then
+    # zeroes to +0.0 (a gain of 0 would give inf * 0 = nan).  The relay's
+    # second term is computed in p1's buffer before p1 itself, so no float
+    # array is allocated beyond the three outputs.
+    pr = _inverse(policy.delta1, y, decoded)
+    p1 = _inverse(policy.delta2, x, decoded)
+    np.maximum(pr, p1, out=pr)
     if not isinstance(policy.rho, _UnboundedRho):
-        pr[pr > policy.rho] = 0.0
+        served = pr <= policy.rho
+        # An overflowed demand (inf) is over any finite cap; bounding it
+        # keeps the mask product from forming inf * 0.
+        np.minimum(pr, sys.float_info.max, out=pr)
+        pr *= served
+    p1 = _inverse(policy.delta1, x, sends1, out=p1)
+    p2 = _inverse(policy.delta2, y, sends2)
     return p1, p2, pr
+
+
+def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """delta / gain where `sends`, +0.0 elsewhere (written into `out` when
+    given).  Where `sends` the denominator is gain + 0 == gain exactly."""
+    if out is None:
+        out = np.empty(gain.shape)
+    np.add(gain, ~sends, out=out)
+    np.divide(delta, out, out=out)
+    out *= sends
+    return out
 
 
 def _wedge_power(delta1: float, delta2: float, x0: float,

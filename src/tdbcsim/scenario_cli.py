@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .endnode_policy import solve_cutoff
-from .mc_engine import run_fpa, run_opa
+from .mc_engine import simulate
 from .outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
 from .relay_policy import (
     UNBOUNDED,
@@ -240,19 +240,24 @@ def scenario_total_power(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
     P_T/3 per node and the baseline fixed powers P_T/3 per node; analytic and
     Monte Carlo outage are reported for both."""
     fieldnames = ["P_T_dB", "op_opa_analytic", "op_opa_mc", "op_fpa_analytic", "op_fpa_mc"]
-    rows = []
+    points = []
     for p_t_db in spec.grid:
         share = db_to_linear(p_t_db) / 3.0
         config = SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
                               share, share, share)
-        _, _, relay = policies_from_config(config)
-        fpa = FpaConfig(share, share, share)
+        points.append((float(p_t_db), config, policies_from_config(config)[2],
+                       FpaConfig(share, share, share)))
+    reports = simulate([relay for _, _, relay, _ in points],
+                       [(config, fpa) for _, config, _, fpa in points],
+                       spec.trials, spec.seed)
+    rows = []
+    for k, (p_t_db, config, relay, fpa) in enumerate(points):
         rows.append({
-            "P_T_dB": float(p_t_db),
+            "P_T_dB": p_t_db,
             "op_opa_analytic": outage_opa(relay).p_out,
-            "op_opa_mc": run_opa(relay, spec.trials, spec.seed).outage_rate,
+            "op_opa_mc": reports[k].outage_rate,
             "op_fpa_analytic": outage_fpa(config, fpa),
-            "op_fpa_mc": run_fpa(config, fpa, spec.trials, spec.seed).outage_rate,
+            "op_fpa_mc": reports[len(points) + k].outage_rate,
         })
     return fieldnames, rows
 
@@ -295,10 +300,12 @@ def scenario_power_gains(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
 # Scenario: self-validation suite
 # ---------------------------------------------------------------------------
 
-def validation_configs() -> list[tuple[str, SystemConfig]]:
+def validation_policies() -> list[tuple[str, SystemConfig, RelayPolicy]]:
     """Deterministic parameter table spanning both wedge geometries and both
-    cap regimes (finite and unbounded); the relay budget is set as a fraction
-    of the saturation spend so the regime is guaranteed, not incidental."""
+    cap regimes (finite and unbounded), with the relay policy of each set.
+    The relay budget is set as a fraction of the saturation spend so the
+    regime is guaranteed, not incidental; the end-node cutoffs solved to size
+    it are the ones the relay policy uses."""
     rate_pairs = ((ONE_THIRD, ONE_THIRD), (ONE_THIRD, 2 * ONE_THIRD),
                   (2 * ONE_THIRD, ONE_THIRD), (0.5, 0.2))
     omega_pairs = ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0))
@@ -317,8 +324,15 @@ def validation_configs() -> list[tuple[str, SystemConfig]]:
                 p_max = avg_relay_power_max(d1, d2, x0, y0, omega_x, omega_y)
                 config = SystemConfig(rate_1, rate_2, omega_x, omega_y,
                                       pbar_s1, pbar_s2, fraction * p_max)
-                sets.append((f"set{index:02d}", config))
+                relay = RelayPolicy.from_budget(d1, d2, x0, y0, omega_x, omega_y,
+                                                config.p_avg_relay)
+                sets.append((f"set{index:02d}", config, relay))
     return sets
+
+
+def validation_configs() -> list[tuple[str, SystemConfig]]:
+    """The (label, configuration) pairs of `validation_policies`."""
+    return [(label, config) for label, config, _ in validation_policies()]
 
 
 _FPA_VALIDATION_SETS = (
@@ -360,12 +374,17 @@ def _rel_dev(a: float, b: float) -> float:
 
 
 def _mc_consistency_rows(spec: ScenarioSpec) -> list[dict]:
+    opa_sets = validation_policies()
+    fpa_sets = [(label, SystemConfig(rate_1, rate_2, omega_x, omega_y, 1.0, 1.0, 1.0),
+                 FpaConfig(*powers))
+                for label, (rate_1, rate_2, omega_x, omega_y), powers in _FPA_VALIDATION_SETS]
+    reports = simulate([relay for _, _, relay in opa_sets],
+                       [(config, fpa) for _, config, fpa in fpa_sets],
+                       spec.trials, spec.seed)
     rows = []
-    for label, config in validation_configs():
-        _, _, relay = policies_from_config(config)
+    for (label, config, relay), report in zip(opa_sets, reports):
         analytic_op = outage_opa(relay).p_out
         analytic_pr = avg_relay_power(relay)
-        report = run_opa(relay, spec.trials, spec.seed)
         sigma = math.sqrt(max(analytic_op * (1.0 - analytic_op), 1e-12) / spec.trials)
         rows.append(_row("outage_mc", label, analytic_op, report.outage_rate,
                          abs(report.outage_rate - analytic_op), 4.0 * sigma))
@@ -378,11 +397,8 @@ def _mc_consistency_rows(spec: ScenarioSpec) -> list[dict]:
         overspend = max(0.0, report.avg_power_relay / config.p_avg_relay - 1.0)
         rows.append(_row("relay_budget", label, config.p_avg_relay,
                          report.avg_power_relay, overspend, 0.01))
-    for label, (rate_1, rate_2, omega_x, omega_y), powers in _FPA_VALIDATION_SETS:
-        config = SystemConfig(rate_1, rate_2, omega_x, omega_y, 1.0, 1.0, 1.0)
-        fpa = FpaConfig(*powers)
+    for (label, config, fpa), report in zip(fpa_sets, reports[len(opa_sets):]):
         analytic_op = outage_fpa(config, fpa)
-        report = run_fpa(config, fpa, spec.trials, spec.seed)
         sigma = math.sqrt(max(analytic_op * (1.0 - analytic_op), 1e-12) / spec.trials)
         rows.append(_row("fpa_outage_mc", label, analytic_op, report.outage_rate,
                          abs(report.outage_rate - analytic_op), 4.0 * sigma))

@@ -7,7 +7,6 @@ boundary.  Rate expressions are base-2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from .specfun import require_positive
 __all__ = [
     "TDBC_PHASES",
     "SystemConfig",
-    "ChannelState",
     "FadingSampler",
     "delta_of_rate",
 ]
@@ -77,21 +75,6 @@ class SystemConfig:
         return delta_of_rate(self.rate_2)
 
 
-@dataclass(frozen=True)
-class ChannelState:
-    """Squared channel amplitudes (x, y) of one transmission cycle."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
-
-
 class FadingSampler:
     """Deterministic sampler of exponential squared-amplitude pairs.
 
@@ -120,21 +103,16 @@ class FadingSampler:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,))
         self._rng = np.random.Generator(np.random.PCG64(ss))
 
-    def sample_state(self) -> ChannelState:
-        """Draw the next channel state and advance the stream."""
-        u = self._rng.random(2)
-        x = -self.omega_x * math.log1p(-u[0])
-        y = -self.omega_y * math.log1p(-u[1])
-        return ChannelState(x, y)
-
     def sample_block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw `n` channel states at once.
+        """Draw the next `n` channel states.
 
-        Consumes the uniform stream exactly as `n` successive sample_state
-        calls would.  Values can differ from the scalar path by one unit in
-        the last place (the vector math library rounds independently), so
-        reproducibility guarantees hold per path: equal seeds and equal block
-        sizes give bit-identical output.
+        Row i uses the next two uniforms u of the stream (x first), mapped
+        to -omega * log1p(-u): equal seeds, stream indices and block sizes
+        give bit-identical output.  The draws scale exactly with the mean:
+        (-omega) * log1p(-u) == omega * (-log1p(-u)) for every omega, since
+        negation is exact and rounding is symmetric in sign, so the block of
+        a unit-mean sampler multiplied by omega equals, bit for bit, the
+        block of a sampler with mean omega on the same stream.
         """
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")

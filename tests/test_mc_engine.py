@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from tdbcsim.mc_engine import run_fpa, run_opa
+from tdbcsim.mc_engine import run_fpa, run_opa, simulate
 from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
 from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config
-from tdbcsim.scenario_cli import validation_configs
+from tdbcsim.scenario_cli import load_spec, validation_configs
 from tdbcsim.specfun import exp_integral_e1
 from tdbcsim.system_model import SystemConfig
 
@@ -70,6 +70,61 @@ class TestPinnedReports:
         assert report.outage_rate == outages / 300_001
         assert (report.avg_power_s1, report.avg_power_s2,
                 report.avg_power_relay) == pytest.approx(powers, rel=1e-12, abs=0.0)
+
+
+def _default_sweep():
+    """Relay policies and FPA pairs of the 21 points of the default sweep."""
+    relays, pairs = [], []
+    for p_t_db in load_spec("sweep_total_power").grid:
+        share = 10.0 ** (p_t_db / 10.0) / 3.0
+        config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, share, share, share)
+        relays.append(_relay(config))
+        pairs.append((config, FpaConfig(share, share, share)))
+    return relays, pairs
+
+
+class TestSimulate:
+    def test_worker_count_invariance_on_the_default_sweep(self):
+        relays, pairs = _default_sweep()
+        assert (len(relays), len(pairs)) == (21, 21)
+        reports = [simulate(relays, pairs, 300_001, 3, workers=w) for w in (1, 2, 8)]
+        assert len(reports[0]) == 42
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_mixed_means_keep_order_and_match_single_runs(self):
+        """Policies of different mean gains, interleaved, come back in the
+        order given and equal to runs of each policy alone."""
+        configs = dict(validation_configs())
+        relays = [_relay(configs[label]) for label in ("set03", "set01", "set06", "set04")]
+        pairs = [(configs["set05"], FpaConfig(2.0, 4.0, 0.5)),
+                 (configs["set02"], FpaConfig(5.0, 8.0, 3.0))]
+        reports = simulate(relays, pairs, 70_000, 11)
+        assert reports == ([run_opa(r, 70_000, 11) for r in relays]
+                           + [run_fpa(c, f, 70_000, 11) for c, f in pairs])
+
+    @pytest.mark.parametrize("label,outages,powers", [
+        ("set03", 187000, (0.8019652993227292, 1.1979537693257372, 0.57134586051385)),
+        ("set06", 154244, (0.7970565523824802, 1.202860261893392, 0.9940702817777498)),
+    ])
+    def test_unequal_means_are_pinned(self, label, outages, powers):
+        """Mean gains (2, 0.5) capped and (0.5, 2) unbounded: reports recorded
+        from the engine when it drew every run with its own means."""
+        report = simulate([_relay(dict(validation_configs())[label])], [], 300_001, 7)[0]
+        assert report.outage_rate == outages / 300_001
+        assert (report.avg_power_s1, report.avg_power_s2,
+                report.avg_power_relay) == pytest.approx(powers, rel=1e-12, abs=0.0)
+
+    def test_fpa_unequal_means_are_pinned(self):
+        config = dict(validation_configs())["set03"]
+        report = simulate([], [(config, FpaConfig(5.0, 8.0, 3.0))], 300_001, 7)[0]
+        assert report.outage_rate == 169859 / 300_001
+
+    def test_nothing_to_simulate(self):
+        assert simulate([], [], 1000, 1) == []
+
+    def test_rejects_bad_trials(self):
+        with pytest.raises(ValueError):
+            simulate([], [], 0, 1)
 
 
 class TestOpaEstimates:

@@ -1,12 +1,16 @@
-"""Package structure: public names resolve, and no module reaches into
-another module's private names."""
+"""Package structure: public names resolve, no module reaches into another
+module's private names, and the benchmark's tracer finds what it wraps."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
+import sys
 
 import tdbcsim
 
 SRC = pathlib.Path(tdbcsim.__file__).parent
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def test_no_private_cross_module_imports():
@@ -19,3 +23,26 @@ def test_no_private_cross_module_imports():
                               for alias in node.names if alias.name.startswith("_")]
     assert not offenders, offenders
     assert all(hasattr(tdbcsim, name) for name in tdbcsim.__all__)
+
+
+def _import_tracing():
+    """bench/tracing.py as a module, loaded without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_traced_functions_resolve():
+    """Every (layer, function) the traced benchmark run rebinds exists on
+    tdbcsim.<layer>, as does the sampler method it wraps on its class."""
+    traced = _import_tracing().TRACED_FUNCTIONS
+    assert traced
+    missing = [f"{layer}.{name}" for layer, name in traced
+               if not callable(getattr(importlib.import_module(f"tdbcsim.{layer}"), name, None))]
+    assert not missing, missing
+    assert callable(tdbcsim.FadingSampler.sample_block)

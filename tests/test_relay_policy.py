@@ -2,6 +2,7 @@
 truncation), construction, averages."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,35 @@ class TestCyclePowers:
             scalars = cycle_powers(policy, float(x[i]), float(y[i]))
             assert all(s.shape == () for s in scalars)
             assert tuple(float(s) for s in scalars) == tuple(a[i] for a in arrays)
+
+    @pytest.mark.parametrize("cutoff", [0.3, 5e-324])
+    @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
+    def test_silent_entries_are_positive_zero(self, cutoff, rho):
+        """At a gain of 0 on either link every silent entry is exactly +0.0
+        and nothing warns, down to the smallest cutoff; a clamp such as
+        max(x, x0) would give delta / 5e-324 * 0 = inf * 0 = nan there."""
+        policy = _policy(x0=cutoff, y0=cutoff, rho=rho)
+        x = np.array([0.0, 0.0, 2.0])
+        y = np.array([0.0, 2.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p1, p2, pr = cycle_powers(policy, x, y)
+        for silent in (p1[:2], p2[[0, 2]], pr):
+            assert np.all(silent == 0.0) and not np.any(np.signbit(silent))
+        assert (p1[2], p2[1]) == (0.5, 0.5)
+
+    def test_overflowed_demand_is_over_the_cap(self):
+        """With a subnormal cutoff a served gain can overflow delta / gain to
+        inf: the relay is silent (+0.0) under a finite cap and reports inf
+        without one, never nan."""
+        x = np.array([5e-324, 1.0])
+        y = np.array([5e-324, 1.0])
+        with np.errstate(over="ignore"):
+            capped = cycle_powers(_policy(x0=5e-324, y0=5e-324, rho=2.5), x, y)[2]
+            free = cycle_powers(_policy(x0=5e-324, y0=5e-324), x, y)[2]
+        assert capped[0] == 0.0 and not np.signbit(capped[0])
+        assert free[0] == math.inf
+        assert capped[1] == free[1] == 1.0
 
 
 class TestPolicyConstruction:

@@ -1,6 +1,7 @@
 """CLI front end: grid/config parsing, sweeps, validation, determinism."""
 
 import csv
+import hashlib
 import math
 
 import pytest
@@ -127,6 +128,15 @@ class TestTotalPowerSweep:
             sigma = math.sqrt(max(row["op_opa_analytic"]
                                   * (1 - row["op_opa_analytic"]), 1e-9) / spec.trials)
             assert abs(row["op_opa_analytic"] - row["op_opa_mc"]) <= 4 * sigma
+
+    def test_default_sweep_is_pinned(self, tmp_path):
+        """The default grid at 100,000 trials and seed 1, byte for byte as
+        written when every Monte Carlo run drew its own fading."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-total-power", "--trials", "100000", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "95e061356b66090c3d9a4f7743fb402f27fd8b50f67d5b359f82b9336c933143")
 
     def test_vanishing_power_forces_outage(self):
         spec = ScenarioSpec(scenario="sweep_total_power", grid=(-30.0,), **SMALL)
