@@ -11,6 +11,12 @@ unit-mean gains of chunk i once, scales them to each distinct pair of mean
 gains, and evaluates every policy on those states (common random numbers).
 Inverse-CDF draws scale exactly with the mean, so each report equals the
 one a separate run of that policy alone would give, bit for bit.
+
+A run that needs only outage rates (`powers=False`) skips the power arrays:
+`relay_policy.served_masks` computes the relay demand once per group of
+policies that share mean gains and rates, and each policy then costs a few
+comparisons and a count.  The served rule behind those masks is the one
+`cycle_powers` applies, so the outage rates are those of a full run.
 """
 
 from __future__ import annotations
@@ -18,13 +24,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .outage_analytics import FpaConfig
-from .relay_policy import RelayPolicy, cycle_powers
+from .relay_policy import RelayPolicy, cycle_powers, served_masks
 from .system_model import FadingSampler, SystemConfig
 
 __all__ = [
@@ -46,14 +51,17 @@ class SimReport:
 
     Average powers are taken over ALL trials, silent cycles contributing
     zero: that is the quantity the long-term budgets constrain.  Averaging
-    over transmitting cycles only would read systematically high.
+    over transmitting cycles only would read systematically high.  An OPA
+    report of an outage-only run (`simulate(..., powers=False)`) holds None
+    for its three average powers; an FPA report always holds its fixed
+    powers.
     """
 
     trials: int
     outage_rate: float
-    avg_power_s1: float
-    avg_power_s2: float
-    avg_power_relay: float
+    avg_power_s1: float | None
+    avg_power_s2: float | None
+    avg_power_relay: float | None
     binomial_sigma: float
     seed: int
     policy_kind: str
@@ -61,11 +69,15 @@ class SimReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.outage_rate <= 1.0:
             raise ValueError(f"outage_rate must lie in [0, 1], got {self.outage_rate!r}")
-        for name in ("avg_power_s1", "avg_power_s2", "avg_power_relay"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
         if self.policy_kind not in ("OPA", "FPA"):
             raise ValueError(f"policy_kind must be 'OPA' or 'FPA', got {self.policy_kind!r}")
+        for name in ("avg_power_s1", "avg_power_s2", "avg_power_relay"):
+            value = getattr(self, name)
+            if value is None:
+                if self.policy_kind != "OPA":
+                    raise ValueError(f"{name} may be None only in an OPA report")
+            elif value < 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def _validate_trials(trials: int) -> None:
@@ -86,7 +98,7 @@ def _map_chunks(fn: Callable[[int], list], n_chunks: int, workers: int) -> list[
 
 
 def _report(kind: str, trials: int, seed: int, outages: int,
-            p1: float, p2: float, pr: float) -> SimReport:
+            p1: float | None, p2: float | None, pr: float | None) -> SimReport:
     rate = outages / trials
     return SimReport(
         trials=trials,
@@ -108,18 +120,16 @@ def _opa_sums(policy: RelayPolicy, x: np.ndarray, y: np.ndarray) -> tuple:
 
 def _fpa_sums(config: SystemConfig, fpa: FpaConfig, x: np.ndarray, y: np.ndarray) -> tuple:
     d1, d2 = config.delta1, config.delta2
-    outage = (
-        (x < d1 / fpa.p_s1_fix)
-        | (y < d2 / fpa.p_s2_fix)
-        | (y < d1 / fpa.p_r_fix)
-        | (x < d2 / fpa.p_r_fix)
-    )
+    # x < a or x < b is x < max(a, b) for any gain that is not nan.
+    outage = ((x < max(d1 / fpa.p_s1_fix, d2 / fpa.p_r_fix))
+              | (y < max(d2 / fpa.p_s2_fix, d1 / fpa.p_r_fix)))
     return (int(np.count_nonzero(outage)),)
 
 
 def simulate(opa_policies: Sequence[RelayPolicy],
              fpa_pairs: Sequence[tuple[SystemConfig, FpaConfig]],
-             trials: int, seed: int, workers: int = 1) -> list[SimReport]:
+             trials: int, seed: int, workers: int = 1, *,
+             powers: bool = True) -> list[SimReport]:
     """Simulate every policy on one shared fading stream.
 
     OPA policies (relay policies, e.g. from `policies_from_config`, which
@@ -130,38 +140,46 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     fixed powers exactly.  Each policy sees gains with its own mean gains,
     scaled from the same unit-mean draws.  Returns one report per OPA
     policy, then one per FPA pair, in the order given.
+
+    With `powers=False` only outages are counted: each OPA report carries
+    the same outage rate as with `powers=True` and None for its three
+    average powers.
     """
     _validate_trials(trials)
     sizes = _chunk_sizes(trials)
-    kernels = [partial(_opa_sums, policy) for policy in opa_policies]
-    kernels += [partial(_fpa_sums, config, fpa) for config, fpa in fpa_pairs]
-    means = [(policy.omega_x, policy.omega_y) for policy in opa_policies]
-    means += [(config.omega_x, config.omega_y) for config, _ in fpa_pairs]
-    groups: dict[tuple[float, float], list[int]] = {}
-    for j, mean in enumerate(means):
-        groups.setdefault(mean, []).append(j)
+    n_opa = len(opa_policies)
+    # Indices of the OPA policies and of the FPA pairs of each mean-gain pair.
+    groups: dict[tuple[float, float], tuple[list[int], list[int]]] = {}
+    for j, policy in enumerate(opa_policies):
+        groups.setdefault((policy.omega_x, policy.omega_y), ([], []))[0].append(j)
+    for j, (config, _) in enumerate(fpa_pairs):
+        groups.setdefault((config.omega_x, config.omega_y), ([], []))[1].append(j)
 
     def one_chunk(i: int) -> list[tuple]:
         unit_x, unit_y = FadingSampler(seed, 1.0, 1.0, stream_index=i).sample_block(sizes[i])
-        parts: list = [None] * len(kernels)
-        for (omega_x, omega_y), members in groups.items():
+        parts: list = [None] * (n_opa + len(fpa_pairs))
+        for (omega_x, omega_y), (opa, fpa) in groups.items():
             x = omega_x * unit_x
             y = omega_y * unit_y
-            for j in members:
-                parts[j] = kernels[j](x, y)
+            if powers:
+                for j in opa:
+                    parts[j] = _opa_sums(opa_policies[j], x, y)
+            elif opa:
+                served = served_masks([opa_policies[j] for j in opa], x, y)
+                for j, mask in zip(opa, served):
+                    parts[j] = (x.size - int(np.count_nonzero(mask)),)
+            for j in fpa:
+                parts[n_opa + j] = _fpa_sums(*fpa_pairs[j], x, y)
         return parts
 
-    chunks = _map_chunks(one_chunk, len(sizes), workers) if kernels else []
+    chunks = _map_chunks(one_chunk, len(sizes), workers) if groups else []
     reports = []
-    for j in range(len(opa_policies)):
+    for j in range(n_opa):
         parts = [chunk[j] for chunk in chunks]
-        reports.append(_report(
-            "OPA", trials, seed, sum(p[0] for p in parts),
-            math.fsum(p[1] for p in parts) / trials,
-            math.fsum(p[2] for p in parts) / trials,
-            math.fsum(p[3] for p in parts) / trials,
-        ))
-    for j, (_, fpa) in enumerate(fpa_pairs, start=len(opa_policies)):
+        averages = ([math.fsum(p[k] for p in parts) / trials for k in (1, 2, 3)]
+                    if powers else [None] * 3)
+        reports.append(_report("OPA", trials, seed, sum(p[0] for p in parts), *averages))
+    for j, (_, fpa) in enumerate(fpa_pairs, start=n_opa):
         outages = sum(chunk[j][0] for chunk in chunks)
         reports.append(_report("FPA", trials, seed, outages,
                                fpa.p_s1_fix, fpa.p_s2_fix, fpa.p_r_fix))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "RelayPolicy",
     "RhoValue",
     "cycle_powers",
+    "served_masks",
     "avg_relay_power",
     "avg_relay_power_max",
     "solve_rho",
@@ -145,29 +146,72 @@ def cycle_powers(policy: RelayPolicy, x, y) -> tuple[np.ndarray, np.ndarray, np.
     decoded = sends1 & sends2
     # Every divide runs unmasked, so no step branches per element: a silent
     # entry divides by gain + 1 >= 1, a finite quotient that the mask then
-    # zeroes to +0.0 (a gain of 0 would give inf * 0 = nan).  The relay's
-    # second term is computed in p1's buffer before p1 itself, so no float
-    # array is allocated beyond the three outputs.
-    pr = _inverse(policy.delta1, y, decoded)
-    p1 = _inverse(policy.delta2, x, decoded)
-    np.maximum(pr, p1, out=pr)
+    # zeroes to +0.0 (a gain of 0 would give inf * 0 = nan).
+    pr = _demand(policy.delta1, policy.delta2, x, y, decoded, decoded)
+    served = _served(policy, decoded, pr)
     if not isinstance(policy.rho, _UnboundedRho):
-        served = pr <= policy.rho
         # An overflowed demand (inf) is over any finite cap; bounding it
         # keeps the mask product from forming inf * 0.
         np.minimum(pr, sys.float_info.max, out=pr)
-        pr *= served
-    p1 = _inverse(policy.delta1, x, sends1, out=p1)
+    pr *= served
+    p1 = _inverse(policy.delta1, x, sends1)
     p2 = _inverse(policy.delta2, y, sends2)
     return p1, p2, pr
 
 
-def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """delta / gain where `sends`, +0.0 elsewhere (written into `out` when
-    given).  Where `sends` the denominator is gain + 0 == gain exactly."""
-    if out is None:
-        out = np.empty(gain.shape)
+def served_masks(policies: Sequence[RelayPolicy], x, y) -> list[np.ndarray]:
+    """Where the relay of each policy transmits at gains x, y: for each
+    policy the boolean array cycle_powers(policy, x, y)[2] > 0 (barring a
+    demand that underflows to 0), without the three power arrays.
+
+    Policies with equal delta1 and delta2 share one pass over the demand
+    max(delta1 / y, delta2 / x), so outage counts of many policies on the
+    same gains cost a few comparisons each.  Raises ValueError on a negative
+    or non-finite gain.
+    """
+    x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
+    groups: dict[tuple[float, float], list[int]] = {}
+    for j, policy in enumerate(policies):
+        groups.setdefault((policy.delta1, policy.delta2), []).append(j)
+    masks: list[np.ndarray] = [None] * len(policies)
+    for (delta1, delta2), members in groups.items():
+        # Dividing by the gain itself wherever it clears the group's smallest
+        # cutoff makes the demand exact wherever any member decodes.
+        demand = _demand(delta1, delta2, x, y,
+                         x >= min(policies[j].x0 for j in members),
+                         y >= min(policies[j].y0 for j in members))
+        for j in members:
+            policy = policies[j]
+            masks[j] = _served(policy, (x >= policy.x0) & (y >= policy.y0), demand)
+    return masks
+
+
+def _served(policy: RelayPolicy, decoded: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """The relay's served set: it decoded both uplinks and its demand is
+    within the cap.  An overflowed demand (inf) fails every finite cap."""
+    if isinstance(policy.rho, _UnboundedRho):
+        return decoded
+    return decoded & (demand <= policy.rho)
+
+
+def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray,
+            x_clear: np.ndarray, y_clear: np.ndarray) -> np.ndarray:
+    """max(delta1 / y, delta2 / x), exact wherever x_clear & y_clear.
+    Elsewhere a gain that is not clear divides as gain + 1, so no entry is
+    nan; an entry may be inf where a subnormal gain is clear."""
+    demand = np.empty(x.shape)
+    np.add(y, ~y_clear, out=demand)
+    np.divide(delta1, demand, out=demand)
+    quotient = np.empty(x.shape)
+    np.add(x, ~x_clear, out=quotient)
+    np.divide(delta2, quotient, out=quotient)
+    return np.maximum(demand, quotient, out=demand)
+
+
+def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray) -> np.ndarray:
+    """delta / gain where `sends`, +0.0 elsewhere.  Where `sends` the
+    denominator is gain + 0 == gain exactly."""
+    out = np.empty(gain.shape)
     np.add(gain, ~sends, out=out)
     np.divide(delta, out, out=out)
     out *= sends

@@ -249,7 +249,7 @@ def scenario_total_power(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
                        FpaConfig(share, share, share)))
     reports = simulate([relay for _, _, relay, _ in points],
                        [(config, fpa) for _, config, _, fpa in points],
-                       spec.trials, spec.seed)
+                       spec.trials, spec.seed, powers=False)
     rows = []
     for k, (p_t_db, config, relay, fpa) in enumerate(points):
         rows.append({

@@ -1,13 +1,14 @@
 """Monte Carlo engine: determinism, budget accounting, estimator consistency."""
 
+import dataclasses
 import math
 
 import pytest
 
-from tdbcsim.mc_engine import run_fpa, run_opa, simulate
+from tdbcsim.mc_engine import SimReport, run_fpa, run_opa, simulate
 from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
 from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config
-from tdbcsim.scenario_cli import load_spec, validation_configs
+from tdbcsim.scenario_cli import load_spec, validation_configs, validation_policies
 from tdbcsim.specfun import exp_integral_e1
 from tdbcsim.system_model import SystemConfig
 
@@ -125,6 +126,38 @@ class TestSimulate:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             simulate([], [], 0, 1)
+
+
+class TestOutageOnly:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_outage_rates_match_full_runs(self, workers):
+        """The 21 default-sweep policies and the 24 validate policies (mixed
+        mean gains and rates, capped and unbounded) with the sweep's FPA
+        pairs: an outage-only run is the full run with the OPA powers None."""
+        relays, pairs = _default_sweep()
+        relays += [relay for _, _, relay in validation_policies()]
+        full = simulate(relays, pairs, 200_001, 9)
+        quick = simulate(relays, pairs, 200_001, 9, workers=workers, powers=False)
+        blank = dict(avg_power_s1=None, avg_power_s2=None, avg_power_relay=None)
+        assert quick == ([dataclasses.replace(r, **blank) for r in full[:len(relays)]]
+                         + full[len(relays):])
+
+
+class TestSimReport:
+    def _report(self, kind, powers):
+        return SimReport(10, 0.5, *powers, 0.1, 1, kind)
+
+    def test_opa_powers_may_be_none(self):
+        assert self._report("OPA", (None, None, None)).avg_power_relay is None
+
+    def test_fpa_powers_may_not_be_none(self):
+        with pytest.raises(ValueError):
+            self._report("FPA", (1.0, 1.0, None))
+
+    @pytest.mark.parametrize("kind", ["OPA", "FPA"])
+    def test_rejects_negative_power(self, kind):
+        with pytest.raises(ValueError):
+            self._report(kind, (1.0, -1.0, 1.0))
 
 
 class TestOpaEstimates:

@@ -25,6 +25,10 @@ def test_no_private_cross_module_imports():
     assert all(hasattr(tdbcsim, name) for name in tdbcsim.__all__)
 
 
+def test_public_surface_does_not_grow():
+    assert len(tdbcsim.__all__) <= 25
+
+
 def _import_tracing():
     """bench/tracing.py as a module, loaded without writing bytecode."""
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)

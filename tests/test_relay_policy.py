@@ -16,6 +16,7 @@ from tdbcsim.relay_policy import (
     avg_relay_power_max,
     cycle_powers,
     policies_from_config,
+    served_masks,
     solve_rho,
 )
 from tdbcsim.specfun import exp_integral_e1
@@ -196,6 +197,56 @@ class TestCyclePowers:
         assert capped[0] == 0.0 and not np.signbit(capped[0])
         assert free[0] == math.inf
         assert capped[1] == free[1] == 1.0
+
+
+# One sampled chunk, and random relay policies on three pairs of rates:
+# (log10 x0, log10 y0, cap as a fraction of the saturation cap or None).
+_CHUNK = FadingSampler(64, 1.0, 1.5).sample_block(8192)
+_RANDOM_POLICIES = st.lists(
+    st.tuples(st.sampled_from([(1.0, 3.0), (0.26, 0.26), (2.0, 0.5)]),
+              st.floats(-3.0, 0.5), st.floats(-3.0, 0.5),
+              st.one_of(st.none(), st.floats(0.05, 1.5))),
+    min_size=1, max_size=6)
+
+
+class TestServedMasks:
+    """The batch served rule is the relay's transmit set of cycle_powers."""
+
+    @given(_RANDOM_POLICIES)
+    @settings(max_examples=100, deadline=None)
+    def test_masks_are_where_the_relay_transmits(self, draws):
+        policies = []
+        for (d1, d2), log_x0, log_y0, fraction in draws:
+            x0, y0 = 10.0 ** log_x0, 10.0 ** log_y0
+            rho = UNBOUNDED if fraction is None else fraction * max(d1 / y0, d2 / x0)
+            policies.append(_policy(d1, d2, x0, y0, 1.0, 1.5, rho))
+        x, y = _CHUNK
+        for policy, mask in zip(policies, served_masks(policies, x, y), strict=True):
+            assert np.array_equal(mask, cycle_powers(policy, x, y)[2] > 0.0)
+
+    @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
+    def test_subnormal_and_normal_cutoffs_share_a_demand(self, rho):
+        """A group whose smallest cutoff is subnormal divides by subnormal
+        gains; the masks still match cycle_powers and nothing warns beyond
+        the overflow of delta / 5e-324."""
+        gains = np.array([0.0, 5e-324, 1e-310, 0.3, 1e300])
+        x, y = (g.ravel() for g in np.meshgrid(gains, gains))
+        policies = [_policy(x0=5e-324, y0=5e-324, rho=rho), _policy(x0=0.3, y0=0.3, rho=rho),
+                    _policy(x0=5e-324, y0=0.3, rho=rho)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                masks = served_masks(policies, x, y)
+                expected = [cycle_powers(policy, x, y)[2] > 0.0 for policy in policies]
+        for mask, want in zip(masks, expected, strict=True):
+            assert np.array_equal(mask, want) and mask.any()
+
+    def test_scalars_and_bad_gains(self):
+        policy = _policy(x0=0.3, y0=0.3, rho=2.5)
+        assert [bool(m) for m in served_masks([policy, _policy()], 0.5, 2.0)] == [True, True]
+        assert served_masks([], [1.0], [1.0]) == []
+        with pytest.raises(ValueError):
+            served_masks([policy], [1.0, -1.0], 1.0)
 
 
 class TestPolicyConstruction:
