@@ -9,11 +9,10 @@ validates every closed form against a seeded Monte Carlo simulation of the
 transmission cycle.
 """
 
-from .endnode_policy import EndNodePolicy, solve_cutoff
-from .mc_engine import SimReport, run_fpa, run_opa, simulate
+from .endnode_policy import solve_cutoff
+from .mc_engine import SimReport, run_opa, simulate
 from .outage_analytics import (
     FpaConfig,
-    OutageReport,
     min_outage,
     outage_fpa,
     outage_opa,
@@ -31,7 +30,6 @@ from .specfun import (
     BracketingError,
     ConvergenceError,
     exp_integral_e1,
-    solve_monotone,
 )
 from .system_model import (
     FadingSampler,
@@ -44,10 +42,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketingError",
     "ConvergenceError",
-    "EndNodePolicy",
     "FadingSampler",
     "FpaConfig",
-    "OutageReport",
     "RelayPolicy",
     "SimReport",
     "SystemConfig",
@@ -61,10 +57,8 @@ __all__ = [
     "outage_fpa",
     "outage_opa",
     "policies_from_config",
-    "run_fpa",
     "run_opa",
     "simulate",
     "solve_cutoff",
-    "solve_monotone",
     "solve_rho",
 ]

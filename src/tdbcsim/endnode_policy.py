@@ -10,11 +10,9 @@ are evaluated by `relay_policy.cycle_powers`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .specfun import BracketingError, exp_integral_e1, require_positive, solve_monotone
-from .system_model import TDBC_PHASES
 
 __all__ = [
     "CUTOFF_BRACKET_LO_SCALE",
@@ -86,18 +84,3 @@ class EndNodePolicy:
     def from_budget(cls, delta: float, omega: float, pbar: float) -> "EndNodePolicy":
         """Solve the cutoff for a given budget."""
         return cls(delta, solve_cutoff(delta, omega, pbar), omega, pbar)
-
-    @classmethod
-    def from_cutoff(cls, delta: float, omega: float, cutoff: float) -> "EndNodePolicy":
-        """Adopt a cutoff and record the budget it consumes."""
-        delta = require_positive(delta, "delta")
-        omega = require_positive(omega, "omega")
-        cutoff = require_positive(cutoff, "cutoff")
-        pbar = (delta / omega) * exp_integral_e1(cutoff / omega)
-        return cls(delta, cutoff, omega, pbar)
-
-    @property
-    def rate(self) -> float:
-        """Session rate implied by the SNR threshold."""
-        return math.log2(1.0 + self.delta) / TDBC_PHASES
-

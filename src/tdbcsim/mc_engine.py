@@ -146,7 +146,10 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     average powers.
     """
     _validate_trials(trials)
-    sizes = _chunk_sizes(trials)
+    try:
+        sizes = _chunk_sizes(trials)
+    except MemoryError:
+        raise MemoryError(f"out of memory planning the chunks of {trials} trials") from None
     n_opa = len(opa_policies)
     # Indices of the OPA policies and of the FPA pairs of each mean-gain pair.
     groups: dict[tuple[float, float], tuple[list[int], list[int]]] = {}

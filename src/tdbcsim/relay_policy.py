@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -80,38 +80,20 @@ class RelayPolicy:
     delta2: float
     x0: float
     y0: float
-    rho: RhoValue
-    lambda1: float
-    lambda2: float
     omega_x: float
     omega_y: float
+    rho: RhoValue
+    lambda1: float = field(init=False)
+    lambda2: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("delta1", "delta2", "x0", "y0",
-                     "lambda1", "lambda2", "omega_x", "omega_y"):
+        for name in ("delta1", "delta2", "x0", "y0", "omega_x", "omega_y"):
             object.__setattr__(self, name, require_positive(getattr(self, name), name))
         if not isinstance(self.rho, _UnboundedRho):
             object.__setattr__(self, "rho", require_positive(self.rho, "rho"))
-        l1, l2 = _lambdas(self.delta1, self.delta2, self.x0, self.y0, self.rho)
-        if self.lambda1 != l1 or self.lambda2 != l2:
-            raise ValueError(
-                f"inconsistent truncation corners: stored ({self.lambda1!r}, "
-                f"{self.lambda2!r}), cap {self.rho!r} implies ({l1!r}, {l2!r})"
-            )
-
-    @property
-    def uses_case_a(self) -> bool:
-        """Which wedge geometry applies: True when delta2 * y0 <= delta1 * x0,
-        False when the average power is evaluated with the end nodes swapped
-        (ties resolve to True; both orientations agree there)."""
-        return self.delta2 * self.y0 <= self.delta1 * self.x0
-
-    @classmethod
-    def from_rho(cls, delta1: float, delta2: float, x0: float, y0: float,
-                 omega_x: float, omega_y: float, rho: RhoValue) -> "RelayPolicy":
-        """Adopt a candidate cap and derive the truncation corners from it."""
-        l1, l2 = _lambdas(delta1, delta2, x0, y0, rho)
-        return cls(delta1, delta2, x0, y0, rho, l1, l2, omega_x, omega_y)
+        corners = _lambdas(self.delta1, self.delta2, self.x0, self.y0, self.rho)
+        for name, value in zip(("lambda1", "lambda2"), corners):
+            object.__setattr__(self, name, require_positive(value, name))
 
     @classmethod
     def from_budget(cls, delta1: float, delta2: float, x0: float, y0: float,
@@ -119,7 +101,7 @@ class RelayPolicy:
         """Solve the cap that spends exactly the budget `p_avg` (UNBOUNDED
         when the budget reaches the saturation value)."""
         rho = solve_rho(delta1, delta2, x0, y0, omega_x, omega_y, p_avg)
-        return cls.from_rho(delta1, delta2, x0, y0, omega_x, omega_y, rho)
+        return cls(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
 def _gains(values, name: str) -> np.ndarray:
@@ -265,13 +247,9 @@ def avg_relay_power_max(delta1: float, delta2: float, x0: float, y0: float,
                         omega_x: float, omega_y: float) -> float:
     """Saturation value of the average broadcast power: the spend with no cap
     at all, reached once rho clears max(delta1 / y0, delta2 / x0)."""
-    delta1 = require_positive(delta1, "delta1")
-    delta2 = require_positive(delta2, "delta2")
-    x0 = require_positive(x0, "x0")
-    y0 = require_positive(y0, "y0")
-    omega_x = require_positive(omega_x, "omega_x")
-    omega_y = require_positive(omega_y, "omega_y")
-    return _avg_power(delta1, delta2, x0, y0, omega_x, omega_y, UNBOUNDED)
+    policy = RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, UNBOUNDED)
+    return _avg_power(policy.delta1, policy.delta2, policy.x0, policy.y0,
+                      policy.omega_x, policy.omega_y, UNBOUNDED)
 
 
 #: Initial lower bracket end for the cap solver, as a fraction of the

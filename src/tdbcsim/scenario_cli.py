@@ -41,7 +41,6 @@ from .specfun import ConvergenceError, exp_integral_e1, require_positive, solve_
 from .system_model import SystemConfig, delta_of_rate
 
 __all__ = [
-    "SCENARIOS",
     "DEFAULT_TRIALS",
     "MIN_TRIALS",
     "DEFAULT_SEED",
@@ -57,17 +56,10 @@ __all__ = [
     "entry_point",
 ]
 
-SCENARIOS = ("sweep_total_power", "power_gains", "validate")
 DEFAULT_TRIALS = 1_000_000
 MIN_TRIALS = 1_000
 DEFAULT_SEED = 20240915
 ONE_THIRD = 1.0 / 3.0
-
-_DEFAULT_GRID_TEXT = {
-    "sweep_total_power": "-10:30:2",   # dB
-    "power_gains": "0.05:0.9:0.05",    # target outage probability
-    "validate": "0:0:1",               # unused; validate runs a built-in grid
-}
 
 
 class ConfigError(ValueError):
@@ -97,7 +89,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"grid step must be > 0, got {step!r}")
     if stop < start:
         raise ConfigError(f"grid stop {stop!r} is below start {start!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ConfigError(f"grid {text!r} has too many points to count")
+    count = int(math.floor(steps + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -118,8 +113,9 @@ class ScenarioSpec:
     output_path: str = ""
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+        if self.scenario not in _SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}; "
+                              f"expected one of {tuple(_SCENARIOS)}")
         try:
             for name in ("rate_1", "rate_2", "omega_x", "omega_y"):
                 object.__setattr__(self, name, require_positive(getattr(self, name), name))
@@ -154,8 +150,8 @@ def load_spec(scenario: str, config_path: str | None = None, *,
     """Resolve a ScenarioSpec from an optional INI file plus flag overrides
     (flags win).  The file section matching the scenario name is read; keys
     are rate_1, rate_2, omega_x, omega_y, grid, trials, seed, out."""
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    if scenario not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {tuple(_SCENARIOS)}")
     raw: dict[str, str] = {}
     if config_path is not None:
         parser = configparser.ConfigParser()
@@ -198,11 +194,9 @@ def load_spec(scenario: str, config_path: str | None = None, *,
         except ValueError:
             raise ConfigError(f"field {key!r}: expected an integer, got {raw[key]!r}") from None
 
-    grid_values = parse_grid(raw["grid"]) if "grid" in raw \
-        else parse_grid(_DEFAULT_GRID_TEXT[scenario])
     return ScenarioSpec(
         scenario=scenario,
-        grid=grid_values,
+        grid=parse_grid(raw.get("grid", _SCENARIOS[scenario][0])),
         rate_1=_as_float("rate_1", ONE_THIRD),
         rate_2=_as_float("rate_2", ONE_THIRD),
         omega_x=_as_float("omega_x", 1.0),
@@ -330,11 +324,6 @@ def validation_policies() -> list[tuple[str, SystemConfig, RelayPolicy]]:
     return sets
 
 
-def validation_configs() -> list[tuple[str, SystemConfig]]:
-    """The (label, configuration) pairs of `validation_policies`."""
-    return [(label, config) for label, config, _ in validation_policies()]
-
-
 _FPA_VALIDATION_SETS = (
     ("fpa01", (ONE_THIRD, ONE_THIRD, 1.0, 1.0), (10.0, 10.0, 10.0)),
     ("fpa02", (ONE_THIRD, 2 * ONE_THIRD, 2.0, 0.5), (5.0, 8.0, 3.0)),
@@ -410,7 +399,7 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
 
     dev = 0.0
     for d1, d2, x0, y0, ox, oy in _SATURATION_GRID:
-        policy = RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, UNBOUNDED)
+        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, UNBOUNDED)
         dev = max(dev, abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
     rows.append(_row("saturation_identity", f"{len(_SATURATION_GRID)} pts", 0.0, dev, dev, 1e-12))
 
@@ -425,8 +414,8 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
             continue
         saturation = max(d1 / y0, d2 / x0)
         for cap in (UNBOUNDED, 0.7 * saturation, 0.2 * saturation):
-            policy = RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, cap)
-            mirror = RelayPolicy.from_rho(d2, d1, y0, x0, oy, ox, cap)
+            policy = RelayPolicy(d1, d2, x0, y0, ox, oy, cap)
+            mirror = RelayPolicy(d2, d1, y0, x0, oy, ox, cap)
             dev = max(dev, _rel_dev(avg_relay_power(policy), avg_relay_power(mirror)))
     rows.append(_row("tie_avg_power", f"{len(_TIE_GRID)} pts x 3 caps", 0.0, dev, dev, 1e-10))
 
@@ -463,7 +452,7 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
         for fraction in (0.35, 0.75):
             count += 1
             rho_true = fraction * max(d1 / y0, d2 / x0)
-            policy = RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, rho_true)
+            policy = RelayPolicy(d1, d2, x0, y0, ox, oy, rho_true)
             p_avg = avg_relay_power(policy)
             solved = solve_rho(d1, d2, x0, y0, ox, oy, p_avg)
             dev = max(dev, abs(solved - rho_true) / rho_true)
@@ -473,7 +462,7 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
     for d1, d2, x0, ox, oy in _TIE_GRID[:4]:
         y0 = 0.8 * d1 * x0 / d2
         caps = np.linspace(0.05, 1.5, 40) * max(d1 / y0, d2 / x0)
-        values = [avg_relay_power(RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, float(c)))
+        values = [avg_relay_power(RelayPolicy(d1, d2, x0, y0, ox, oy, float(c)))
                   for c in caps]
         drops = [max(0.0, a - b) for a, b in zip(values, values[1:])]
         worst_drop = max(worst_drop, max(drops))
@@ -483,13 +472,26 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
     return rows
 
 
-def scenario_validate(spec: ScenarioSpec) -> tuple[list[str], list[dict], bool]:
+def scenario_validate(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
     """Run the full self-check battery; FAIL rows are data, not exceptions."""
     fieldnames = ["check", "params", "analytic", "empirical", "deviation",
                   "tolerance", "status"]
-    rows = _identity_rows(spec) + _mc_consistency_rows(spec)
-    ok = all(row["status"] == "PASS" for row in rows)
-    return fieldnames, rows, ok
+    return fieldnames, _identity_rows(spec) + _mc_consistency_rows(spec)
+
+
+#: Scenario name -> (default grid, help line, row function).  Each scenario
+#: is the subcommand of its name with '-' for '_'.
+_SCENARIOS = {
+    "sweep_total_power": ("-10:30:2",   # dB
+                          "outage vs total power for adaptive and fixed allocation",
+                          scenario_total_power),
+    "power_gains": ("0.05:0.9:0.05",    # target outage probability
+                    "power savings of adaptive allocation per target outage",
+                    scenario_power_gains),
+    "validate": ("0:0:1",               # unused; validate runs a built-in grid
+                 "closed-form vs Monte Carlo and identity checks",
+                 scenario_validate),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +503,6 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_COMMAND_TO_SCENARIO = {
-    "sweep-total-power": "sweep_total_power",
-    "power-gains": "power_gains",
-    "validate": "validate",
-}
-
-
 def _build_parser() -> _CliParser:
     parser = _CliParser(
         prog="tdbcsim",
@@ -515,13 +510,8 @@ def _build_parser() -> _CliParser:
                     "bidirectional relaying: sweeps and validation.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    helps = {
-        "sweep-total-power": "outage vs total power for adaptive and fixed allocation",
-        "power-gains": "power savings of adaptive allocation per target outage",
-        "validate": "closed-form vs Monte Carlo and identity checks",
-    }
-    for command in _COMMAND_TO_SCENARIO:
-        p = sub.add_parser(command, help=helps[command])
+    for scenario, (_, help_line, _) in _SCENARIOS.items():
+        p = sub.add_parser(scenario.replace("_", "-"), help=help_line)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="INI config file; section per scenario")
         p.add_argument("--out", metavar="PATH", default=None, help="output CSV path")
@@ -556,32 +546,27 @@ def _absorb_negative_grid(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI.  Exit status: 0 success; 1 usage, configuration, numerical
-    or I/O error, reported as one `tdbcsim: error:` line on stderr;
+    """Run the CLI.  Exit status: 0 success; 1 usage, configuration, numerical,
+    memory or I/O error, reported as one `tdbcsim: error:` line on stderr;
     2 validation failure."""
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_absorb_negative_grid(list(argv)))
-        scenario = _COMMAND_TO_SCENARIO[args.command]
+        scenario = args.command.replace("-", "_")
         spec = load_spec(scenario, args.config, grid=args.grid,
                          trials=args.trials, seed=args.seed, out=args.out)
-        if scenario == "validate":
-            fieldnames, rows, ok = scenario_validate(spec)
-            write_csv(spec.output_path, fieldnames, rows)
-            passed = sum(row["status"] == "PASS" for row in rows)
-            print(f"validate: {passed}/{len(rows)} checks passed -> {spec.output_path}")
-            return 0 if ok else 2
-        if scenario == "sweep_total_power":
-            fieldnames, rows = scenario_total_power(spec)
-        else:
-            fieldnames, rows = scenario_power_gains(spec)
+        fieldnames, rows = _SCENARIOS[scenario][2](spec)
         write_csv(spec.output_path, fieldnames, rows)
+        if "status" in fieldnames:
+            passed = sum(row["status"] == "PASS" for row in rows)
+            print(f"{args.command}: {passed}/{len(rows)} checks passed -> {spec.output_path}")
+            return 0 if passed == len(rows) else 2
         print(f"{args.command}: wrote {len(rows)} rows -> {spec.output_path}")
         return 0
-    except (ValueError, ArithmeticError, ConvergenceError, OSError) as exc:
-        print(f"tdbcsim: error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, ConvergenceError, OSError, MemoryError) as exc:
+        print(f"tdbcsim: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

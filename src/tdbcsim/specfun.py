@@ -15,7 +15,6 @@ from typing import Callable, Literal
 __all__ = [
     "EULER_GAMMA",
     "E1_REL_TOL",
-    "SOLVER_F_TOL",
     "SOLVER_WIDTH_TOL",
     "BRACKET_GROWTH",
     "MAX_BRACKET_EXPANSIONS",
@@ -32,10 +31,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 #: Guaranteed relative accuracy of exp_integral_e1 on [1e-6, 700].
 E1_REL_TOL = 1e-12
-
-#: Residual guarantee of solve_monotone: |f(x*) - target| within this times
-#: max(1, |target|), unless the width criterion is reached first.
-SOLVER_F_TOL = 1e-12
 
 #: Bracket-width stop of solve_monotone, relative to max(1, |x*|) (and plain
 #: relative to x* on positive brackets, which are bisected geometrically).

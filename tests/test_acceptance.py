@@ -24,7 +24,7 @@ from tdbcsim.scenario_cli import (
     ScenarioSpec,
     main,
     scenario_power_gains,
-    validation_configs,
+    validation_policies,
 )
 from tdbcsim.specfun import exp_integral_e1
 from tdbcsim.system_model import SystemConfig
@@ -76,7 +76,7 @@ def test_criterion_2_cutoff_round_trips():
         ox = float(10.0 ** rng.uniform(-0.5, 0.5))
         oy = float(10.0 ** rng.uniform(-0.5, 0.5))
         rho_true = float(rng.uniform(0.05, 0.95)) * max(d1 / y0, d2 / x0)
-        policy = RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, rho_true)
+        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, rho_true)
         solved = solve_rho(d1, d2, x0, y0, ox, oy, avg_relay_power(policy))
         worst_rho = max(worst_rho, abs(solved - rho_true) / rho_true)
     elapsed = time.perf_counter() - start
@@ -100,7 +100,7 @@ def test_criterion_3_saturation_identity():
     grid."""
     worst_floor = 0.0
     for d1, d2, x0, y0, ox, oy in _saturation_grid():
-        policy = RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, UNBOUNDED)
+        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, UNBOUNDED)
         worst_floor = max(worst_floor,
                           abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
     _report(3, "saturation identity", worst_floor <= 1e-12,
@@ -124,8 +124,8 @@ def test_criterion_4_case_boundary_continuity():
         exact_ties += d2 * y0 == d1 * x0
         saturation = max(d1 / y0, d2 / x0)
         for rho in (UNBOUNDED, 0.7 * saturation, 0.2 * saturation):
-            pa = avg_relay_power(RelayPolicy.from_rho(d1, d2, x0, y0, ox, oy, rho))
-            pb = avg_relay_power(RelayPolicy.from_rho(d2, d1, y0, x0, oy, ox, rho))
+            pa = avg_relay_power(RelayPolicy(d1, d2, x0, y0, ox, oy, rho))
+            pb = avg_relay_power(RelayPolicy(d2, d1, y0, x0, oy, ox, rho))
             worst_power = max(worst_power, abs(pa - pb) / max(pa, pb))
     ok = worst_power <= 1e-10 and exact_ties == len(combos)
     _report(4, "relay-spend continuity at the geometry tie", ok,
@@ -142,8 +142,7 @@ def test_criterion_5_monte_carlo_validation():
     failures = []
     worst_sigma_ratio = 0.0
     worst_power_dev = 0.0
-    for label, config in validation_configs():
-        _, _, relay = policies_from_config(config)
+    for label, config, relay in validation_policies():
         analytic_op = outage_opa(relay).p_out
         analytic_pr = avg_relay_power(relay)
         report = run_opa(relay, trials=trials, seed=20240915)

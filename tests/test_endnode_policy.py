@@ -54,22 +54,14 @@ class TestEndNodePolicy:
         implied = exp_integral_e1(policy.cutoff)
         assert implied == pytest.approx(0.7, rel=1e-9)
 
-    def test_from_cutoff_records_budget(self):
-        policy = EndNodePolicy.from_cutoff(2.0, 0.5, 0.25)
-        assert policy.pbar == pytest.approx(4.0 * exp_integral_e1(0.5), rel=1e-12)
-
     def test_rejects_inconsistent_budget(self):
         with pytest.raises(ValueError):
             EndNodePolicy(delta=1.0, cutoff=0.5, omega=1.0, pbar=3.0)
 
-    def test_rate_property(self):
-        policy = EndNodePolicy.from_cutoff(1.0, 1.0, 0.5)
-        assert policy.rate == pytest.approx(1.0 / 3.0, rel=1e-15)
-
 
 def _policy(delta=1.0, cutoff=0.5, omega=1.0):
     """A system whose first end node has the given threshold and cutoff."""
-    return RelayPolicy.from_rho(delta, 1.0, cutoff, 1.0, omega, 1.0, UNBOUNDED)
+    return RelayPolicy(delta, 1.0, cutoff, 1.0, omega, 1.0, UNBOUNDED)
 
 
 def _power(policy, gain):

@@ -8,7 +8,7 @@ import pytest
 from tdbcsim.mc_engine import SimReport, run_fpa, run_opa, simulate
 from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
 from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config
-from tdbcsim.scenario_cli import load_spec, validation_configs, validation_policies
+from tdbcsim.scenario_cli import load_spec, validation_policies
 from tdbcsim.specfun import exp_integral_e1
 from tdbcsim.system_model import SystemConfig
 
@@ -28,6 +28,11 @@ def _capped_config():
 
 def _relay(config):
     return policies_from_config(config)[2]
+
+
+def _validation_sets():
+    """Label -> (configuration, relay policy) of the validate parameter table."""
+    return {label: (config, relay) for label, config, relay in validation_policies()}
 
 
 class TestDeterminism:
@@ -65,7 +70,7 @@ class TestPinnedReports:
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_report_is_pinned(self, label, capped, outages, powers, workers):
-        relay = _relay(dict(validation_configs())[label])
+        relay = _validation_sets()[label][1]
         assert (relay.rho is not UNBOUNDED) == capped
         report = run_opa(relay, trials=300_001, seed=7, workers=workers)
         assert report.outage_rate == outages / 300_001
@@ -95,10 +100,10 @@ class TestSimulate:
     def test_mixed_means_keep_order_and_match_single_runs(self):
         """Policies of different mean gains, interleaved, come back in the
         order given and equal to runs of each policy alone."""
-        configs = dict(validation_configs())
-        relays = [_relay(configs[label]) for label in ("set03", "set01", "set06", "set04")]
-        pairs = [(configs["set05"], FpaConfig(2.0, 4.0, 0.5)),
-                 (configs["set02"], FpaConfig(5.0, 8.0, 3.0))]
+        sets = _validation_sets()
+        relays = [sets[label][1] for label in ("set03", "set01", "set06", "set04")]
+        pairs = [(sets["set05"][0], FpaConfig(2.0, 4.0, 0.5)),
+                 (sets["set02"][0], FpaConfig(5.0, 8.0, 3.0))]
         reports = simulate(relays, pairs, 70_000, 11)
         assert reports == ([run_opa(r, 70_000, 11) for r in relays]
                            + [run_fpa(c, f, 70_000, 11) for c, f in pairs])
@@ -110,13 +115,13 @@ class TestSimulate:
     def test_unequal_means_are_pinned(self, label, outages, powers):
         """Mean gains (2, 0.5) capped and (0.5, 2) unbounded: reports recorded
         from the engine when it drew every run with its own means."""
-        report = simulate([_relay(dict(validation_configs())[label])], [], 300_001, 7)[0]
+        report = simulate([_validation_sets()[label][1]], [], 300_001, 7)[0]
         assert report.outage_rate == outages / 300_001
         assert (report.avg_power_s1, report.avg_power_s2,
                 report.avg_power_relay) == pytest.approx(powers, rel=1e-12, abs=0.0)
 
     def test_fpa_unequal_means_are_pinned(self):
-        config = dict(validation_configs())["set03"]
+        config = _validation_sets()["set03"][0]
         report = simulate([], [(config, FpaConfig(5.0, 8.0, 3.0))], 300_001, 7)[0]
         assert report.outage_rate == 169859 / 300_001
 

@@ -22,7 +22,7 @@ FPA_UNIT_EXAMPLE = 0.18126924692201815
 
 def _policy(delta1=1.0, delta2=1.0, x0=0.2, y0=0.2, omega_x=1.0, omega_y=1.0,
             rho=UNBOUNDED):
-    return RelayPolicy.from_rho(delta1, delta2, x0, y0, omega_x, omega_y, rho)
+    return RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
 class TestMinOutage:

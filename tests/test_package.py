@@ -25,8 +25,21 @@ def test_no_private_cross_module_imports():
     assert all(hasattr(tdbcsim, name) for name in tdbcsim.__all__)
 
 
+def test_module_exports_resolve():
+    """Every name in each tdbcsim.<module>.__all__ exists on that module."""
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"tdbcsim.{path.stem}")
+        assert module.__all__, path.name
+        missing += [f"{path.stem}.{name}" for name in module.__all__
+                    if not hasattr(module, name)]
+    assert not missing, missing
+
+
 def test_public_surface_does_not_grow():
-    assert len(tdbcsim.__all__) <= 25
+    assert len(tdbcsim.__all__) <= 21
 
 
 def _import_tracing():

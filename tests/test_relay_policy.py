@@ -28,7 +28,7 @@ TWICE_E1_04 = 1.4047602377313249
 
 def _policy(delta1=1.0, delta2=1.0, x0=0.1, y0=0.1, omega_x=1.0, omega_y=1.0,
             rho=UNBOUNDED):
-    return RelayPolicy.from_rho(delta1, delta2, x0, y0, omega_x, omega_y, rho)
+    return RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
 def _relay_power(policy, x, y):
@@ -258,15 +258,6 @@ class TestPolicyConstruction:
     def test_unbounded_corners_sit_on_cutoffs(self):
         policy = _policy(x0=0.4, y0=0.2)
         assert (policy.lambda1, policy.lambda2) == (0.4, 0.2)
-
-    def test_rejects_inconsistent_corners(self):
-        with pytest.raises(ValueError):
-            RelayPolicy(1.0, 1.0, 0.4, 0.2, 2.0, 0.4, 0.2, 1.0, 1.0)
-
-    def test_case_flag(self):
-        assert _policy(delta2=1.0, x0=0.4, y0=0.2).uses_case_a is True
-        assert _policy(delta2=3.0, x0=0.4, y0=0.2).uses_case_a is False
-        assert _policy(delta2=2.0, x0=0.4, y0=0.2).uses_case_a is True  # tie
 
 
 class TestAveragePower:

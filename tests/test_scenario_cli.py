@@ -16,7 +16,7 @@ from tdbcsim.scenario_cli import (
     scenario_power_gains,
     scenario_total_power,
     scenario_validate,
-    validation_configs,
+    validation_policies,
     write_csv,
 )
 
@@ -35,7 +35,7 @@ class TestParseGrid:
         assert grid[0] == -10.0 and grid[-1] == 30.0 and len(grid) == 21
 
     @pytest.mark.parametrize("bad", ["", "1:2", "1:2:3:4", "a:b:c", "0:10:0",
-                                     "0:10:-1", "5:1:1", "nan:1:1"])
+                                     "0:10:-1", "5:1:1", "nan:1:1", "0:1e308:1e-300"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigError):
             parse_grid(bad)
@@ -187,19 +187,18 @@ class TestPowerGains:
 
 class TestValidateScenario:
     def test_parameter_table_spans_regimes(self):
-        from tdbcsim.relay_policy import UNBOUNDED, policies_from_config
+        from tdbcsim.relay_policy import UNBOUNDED
         seen = set()
-        for _, config in validation_configs():
-            _, _, relay = policies_from_config(config)
-            seen.add(("a" if relay.uses_case_a else "b",
+        for _, _, relay in validation_policies():
+            seen.add(("a" if relay.delta2 * relay.y0 <= relay.delta1 * relay.x0 else "b",
                       "unbounded" if relay.rho is UNBOUNDED else "finite"))
-        assert len(validation_configs()) >= 20
+        assert len(validation_policies()) >= 20
         assert seen == {("a", "finite"), ("a", "unbounded"),
                         ("b", "finite"), ("b", "unbounded")}
 
     def test_rows_and_identities_pass(self):
         spec = ScenarioSpec(scenario="validate", grid=(0.0,), trials=50_000, seed=777)
-        fieldnames, rows, ok = scenario_validate(spec)
+        fieldnames, rows = scenario_validate(spec)
         assert fieldnames[0] == "check" and fieldnames[-1] == "status"
         identity_checks = {"saturation_identity", "tie_avg_power", "e1_bracket", "e1_solver_roundtrip", "cutoff_roundtrip",
                            "rho_roundtrip", "avg_power_monotone_in_cap"}
@@ -277,7 +276,13 @@ class TestCsvAndCli:
         # 2**(3 * 400) overflows a double
         (["sweep-total-power", "--grid", "0:0:1", "--trials", "1000"],
          "[sweep_total_power]\nrate_1 = 400\n", "rate"),
-    ], ids=["cutoff-underflow", "cap-bracket", "rate-overflow"])
+        # the chunk plan of 10**23 trials is refused before anything is allocated
+        (["sweep-total-power", "--grid", "0:0:1", "--trials", str(10 ** 23)], None,
+         f"out of memory planning the chunks of {10 ** 23} trials"),
+        (["validate", "--trials", str(10 ** 23)], None,
+         f"out of memory planning the chunks of {10 ** 23} trials"),
+    ], ids=["cutoff-underflow", "cap-bracket", "rate-overflow", "trials-memory",
+            "validate-trials-memory"])
     def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini, names):
         argv = argv + ["--out", str(tmp_path / "s.csv")]
         if ini is not None:
