@@ -10,24 +10,18 @@ are evaluated by `relay_policy.cycle_powers`.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
-from .specfun import BracketingError, exp_integral_e1, require_positive, solve_monotone
+from .specfun import (EULER_GAMMA, BracketingError, exp_integral_e1, require_positive,
+                      solve_monotone)
 
 __all__ = [
-    "CUTOFF_BRACKET_LO_SCALE",
-    "CUTOFF_BRACKET_HI_SCALE",
     "POLICY_CONSISTENCY_RTOL",
     "EndNodePolicy",
     "solve_cutoff",
 ]
-
-#: Initial cutoff bracket, in units of omega; the solver widens it on demand.
-#: The lower end sits near the smallest normal double: budgets of several
-#: hundred (30 dB and beyond) push the cutoff down to e^-budget, and a
-#: shallower start would exhaust the solver's expansion allowance first.
-CUTOFF_BRACKET_LO_SCALE = 1e-300
-CUTOFF_BRACKET_HI_SCALE = 50.0
 
 #: Allowed relative mismatch between a policy's stored budget and the budget
 #: implied by its cutoff.
@@ -38,7 +32,9 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
     """The unique c > 0 with (delta / omega) * E1(c / omega) = pbar.
 
     The left side falls continuously from +inf to 0 as c grows, so a root
-    exists and is unique for any positive budget.
+    exists and is unique for any positive budget.  Raises BracketingError
+    when the cutoff falls below the smallest normal double, about
+    exp(-708), where it keeps too few significant bits to be solved.
     """
     delta = require_positive(delta, "delta")
     omega = require_positive(omega, "omega")
@@ -48,14 +44,18 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
     def avg_power(cutoff: float) -> float:
         return scale * exp_integral_e1(cutoff / omega)
 
+    # z = c / omega solves E1(z) = L.  As E1(z) + gamma + ln z lies in (0, z),
+    # z > exp(-gamma - L), and z < e times that once L >= 1/2; below that,
+    # exp(-z) / (z + 1) < E1(z) < exp(-z) (z >= 1) brackets z by z_hi and
+    # -ln L - ln(1 + z_hi).
+    load = pbar * omega / delta
+    neg_log_load = math.log(delta) - math.log(omega) - math.log(pbar)
+    z_hi = math.exp(1.0 - EULER_GAMMA - load) if load >= 0.5 else max(1.0, neg_log_load)
+    z_lo = max(math.exp(-EULER_GAMMA - load), neg_log_load - math.log1p(z_hi))
     try:
-        return solve_monotone(
-            avg_power,
-            pbar,
-            omega * CUTOFF_BRACKET_LO_SCALE,
-            omega * CUTOFF_BRACKET_HI_SCALE,
-            "decreasing",
-        )
+        if omega * z_lo < sys.float_info.min:
+            raise BracketingError("the cutoff falls below the smallest normal double")
+        return solve_monotone(avg_power, pbar, omega * z_lo, omega * z_hi, "decreasing")
     except BracketingError as exc:
         raise BracketingError(f"cutoff solve for budget {pbar!r}: {exc}") from None
 

@@ -22,7 +22,6 @@ comparisons and a count.  The served rule behind those masks is the one
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -93,6 +92,8 @@ def _chunk_sizes(trials: int) -> list[int]:
 def _map_chunks(fn: Callable[[int], list], n_chunks: int, workers: int) -> list[list]:
     if workers <= 1:
         return [fn(i) for i in range(n_chunks)]
+    # Imported here: concurrent.futures loads logging, which serial runs never need.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n_chunks)))
 

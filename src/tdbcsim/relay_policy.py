@@ -252,11 +252,6 @@ def avg_relay_power_max(delta1: float, delta2: float, x0: float, y0: float,
                       policy.omega_x, policy.omega_y, UNBOUNDED)
 
 
-#: Initial lower bracket end for the cap solver, as a fraction of the
-#: saturation cap; the solver shrinks it geometrically as needed.
-RHO_BRACKET_LO_FRACTION = 0.25
-
-
 def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
               omega_x: float, omega_y: float, p_avg: float) -> RhoValue:
     """Cap that makes the average broadcast power spend exactly `p_avg`.
@@ -264,7 +259,9 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     The average is continuous and nondecreasing in the cap, vanishing as the
     cap shrinks (the served region empties) and saturating at
     avg_relay_power_max once the cap clears max(delta1 / y0, delta2 / x0).
-    Budgets at or above the saturation value return UNBOUNDED.
+    Budgets at or above the saturation value return UNBOUNDED.  Below it the
+    cap is solved on a bracket whose ends provably spend at most and at least
+    `p_avg`, so the solver's expansion only mends an end rounding misplaced.
     """
     p_avg = require_positive(p_avg, "p_avg")
     # avg_relay_power_max validates the other six parameters.
@@ -272,19 +269,29 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     if p_avg >= p_max:
         return UNBOUNDED
 
-    saturation_rho = max(delta1 / y0, delta2 / x0)
+    # d spend / d ln rho is P, the probability of the served quadrant, times
+    # delta2 / omega_x while delta2 / rho > x0 plus delta1 / omega_y while
+    # delta1 / rho > y0.  Walking p_max - p_avg down from saturation at these
+    # slopes with P = 1 ends on rho_hi, which spends at least p_avg; with k the
+    # sum of both slopes, spend <= rho * P <= rho * exp(-k / rho), so rho_lo
+    # spends at most p_avg.
+    (k_a, s_a), (k_b, s_b) = sorted(((delta2 / x0, delta2 / omega_x),
+                                     (delta1 / y0, delta1 / omega_y)), reverse=True)
+    k = s_a + s_b
+    gap = p_max - p_avg
+    first = s_a * math.log(k_a / k_b)
+    log_rho = (math.log(k_a) - gap / s_a if gap <= first
+               else math.log(k_b) - (gap - first) / k)
+    rho_hi = math.exp(min(max(log_rho, -708.0), 709.0))
+    rho_lo = k / math.log1p(min(k / p_avg, sys.float_info.max))
 
-    def spend(rho: float) -> float:
-        return _avg_power(delta1, delta2, x0, y0, omega_x, omega_y, rho)
+    def log_spend(rho: float) -> float:   # nearer linear in ln rho than the spend
+        spend = _avg_power(delta1, delta2, x0, y0, omega_x, omega_y, rho)
+        return math.log(max(spend, sys.float_info.min))
 
     try:
-        return solve_monotone(
-            spend,
-            p_avg,
-            saturation_rho * RHO_BRACKET_LO_FRACTION,
-            saturation_rho * (1.0 + 1e-12),
-            "increasing",
-        )
+        return solve_monotone(log_spend, math.log(p_avg), min(rho_lo, 0.5 * rho_hi), rho_hi,
+                              "increasing")
     except BracketingError as exc:
         raise BracketingError(f"cap solve for relay budget {p_avg!r}: {exc}") from None
 

@@ -59,6 +59,7 @@ __all__ = [
 DEFAULT_TRIALS = 1_000_000
 MIN_TRIALS = 1_000
 DEFAULT_SEED = 20240915
+MAX_GRID_POINTS = 10 ** 6
 ONE_THIRD = 1.0 / 3.0
 
 
@@ -93,6 +94,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
     if not math.isfinite(steps):
         raise ConfigError(f"grid {text!r} has too many points to count")
     count = int(math.floor(steps + 1e-9)) + 1
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"grid {text!r} has {count} points, more than {MAX_GRID_POINTS}")
     return tuple(start + i * step for i in range(count))
 
 

@@ -10,6 +10,7 @@ number of threads.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Literal
 
 __all__ = [
@@ -18,7 +19,7 @@ __all__ = [
     "SOLVER_WIDTH_TOL",
     "BRACKET_GROWTH",
     "MAX_BRACKET_EXPANSIONS",
-    "MAX_BISECTIONS",
+    "MAX_ITERATIONS",
     "BracketingError",
     "ConvergenceError",
     "exp_integral_e1",
@@ -33,17 +34,17 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 E1_REL_TOL = 1e-12
 
 #: Bracket-width stop of solve_monotone, relative to max(1, |x*|) (and plain
-#: relative to x* on positive brackets, which are bisected geometrically).
+#: relative to x* on positive brackets, which are worked in log coordinates).
 SOLVER_WIDTH_TOL = 1e-14
 
-#: Geometric factor applied when an end of the bracket misses the target.
+#: First factor applied when an end of the bracket misses the target.
 BRACKET_GROWTH = 4.0
 
-#: Expansion attempts per bracket end before declaring the target unreachable.
+#: Expansion steps before declaring the target unreachable.
 MAX_BRACKET_EXPANSIONS = 200
 
-#: Bisection cap; reaching it means the function was not monotone as declared.
-MAX_BISECTIONS = 200
+#: Brent step cap; reaching it means the function was not monotone as declared.
+MAX_ITERATIONS = 200
 
 _SERIES_MAX_TERMS = 120
 _CF_MAX_ITERS = 400
@@ -116,6 +117,17 @@ def exp_integral_e1(x: float) -> float:
 Direction = Literal["increasing", "decreasing"]
 
 
+def _log_offset(x: float, y: float) -> float:
+    """ln(x / y) for positive x and y, also where x / y leaves the doubles."""
+    ratio = x / y
+    return math.log(ratio) if 0.0 < ratio < math.inf else math.log(x) - math.log(y)
+
+
+def _log_step(y: float, d: float) -> float:
+    """y * exp(d), the step bounded so that exp(d) stays a finite double."""
+    return y * math.exp(max(-700.0, min(d, 700.0)))
+
+
 def solve_monotone(
     f: Callable[[float], float],
     target: float,
@@ -125,18 +137,23 @@ def solve_monotone(
 ) -> float:
     """Solve f(x) = target for a continuous, strictly monotone f.
 
-    If the initial bracket does not straddle the target, the deficient end is
-    moved geometrically (factor BRACKET_GROWTH, at most MAX_BRACKET_EXPANSIONS
-    times per end); a positive end is scaled rather than shifted, so a solver
-    started on a positive domain never steps out of it.  Bisection then runs
-    until the bracket width is below SOLVER_WIDTH_TOL * max(1, |x|); brackets
-    that stay positive are bisected in log space, which keeps the relative
-    error near SOLVER_WIDTH_TOL even for roots far below 1.
+    If the initial bracket does not straddle the target, the deficient end
+    moves outward and the end it leaves becomes the other end, at most
+    MAX_BRACKET_EXPANSIONS times.  A positive end is scaled, by
+    BRACKET_GROWTH and then by the square of the previous factor, so a
+    solver started on a positive domain never leaves it and crosses the
+    double range in ten steps; any other end moves BRACKET_GROWTH widths.
 
-    Raises BracketingError when expansion cannot straddle the target (the
-    target is outside the function's range, or a positive lower end would
-    have to underflow to 0) and ConvergenceError when the
-    bisection cap is hit, which indicates a non-monotone f.
+    Brent's method then closes the bracket to a width below
+    SOLVER_WIDTH_TOL * max(1, |x|).  A positive bracket is worked in log
+    coordinates measured from a bracket point b, v = ln(x / b), so roots of
+    any magnitude keep that relative accuracy (an ulp of ln x alone exceeds
+    it once x passes ~1e32).
+
+    Raises BracketingError when expansion cannot straddle the target (it is
+    outside the function's range, or a positive end would have to leave the
+    doubles) and ConvergenceError when MAX_ITERATIONS is hit, which
+    indicates a non-monotone f.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
@@ -146,57 +163,69 @@ def solve_monotone(
         raise ValueError(f"invalid bracket [{bracket_lo!r}, {bracket_hi!r}]")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
-
     sign = 1.0 if direction == "increasing" else -1.0
-    t = sign * target
-    g_lo = sign * f(lo)
-    g_hi = sign * f(hi)
 
-    for _ in range(MAX_BRACKET_EXPANSIONS):
-        if g_lo <= t:
-            break
-        lo = lo / BRACKET_GROWTH if lo > 0.0 else lo - BRACKET_GROWTH * (hi - lo)
-        if lo == 0.0:   # only a positive end shrinking past the smallest double
-            raise BracketingError(f"lower bracket end underflowed to 0 (target {target!r})")
-        g_lo = sign * f(lo)
-    else:
-        raise BracketingError(
-            f"no bracket end with f <= target after {MAX_BRACKET_EXPANSIONS} expansions "
-            f"(target {target!r} outside range?)"
-        )
-    for _ in range(MAX_BRACKET_EXPANSIONS):
-        if g_hi >= t:
-            break
-        hi = hi * BRACKET_GROWTH if hi > 0.0 else hi + BRACKET_GROWTH * (hi - lo)
-        g_hi = sign * f(hi)
-    else:
-        raise BracketingError(
-            f"no bracket end with f >= target after {MAX_BRACKET_EXPANSIONS} expansions "
-            f"(target {target!r} outside range?)"
-        )
+    def residual(x: float) -> float:
+        return sign * (f(x) - target)
 
+    r_lo, r_hi = residual(lo), residual(hi)
+    factor = BRACKET_GROWTH
+    for _ in range(MAX_BRACKET_EXPANSIONS):
+        if r_lo > 0.0:
+            scaled = lo > 0.0
+            lo, hi, r_hi = lo / factor if scaled else lo - factor * (hi - lo), lo, r_lo
+        elif r_hi < 0.0:
+            scaled = hi > 0.0
+            lo, hi, r_lo = hi, hi * factor if scaled else hi + factor * (hi - lo), r_hi
+        else:
+            break
+        if lo == 0.0 or hi == math.inf:
+            raise BracketingError(f"bracket end underflowed to 0 or overflowed "
+                                  f"(target {target!r})")
+        factor *= factor if scaled else 1.0
+        if r_lo > 0.0:
+            r_lo = residual(lo)
+        else:
+            r_hi = residual(hi)
+    else:
+        raise BracketingError(f"no bracket after {MAX_BRACKET_EXPANSIONS} expansions "
+                              f"(target {target!r} outside range?)")
+
+    # Brent's method (zeroin): b is the best point, c holds the residual's
+    # other sign, a is the previous b.  Positions enter only as offsets from
+    # b, so log coordinates keep full precision as the bracket closes.
     geometric = lo > 0.0
-    for _ in range(MAX_BISECTIONS):
-        if geometric:
-            # Log-space bisection: stop on relative width, which is stricter
-            # than the absolute criterion for roots below 1 and equivalent
-            # above it.  An absolute stop here would declare victory on any
-            # sub-1e-14 bracket whose ends still differ by orders of
-            # magnitude.
-            mid = math.sqrt(lo) * math.sqrt(hi)
-            if hi - lo <= SOLVER_WIDTH_TOL * lo:
-                return mid
+    offset, step = (_log_offset, _log_step) if geometric else (operator.sub, operator.add)
+    a, r_a, b, r_b = lo, r_lo, hi, r_hi
+    c, r_c = a, r_a
+    d = e = offset(b, a)
+    for _ in range(MAX_ITERATIONS):
+        if abs(r_c) < abs(r_b):
+            a, r_a, b, r_b, c, r_c = b, r_b, c, r_c, b, r_b
+        tol = 0.5 * SOLVER_WIDTH_TOL * (1.0 if geometric else max(1.0, abs(b)))
+        m = 0.5 * offset(c, b)
+        if abs(m) <= tol or r_b == 0.0:
+            return b
+        interpolate = abs(e) >= tol and abs(r_a) > abs(r_b)
+        if interpolate:
+            s = r_b / r_a
+            if a == c:                    # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:                         # inverse quadratic interpolation
+                qa, r = r_a / r_c, r_b / r_c
+                p = s * (2.0 * m * qa * (qa - r) - offset(b, a) * (r - 1.0))
+                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
+            q = -q if p > 0.0 else q
+            interpolate = 2.0 * abs(p) < min(3.0 * m * q - abs(tol * q), abs(e * q))
+        if interpolate:
+            e, d = d, abs(p) / q
         else:
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= SOLVER_WIDTH_TOL * max(1.0, abs(mid)):
-                return mid
-        g_mid = sign * f(mid)
-        if g_mid < t:
-            lo = mid
-        elif g_mid > t:
-            hi = mid
-        else:
-            return mid
-    raise ConvergenceError(
-        "bisection failed to converge; is the function strictly monotone on the bracket?"
-    )
+            d = e = m                     # bisection
+        a, r_a = b, r_b
+        b = step(b, d if abs(d) > tol else math.copysign(tol, m))
+        r_b = residual(b)
+        if (r_b > 0.0) == (r_c > 0.0):
+            c, r_c = a, r_a
+            d = e = offset(b, a)
+    raise ConvergenceError("Brent iteration failed to converge; "
+                           "is the function strictly monotone on the bracket?")

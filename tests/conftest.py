@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 from scipy.integrate import quad
+
+EULER_GAMMA = 0.5772156649015329
 
 
 def e1_quadrature(x: float) -> float:
@@ -19,6 +22,31 @@ def e1_quadrature(x: float) -> float:
     return value
 
 
+def log_cutoff_oracle(load: float) -> float:
+    """ln z of the root of E1(z) = load, by Brent's method on scipy's E1 in
+    ln z; E1(exp(t)) > load at t = -gamma - load - 1 and < load at t = 7
+    for every load in [1e-300, 700]."""
+    return optimize.brentq(lambda t: special.exp1(math.exp(t)) - load,
+                           -EULER_GAMMA - load - 1.0, 7.0, xtol=1e-15, rtol=1e-15)
+
+
 @pytest.fixture(scope="session")
 def e1_oracle():
     return e1_quadrature
+
+
+@pytest.fixture
+def count_e1(monkeypatch):
+    """count_e1(module) rebinds the module's exp_integral_e1 to a wrapper
+    that records each argument, and returns the list it records into."""
+    def install(module):
+        calls = []
+        original = module.exp_integral_e1
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(module, "exp_integral_e1", counted)
+        return calls
+    return install

@@ -6,10 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from conftest import log_cutoff_oracle
+from tdbcsim import endnode_policy
 from tdbcsim.endnode_policy import EndNodePolicy, solve_cutoff
 from tdbcsim.relay_policy import UNBOUNDED, RelayPolicy, cycle_powers
-from tdbcsim.specfun import exp_integral_e1
+from tdbcsim.specfun import BracketingError, exp_integral_e1
 from tdbcsim.system_model import FadingSampler
+
+#: Loads L = pbar * omega / delta from 1e-6 up to 665, the load of each end
+#: node of the sweep at 33 dB, where the cutoff is about exp(-666).
+LOADS = tuple(float(v) for v in np.logspace(-6, math.log10(665.0), 61))
 
 
 class TestSolveCutoff:
@@ -40,6 +46,30 @@ class TestSolveCutoff:
             cutoff = float(10.0 ** rng.uniform(-3, 0.7))
             pbar = (delta / omega) * exp_integral_e1(cutoff / omega)
             assert solve_cutoff(delta, omega, pbar) == pytest.approx(cutoff, rel=1e-9)
+
+    @pytest.mark.parametrize("delta,omega", [(1.0, 1.0), (0.516, 2.0), (3.0, 0.5)])
+    def test_matches_scipy_oracle(self, delta, omega):
+        """Every load from 1e-6 to 665: within 1e-12 of Brent's method on
+        scipy's E1, solved in ln c."""
+        for load in LOADS:
+            expected = omega * math.exp(log_cutoff_oracle(load))
+            got = solve_cutoff(delta, omega, load * delta / omega)
+            assert got == pytest.approx(expected, rel=1e-12), load
+
+    def test_e1_calls_per_solve(self, count_e1):
+        """The bracket from E1's bounds leaves at most 12 evaluations."""
+        calls = count_e1(endnode_policy)
+        for load in LOADS:
+            calls.clear()
+            solve_cutoff(1.0, 1.0, load)
+            assert len(calls) <= 12, load
+
+    def test_cutoff_below_smallest_normal_double(self):
+        """From a load of about 708 the cutoff would be subnormal; the solve
+        says so rather than return a value with few significant bits."""
+        assert solve_cutoff(1.0, 1.0, 700.0) > 2.2250738585072014e-308
+        with pytest.raises(BracketingError, match="below the smallest normal double"):
+            solve_cutoff(1.0, 1.0, 720.0)
 
     @pytest.mark.parametrize("delta,omega,pbar", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0),
                                                   (1.0, 1.0, 0.0)])

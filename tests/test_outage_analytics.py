@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdbcsim.outage_analytics import (
     FpaConfig,
@@ -126,6 +128,25 @@ class TestOutageOpa:
             empirical = float(np.mean(power == 0.0))
             sigma = math.sqrt(analytic * (1.0 - analytic) / n)
             assert abs(empirical - analytic) <= 4.0 * sigma
+
+
+def _sweep_outage(p_t_db: float) -> float:
+    """OPA outage of the default sweep's design: rates 1/3, unit mean gains,
+    P_T split equally over the three nodes."""
+    share = 10.0 ** (p_t_db / 10.0) / 3.0
+    _, _, relay = policies_from_config(SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, share, share, share))
+    return outage_opa(relay).p_out
+
+
+class TestSweepRange:
+    @given(st.floats(min_value=-30.0, max_value=32.99), st.floats(min_value=0.01, max_value=63.0))
+    @settings(max_examples=60, deadline=None)
+    def test_outage_is_a_probability_falling_in_power(self, low, gap):
+        """Across -30..33 dB the design solves, its outage lies in [0, 1],
+        and more total power (by at least 0.01 dB) never raises it."""
+        high = min(low + gap, 33.0)
+        p_low, p_high = _sweep_outage(low), _sweep_outage(high)
+        assert 0.0 <= p_high <= p_low <= 1.0
 
 
 class TestOutageReportValidation:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdbcsim import relay_policy
+from tdbcsim.endnode_policy import solve_cutoff
 from tdbcsim.relay_policy import (
     UNBOUNDED,
     RelayPolicy,
@@ -378,6 +380,44 @@ class TestSolveRho:
                 assert p_avg >= p_max * (1.0 - 1e-12)
             else:
                 assert solved == pytest.approx(rho_true, rel=1e-6)
+
+    @pytest.mark.parametrize("p_t_db", [30.0, 31.0, 32.0, 33.0])
+    def test_round_trips_at_high_power(self, p_t_db):
+        """The sweep's end-node cutoffs at 30-33 dB (about exp(-334) to
+        exp(-666)) with caps from just under saturation down to 1e-100 of
+        it: each cap comes back from the budget it spends."""
+        share = 10.0 ** (p_t_db / 10.0) / 3.0
+        x0 = y0 = solve_cutoff(1.0, 1.0, share)
+        saturation = 1.0 / x0
+        for fraction in (0.5, 1e-10, 1e-50, 1e-100):
+            rho_true = fraction * saturation
+            p_avg = avg_relay_power(_policy(x0=x0, y0=y0, rho=rho_true))
+            solved = solve_rho(1.0, 1.0, x0, y0, 1.0, 1.0, p_avg)
+            assert solved == pytest.approx(rho_true, rel=1e-11), fraction
+
+    def test_e1_calls_per_capped_solve(self, count_e1):
+        """A capped solve costs at most 60 E1 calls (4 per spend, and 4 for
+        the saturation spend) on the rate and mean-gain pairs of the
+        validation table, from -10 to 20 dB and on the sweep's 30-33 dB
+        cutoffs, at relay budgets from 1% to 90% of the saturation spend."""
+        calls = count_e1(relay_policy)
+        designs = [(r1, r2, ox, oy, p_t_db)
+                   for r1, r2 in ((1 / 3, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1 / 3), (0.5, 0.2))
+                   for ox, oy in ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0))
+                   for p_t_db in (-10.0, 0.0, 10.0, 20.0)]
+        designs += [(1 / 3, 1 / 3, 1.0, 1.0, p_t_db) for p_t_db in (30.0, 31.0, 32.0, 33.0)]
+        for r1, r2, ox, oy, p_t_db in designs:
+            share = 10.0 ** (p_t_db / 10.0) / 3.0
+            config = SystemConfig(r1, r2, ox, oy, share, share, share)
+            x0 = solve_cutoff(config.delta1, ox, share)
+            y0 = solve_cutoff(config.delta2, oy, share)
+            p_max = avg_relay_power_max(config.delta1, config.delta2, x0, y0, ox, oy)
+            for fraction in (0.01, 0.1, 0.5, 0.9):
+                calls.clear()
+                solved = solve_rho(config.delta1, config.delta2, x0, y0, ox, oy,
+                                   fraction * p_max)
+                assert isinstance(solved, float)
+                assert len(calls) <= 60, (r1, r2, ox, oy, p_t_db, fraction)
 
 
 class TestPoliciesFromConfig:

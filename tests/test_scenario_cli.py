@@ -5,7 +5,9 @@ import hashlib
 import math
 
 import pytest
+from scipy import optimize, special
 
+from conftest import log_cutoff_oracle
 from tdbcsim.outage_analytics import min_outage
 from tdbcsim.scenario_cli import (
     ConfigError,
@@ -35,10 +37,17 @@ class TestParseGrid:
         assert grid[0] == -10.0 and grid[-1] == 30.0 and len(grid) == 21
 
     @pytest.mark.parametrize("bad", ["", "1:2", "1:2:3:4", "a:b:c", "0:10:0",
-                                     "0:10:-1", "5:1:1", "nan:1:1", "0:1e308:1e-300"])
+                                     "0:10:-1", "5:1:1", "nan:1:1", "0:1e308:1e-300",
+                                     "0:1e9:1"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigError):
             parse_grid(bad)
+
+    def test_oversized_grid_names_its_count(self):
+        """A grid is counted before it is built, so 1e9 points cost nothing."""
+        assert len(parse_grid("0:999999:1")) == 1_000_000
+        with pytest.raises(ConfigError, match="1000000001 points"):
+            parse_grid("0:1e9:1")
 
 
 class TestScenarioSpec:
@@ -270,9 +279,6 @@ class TestCsvAndCli:
         # the cutoff underflows at 34 dB
         (["sweep-total-power", "--grid", "30:40:2", "--trials", "1000"], None,
          "cutoff solve"),
-        # the cap solver's lower bracket end cannot reach the 33 dB budget
-        (["sweep-total-power", "--grid", "33:33:1", "--trials", "1000"], None,
-         "cap solve"),
         # 2**(3 * 400) overflows a double
         (["sweep-total-power", "--grid", "0:0:1", "--trials", "1000"],
          "[sweep_total_power]\nrate_1 = 400\n", "rate"),
@@ -281,7 +287,7 @@ class TestCsvAndCli:
          f"out of memory planning the chunks of {10 ** 23} trials"),
         (["validate", "--trials", str(10 ** 23)], None,
          f"out of memory planning the chunks of {10 ** 23} trials"),
-    ], ids=["cutoff-underflow", "cap-bracket", "rate-overflow", "trials-memory",
+    ], ids=["cutoff-underflow", "rate-overflow", "trials-memory",
             "validate-trials-memory"])
     def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini, names):
         argv = argv + ["--out", str(tmp_path / "s.csv")]
@@ -294,6 +300,35 @@ class TestCsvAndCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("tdbcsim: error: ")
         assert names in err
+
+    def test_cutoff_limit_is_named(self, tmp_path, capsys):
+        """At 34 dB each end node's cutoff is about exp(-838), below every
+        double: the one-line error says so."""
+        argv = ["sweep-total-power", "--grid", "34:34:1", "--trials", "1000",
+                "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "cutoff solve" in err and "below the smallest normal double" in err
+
+    def test_sweep_reaches_33_db(self, tmp_path):
+        """The sweep works up to 33 dB, where the outage is about 2e-145.
+
+        Oracle: with rates 1/3 (delta = 1) and unit mean gains, the cap puts
+        both corners at lambda = 1 / rho above the cutoffs, the relay spends
+        2 E1(2 lambda) (it serves 1 / min(x, y) on x, y >= lambda), and the
+        outage is 1 - exp(-2 lambda); lambda is solved with scipy in ln lambda.
+        """
+        out = tmp_path / "s.csv"
+        assert main(["sweep-total-power", "--grid", "30:33:1", "--trials", "1000",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open(newline="", encoding="utf-8")))
+        assert [float(r["P_T_dB"]) for r in rows] == [30.0, 31.0, 32.0, 33.0]
+        share = 10.0 ** 3.3 / 3.0
+        log_lam = optimize.brentq(lambda t: 2.0 * special.exp1(2.0 * math.exp(t)) - share,
+                                  -share, 0.0, xtol=1e-14, rtol=1e-15)
+        assert log_lam > log_cutoff_oracle(share)      # the cap binds
+        expected = -math.expm1(-2.0 * math.exp(log_lam))
+        assert float(rows[-1]["op_opa_analytic"]) == pytest.approx(expected, rel=1e-9)
 
     def test_unwritable_output_exit_code(self, capsys):
         code = main(["power-gains", "--grid", "0.1:0.9:0.2", "--trials", "20000",
