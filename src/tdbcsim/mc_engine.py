@@ -90,6 +90,7 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def _map_chunks(fn: Callable[[int], list], n_chunks: int, workers: int) -> list[list]:
+    workers = min(workers, n_chunks)    # no thread without a chunk to run
     if workers <= 1:
         return [fn(i) for i in range(n_chunks)]
     # Imported here: concurrent.futures loads logging, which serial runs never need.

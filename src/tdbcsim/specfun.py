@@ -5,6 +5,12 @@ average power, which is an expression in E1 and exponentials, is equated to a
 power budget and inverted.  This module supplies the two numerical primitives
 those inversions rest on.  Both are pure functions and safe to call from any
 number of threads.
+
+E1 is evaluated in three regimes: a power series on (0, 1], Chebyshev series
+of x * exp(x) * E1(x) on (1, 2], (2, 4] and (4, 8], and a continued fraction
+above 8.  Against 40-digit mpmath they reach 7.7e-16, 4.3e-16 and 1.6e-15
+relative.  A call in the Chebyshev regime costs about 2 us under CPython
+3.11; the continued fraction would need 30 to 90 steps there.
 """
 
 from __future__ import annotations
@@ -51,6 +57,45 @@ _CF_MAX_ITERS = 400
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
 
+# Chebyshev coefficients c_0..c_21 of g(x) = x * exp(x) * E1(x) on (1, 2],
+# (2, 4] and (4, 8], in t = (x - mid) / half on [-1, 1]: the interpolant of g
+# at the 22 Chebyshev points of the first kind, t_j = cos(pi (j + 1/2) / 22),
+# computed with mpmath at 50 digits, c_0 halved, each rounded to the nearest
+# double.  `g_chebyshev_table` in tests/test_specfun.py is that recipe and
+# checks these literals bit for bit.  The analytic continuation of g is
+# singular only at x = 0, which lies at t = -3 for all three intervals, so
+# |c_k| falls like (3 + 2 sqrt 2)^-k and c_21 is below 2e-18 of c_0.
+_G_ON_1_2 = (
+    0.6660290478589338, 0.06242528843863769, -0.006439971522584476,
+    0.0007188104965299417, -8.537148991010124e-05, 1.0648380975570468e-05,
+    -1.380913541754629e-06, 1.8477934175040391e-07, -2.5364639654694244e-08,
+    3.5560115645720356e-09, -5.0741153091793e-10, 7.349275201415891e-11,
+    -1.0781522028549246e-11, 1.5992380278382599e-12, -2.3951290312257573e-13,
+    3.6176019583489836e-14, -5.505119417152606e-15, 8.433583035720181e-16,
+    -1.2997387875413167e-16, 2.013889177615044e-17, -3.133882226142602e-18,
+    4.78298751222049e-19,
+)
+_G_ON_2_4 = (
+    0.7802359009758556, 0.05057911157732128, -0.006113806466446871,
+    0.000769865860518743, -0.00010029543689856821, 1.3441723236134673e-05,
+    -1.8447925285347979e-06, 2.5831692135853973e-07, -3.679358621999199e-08,
+    5.318025436335567e-09, -7.784409115294726e-10, 1.1520951705972108e-10,
+    -1.7216711602569635e-11, 2.5948940882841882e-12, -3.940785972027522e-13,
+    6.02544278012328e-14, -9.269118071362625e-15, 1.4337509837773884e-15,
+    -2.2288052366001315e-16, 3.4804359352355104e-17, -5.454271923074936e-18,
+    8.37566576663854e-19,
+)
+_G_ON_4_8 = (
+    0.8668048373433986, 0.03572951235592642, -0.004895924553521569,
+    0.0006834820096427278, -9.697663181268821e-05, 1.3956364689041613e-05,
+    -2.0337277146399377e-06, 2.9963382373397474e-07, -4.4578239842876726e-08,
+    6.689975217887511e-09, -1.0118056680552709e-09, 1.540981678654776e-10,
+    -2.3617216914095795e-11, 3.640264299621674e-12, -5.640076947173546e-13,
+    8.779865453073903e-14, -1.3726755245735968e-14, 2.1546255376247198e-15,
+    -3.3944033327484333e-16, 5.3655604752841166e-17, -8.502709870361002e-18,
+    1.318572357922825e-18,
+)
+
 
 class BracketingError(ValueError):
     """The target is outside the function's range on any expandable bracket."""
@@ -75,10 +120,19 @@ def require_positive(value: float, name: str) -> float:
 def exp_integral_e1(x: float) -> float:
     """E1(x): the integral of exp(-t)/t from t = x to infinity, for x > 0.
 
-    Two regimes: the alternating power series around the log singularity for
-    x <= 1, and a modified Lentz continued fraction for x > 1.  Both converge
-    to ~1e-15 relative, comfortably inside E1_REL_TOL.  For x large enough
-    that exp(-x) underflows (x beyond ~745) the result is exactly 0.0.
+    Three regimes, each measured against mpmath at 40 digits:
+
+    * x <= 1: the alternating power series around the log singularity,
+      within 7.7e-16 relative;
+    * 1 < x <= 8: exp(-x) / x * g(x), with g(x) = x exp(x) E1(x) summed by
+      Clenshaw's recurrence from a 22-term Chebyshev series on (1, 2],
+      (2, 4] or (4, 8], within 4.3e-16 relative;
+    * x > 8: a modified Lentz continued fraction, within 1.6e-15 relative
+      and at most 22 steps on a 200,000-point grid of (8, 745].
+
+    All three sit comfortably inside E1_REL_TOL.  Once exp(-x)
+    underflows (x beyond ~745.13) the result is exactly 0.0, returned
+    before any iteration.
 
     Raises ValueError unless x is a positive finite real.
     """
@@ -96,6 +150,23 @@ def exp_integral_e1(x: float) -> float:
                 break
         return total
 
+    if x <= 8.0:
+        # t = (x - mid) / half is exact in each interval.
+        if x <= 2.0:
+            t, coeffs = 2.0 * x - 3.0, _G_ON_1_2
+        elif x <= 4.0:
+            t, coeffs = x - 3.0, _G_ON_2_4
+        else:
+            t, coeffs = 0.5 * x - 3.0, _G_ON_4_8
+        t2 = t + t
+        b1 = b2 = 0.0
+        for c in coeffs[:0:-1]:
+            b1, b2 = c + t2 * b1 - b2, b1
+        return math.exp(-x) / x * (coeffs[0] + t * b1 - b2)
+
+    scale = math.exp(-x)
+    if scale == 0.0:
+        return 0.0
     # E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...)))), evaluated
     # bottom-up-free via the modified Lentz scheme.
     b = x + 1.0
@@ -110,7 +181,7 @@ def exp_integral_e1(x: float) -> float:
         delta = c * d
         h *= delta
         if abs(delta - 1.0) <= _CF_EPS:
-            return h * math.exp(-x)
+            return h * scale
     raise ConvergenceError(f"continued fraction for E1 stalled at x={x!r}")
 
 

@@ -52,6 +52,34 @@ class TestDeterminism:
         parallel = run_opa(_relay(_capped_config()), trials=200_000, seed=5, workers=workers)
         assert serial == parallel
 
+    def test_threads_never_outnumber_chunks(self, monkeypatch):
+        """A worker count far above the chunk count asks the pool for one
+        thread per chunk; the recording pool starts no thread at all."""
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        relay = _relay(_capped_config())
+        assert run_opa(relay, trials=200_000, seed=5, workers=10 ** 6) \
+            == run_opa(relay, trials=200_000, seed=5)
+        assert asked == [4]
+        run_opa(relay, trials=50_000, seed=5, workers=10 ** 6)     # one chunk: serial
+        assert asked == [4]
+
     def test_fpa_worker_count_invariance(self):
         config = _capped_config()
         fpa = FpaConfig(3.0, 3.0, 3.0)
