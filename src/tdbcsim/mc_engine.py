@@ -1,10 +1,13 @@
 """Chunked, reproducible Monte Carlo simulation of transmission cycles.
 
-The engine is the empirical oracle for every closed form in the package: it
-replays the protocol, `relay_policy.cycle_powers`, and simply counts.  Trials
-are cut into fixed-size chunks, chunk i always consumes fading substream
-(seed, i), and partial sums are reduced in chunk order, so a report is
-bit-identical for any worker count and any scheduling.
+The engine is the empirical oracle for every closed form in the package.  It
+writes no rule of the protocol itself: it draws the fading, takes what the
+nodes send from `relay_policy.cycle_powers` (or only where the relay serves,
+from `relay_policy.served_masks`) and where the fixed-power baseline serves
+from `outage_analytics.fpa_corner`, and counts.  Trials are cut into
+fixed-size chunks, chunk i always consumes fading substream (seed, i), and
+partial sums are reduced in chunk order, so a report is bit-identical for
+any worker count and any scheduling.
 
 One draw per chunk is shared by every policy of a run: `simulate` draws the
 unit-mean gains of chunk i once, scales them to each distinct pair of mean
@@ -13,10 +16,10 @@ Inverse-CDF draws scale exactly with the mean, so each report equals the
 one a separate run of that policy alone would give, bit for bit.
 
 A run that needs only outage rates (`powers=False`) skips the power arrays:
-`relay_policy.served_masks` computes the relay demand once per group of
-policies that share mean gains and rates, and each policy then costs a few
-comparisons and a count.  The served rule behind those masks is the one
-`cycle_powers` applies, so the outage rates are those of a full run.
+`served_masks` computes the relay demand once per group of policies that
+share mean gains and rates, and each policy then costs a few comparisons and
+a count.  Both functions read one relay pass, so the outage rates are those
+of a full run.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .outage_analytics import FpaConfig
+from .outage_analytics import FpaConfig, fpa_corner
 from .relay_policy import RelayPolicy, cycle_powers, served_masks
 from .system_model import FadingSampler, SystemConfig
 
@@ -46,7 +49,7 @@ CHUNK_TRIALS = 1 << 16
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregates of one simulation run.
+    """What one simulation run measured for one policy.
 
     Average powers are taken over ALL trials, silent cycles contributing
     zero: that is the quantity the long-term budgets constrain.  Averaging
@@ -61,22 +64,20 @@ class SimReport:
     avg_power_s1: float | None
     avg_power_s2: float | None
     avg_power_relay: float | None
-    binomial_sigma: float
-    seed: int
-    policy_kind: str
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.outage_rate <= 1.0:
             raise ValueError(f"outage_rate must lie in [0, 1], got {self.outage_rate!r}")
-        if self.policy_kind not in ("OPA", "FPA"):
-            raise ValueError(f"policy_kind must be 'OPA' or 'FPA', got {self.policy_kind!r}")
         for name in ("avg_power_s1", "avg_power_s2", "avg_power_relay"):
             value = getattr(self, name)
-            if value is None:
-                if self.policy_kind != "OPA":
-                    raise ValueError(f"{name} may be None only in an OPA report")
-            elif value < 0.0:
+            if value is not None and value < 0.0:
                 raise ValueError(f"{name} must be >= 0")
+
+    @property
+    def binomial_sigma(self) -> float:
+        """Standard error of outage_rate as a binomial proportion."""
+        rate = self.outage_rate
+        return math.sqrt(rate * (1.0 - rate) / self.trials)
 
 
 def _validate_trials(trials: int) -> None:
@@ -99,33 +100,10 @@ def _map_chunks(fn: Callable[[int], list], n_chunks: int, workers: int) -> list[
         return list(pool.map(fn, range(n_chunks)))
 
 
-def _report(kind: str, trials: int, seed: int, outages: int,
-            p1: float | None, p2: float | None, pr: float | None) -> SimReport:
-    rate = outages / trials
-    return SimReport(
-        trials=trials,
-        outage_rate=rate,
-        avg_power_s1=p1,
-        avg_power_s2=p2,
-        avg_power_relay=pr,
-        binomial_sigma=math.sqrt(rate * (1.0 - rate) / trials),
-        seed=seed,
-        policy_kind=kind,
-    )
-
-
 def _opa_sums(policy: RelayPolicy, x: np.ndarray, y: np.ndarray) -> tuple:
     p1, p2, pr = cycle_powers(policy, x, y)
     return (x.size - int(np.count_nonzero(pr > 0.0)),
             float(p1.sum()), float(p2.sum()), float(pr.sum()))
-
-
-def _fpa_sums(config: SystemConfig, fpa: FpaConfig, x: np.ndarray, y: np.ndarray) -> tuple:
-    d1, d2 = config.delta1, config.delta2
-    # x < a or x < b is x < max(a, b) for any gain that is not nan.
-    outage = ((x < max(d1 / fpa.p_s1_fix, d2 / fpa.p_r_fix))
-              | (y < max(d2 / fpa.p_s2_fix, d1 / fpa.p_r_fix)))
-    return (int(np.count_nonzero(outage)),)
 
 
 def simulate(opa_policies: Sequence[RelayPolicy],
@@ -159,9 +137,10 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         groups.setdefault((policy.omega_x, policy.omega_y), ([], []))[0].append(j)
     for j, (config, _) in enumerate(fpa_pairs):
         groups.setdefault((config.omega_x, config.omega_y), ([], []))[1].append(j)
+    corners = [fpa_corner(config, fpa) for config, fpa in fpa_pairs]
 
     def one_chunk(i: int) -> list[tuple]:
-        unit_x, unit_y = FadingSampler(seed, 1.0, 1.0, stream_index=i).sample_block(sizes[i])
+        unit_x, unit_y = FadingSampler(seed, stream_index=i).sample_block(sizes[i])
         parts: list = [None] * (n_opa + len(fpa_pairs))
         for (omega_x, omega_y), (opa, fpa) in groups.items():
             x = omega_x * unit_x
@@ -174,7 +153,8 @@ def simulate(opa_policies: Sequence[RelayPolicy],
                 for j, mask in zip(opa, served):
                     parts[j] = (x.size - int(np.count_nonzero(mask)),)
             for j in fpa:
-                parts[n_opa + j] = _fpa_sums(*fpa_pairs[j], x, y)
+                x_floor, y_floor = corners[j]
+                parts[n_opa + j] = (int(np.count_nonzero((x < x_floor) | (y < y_floor))),)
         return parts
 
     chunks = _map_chunks(one_chunk, len(sizes), workers) if groups else []
@@ -183,11 +163,11 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         parts = [chunk[j] for chunk in chunks]
         averages = ([math.fsum(p[k] for p in parts) / trials for k in (1, 2, 3)]
                     if powers else [None] * 3)
-        reports.append(_report("OPA", trials, seed, sum(p[0] for p in parts), *averages))
+        reports.append(SimReport(trials, sum(p[0] for p in parts) / trials, *averages))
     for j, (_, fpa) in enumerate(fpa_pairs, start=n_opa):
         outages = sum(chunk[j][0] for chunk in chunks)
-        reports.append(_report("FPA", trials, seed, outages,
-                               fpa.p_s1_fix, fpa.p_s2_fix, fpa.p_r_fix))
+        reports.append(SimReport(trials, outages / trials,
+                                 fpa.p_s1_fix, fpa.p_s2_fix, fpa.p_r_fix))
     return reports
 
 

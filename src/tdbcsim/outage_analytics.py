@@ -22,6 +22,7 @@ __all__ = [
     "FpaConfig",
     "min_outage",
     "outage_opa",
+    "fpa_corner",
     "outage_fpa",
 ]
 
@@ -84,14 +85,17 @@ def outage_opa(policy: RelayPolicy) -> OutageReport:
     )
 
 
-def outage_fpa(config: SystemConfig, fpa: FpaConfig) -> float:
-    """Outage probability of the fixed-power baseline.
-
-    A cycle succeeds only when both uplink inversions and both broadcast
-    constraints hold at the constant powers, i.e. when x and y each clear the
-    larger of their uplink and broadcast thresholds.
-    """
+def fpa_corner(config: SystemConfig, fpa: FpaConfig) -> tuple[float, float]:
+    """Corner (x_floor, y_floor) of the quadrant on which the fixed-power
+    baseline serves a cycle: both uplink inversions and both broadcast
+    constraints hold at the constant powers exactly when x and y each clear
+    the larger of their uplink and broadcast thresholds."""
     d1, d2 = config.delta1, config.delta2
-    x_floor = max(d1 / fpa.p_s1_fix, d2 / fpa.p_r_fix)
-    y_floor = max(d2 / fpa.p_s2_fix, d1 / fpa.p_r_fix)
-    return min_outage(x_floor, y_floor, config.omega_x, config.omega_y)
+    return (max(d1 / fpa.p_s1_fix, d2 / fpa.p_r_fix),
+            max(d2 / fpa.p_s2_fix, d1 / fpa.p_r_fix))
+
+
+def outage_fpa(config: SystemConfig, fpa: FpaConfig) -> float:
+    """Outage probability of the fixed-power baseline: the measure outside
+    the quadrant above `fpa_corner`."""
+    return min_outage(*fpa_corner(config, fpa), config.omega_x, config.omega_y)

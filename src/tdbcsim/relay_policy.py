@@ -6,9 +6,10 @@ broadcast power serving both directions is max(delta1 / y, delta2 / x); the
 relay's own long-term budget then imposes a cap rho, above which the relay
 stays silent rather than overspend.  A RelayPolicy holds both thresholds,
 both end-node cutoffs and the cap, so `cycle_powers` evaluates what all three
-nodes send in a cycle from it alone.  The cap is pinned by inverting the
-closed-form average broadcast power, which this module evaluates in terms of
-the effective truncation corners
+nodes send in a cycle from it alone; one relay pass serves it and the batch
+`served_masks`.  The cap is pinned by inverting the closed-form average
+broadcast power, which this module evaluates in terms of the effective
+truncation corners
 
     lambda1 = max(x0, delta2 / rho),    lambda2 = max(y0, delta1 / rho).
 
@@ -123,39 +124,38 @@ def cycle_powers(policy: RelayPolicy, x, y) -> tuple[np.ndarray, np.ndarray, np.
     on a negative or non-finite gain.
     """
     x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
-    sends1 = x >= policy.x0
-    sends2 = y >= policy.y0
-    decoded = sends1 & sends2
-    # Every divide runs unmasked, so no step branches per element: a silent
-    # entry divides by gain + 1 >= 1, a finite quotient that the mask then
-    # zeroes to +0.0 (a gain of 0 would give inf * 0 = nan).
-    pr = _demand(policy.delta1, policy.delta2, x, y, decoded, decoded)
-    served = _served(policy, decoded, pr)
-    if not isinstance(policy.rho, _UnboundedRho):
-        # An overflowed demand (inf) is over any finite cap; bounding it
-        # keeps the mask product from forming inf * 0.
-        np.minimum(pr, sys.float_info.max, out=pr)
-    pr *= served
-    p1 = _inverse(policy.delta1, x, sends1)
-    p2 = _inverse(policy.delta2, y, sends2)
+    [(served, demand)] = _relay_pass([policy], x, y)
+    pr = np.where(served, demand, 0.0)
+    del served, demand      # freed before p1 and p2: a fourth live array re-faults pages each call
+    p1 = _inverse(policy.delta1, x, x >= policy.x0)
+    p2 = _inverse(policy.delta2, y, y >= policy.y0)
     return p1, p2, pr
 
 
 def served_masks(policies: Sequence[RelayPolicy], x, y) -> list[np.ndarray]:
     """Where the relay of each policy transmits at gains x, y: for each
     policy the boolean array cycle_powers(policy, x, y)[2] > 0 (barring a
-    demand that underflows to 0), without the three power arrays.
-
-    Policies with equal delta1 and delta2 share one pass over the demand
-    max(delta1 / y, delta2 / x), so outage counts of many policies on the
-    same gains cost a few comparisons each.  Raises ValueError on a negative
-    or non-finite gain.
+    demand that underflows to 0), without the three power arrays.  Outage
+    counts of many policies on the same gains cost a few comparisons each.
+    Raises ValueError on a negative or non-finite gain.
     """
     x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
+    return [served for served, _ in _relay_pass(policies, x, y)]
+
+
+def _relay_pass(policies: Sequence[RelayPolicy], x: np.ndarray,
+                y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(served, demand) of each policy at gains x, y: the relay serves where
+    it decoded both uplinks (x >= x0, y >= y0) and its demand
+    max(delta1 / y, delta2 / x) is within the cap; an overflowed demand
+    (inf) fails every finite cap.  The demand is exact wherever its policy
+    decodes, and policies with equal delta1 and delta2 share one demand
+    array, so a caller must not change it in place.
+    """
     groups: dict[tuple[float, float], list[int]] = {}
     for j, policy in enumerate(policies):
         groups.setdefault((policy.delta1, policy.delta2), []).append(j)
-    masks: list[np.ndarray] = [None] * len(policies)
+    passes: list = [None] * len(policies)
     for (delta1, delta2), members in groups.items():
         # Dividing by the gain itself wherever it clears the group's smallest
         # cutoff makes the demand exact wherever any member decodes.
@@ -164,16 +164,11 @@ def served_masks(policies: Sequence[RelayPolicy], x, y) -> list[np.ndarray]:
                          y >= min(policies[j].y0 for j in members))
         for j in members:
             policy = policies[j]
-            masks[j] = _served(policy, (x >= policy.x0) & (y >= policy.y0), demand)
-    return masks
-
-
-def _served(policy: RelayPolicy, decoded: np.ndarray, demand: np.ndarray) -> np.ndarray:
-    """The relay's served set: it decoded both uplinks and its demand is
-    within the cap.  An overflowed demand (inf) fails every finite cap."""
-    if isinstance(policy.rho, _UnboundedRho):
-        return decoded
-    return decoded & (demand <= policy.rho)
+            served = (x >= policy.x0) & (y >= policy.y0)
+            if not isinstance(policy.rho, _UnboundedRho):
+                served &= demand <= policy.rho
+            passes[j] = (served, demand)
+    return passes
 
 
 def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray,

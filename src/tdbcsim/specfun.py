@@ -3,8 +3,10 @@
 Every cutoff threshold in this package is defined implicitly: a closed-form
 average power, which is an expression in E1 and exponentials, is equated to a
 power budget and inverted.  This module supplies the two numerical primitives
-those inversions rest on.  Both are pure functions and safe to call from any
-number of threads.
+those inversions rest on: E1, and a solver for monotone equations on a
+positive domain (every threshold is a positive gain or cap), worked in log
+coordinates.  Both are pure functions and safe to call from any number of
+threads.
 
 E1 is evaluated in three regimes: a power series on (0, 1], Chebyshev series
 of x * exp(x) * E1(x) on (1, 2], (2, 4] and (4, 8], and a continued fraction
@@ -16,7 +18,6 @@ relative.  A call in the Chebyshev regime costs about 2 us under CPython
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Literal
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "E1_REL_TOL",
     "SOLVER_WIDTH_TOL",
     "BRACKET_GROWTH",
-    "MAX_BRACKET_EXPANSIONS",
     "MAX_ITERATIONS",
     "BracketingError",
     "ConvergenceError",
@@ -39,15 +39,11 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 #: Guaranteed relative accuracy of exp_integral_e1 on [1e-6, 700].
 E1_REL_TOL = 1e-12
 
-#: Bracket-width stop of solve_monotone, relative to max(1, |x*|) (and plain
-#: relative to x* on positive brackets, which are worked in log coordinates).
+#: Bracket-width stop of solve_monotone, relative to the root.
 SOLVER_WIDTH_TOL = 1e-14
 
 #: First factor applied when an end of the bracket misses the target.
 BRACKET_GROWTH = 4.0
-
-#: Expansion steps before declaring the target unreachable.
-MAX_BRACKET_EXPANSIONS = 200
 
 #: Brent step cap; reaching it means the function was not monotone as declared.
 MAX_ITERATIONS = 200
@@ -206,32 +202,31 @@ def solve_monotone(
     bracket_hi: float,
     direction: Direction,
 ) -> float:
-    """Solve f(x) = target for a continuous, strictly monotone f.
+    """Solve f(x) = target for a continuous, strictly monotone f on x > 0.
 
-    If the initial bracket does not straddle the target, the deficient end
-    moves outward and the end it leaves becomes the other end, at most
-    MAX_BRACKET_EXPANSIONS times.  A positive end is scaled, by
-    BRACKET_GROWTH and then by the square of the previous factor, so a
-    solver started on a positive domain never leaves it and crosses the
-    double range in ten steps; any other end moves BRACKET_GROWTH widths.
+    The bracket must satisfy 0 < bracket_lo < bracket_hi < inf.  If it does
+    not straddle the target, the deficient end is scaled outward, by
+    BRACKET_GROWTH and then by the square of the previous factor, and the
+    end it leaves becomes the other end; so the solver never leaves the
+    positive doubles and crosses their range in ten steps.
 
-    Brent's method then closes the bracket to a width below
-    SOLVER_WIDTH_TOL * max(1, |x|).  A positive bracket is worked in log
-    coordinates measured from a bracket point b, v = ln(x / b), so roots of
-    any magnitude keep that relative accuracy (an ulp of ln x alone exceeds
-    it once x passes ~1e32).
+    Brent's method then closes the bracket to a relative width below
+    SOLVER_WIDTH_TOL.  It works in log coordinates measured from a bracket
+    point b, v = ln(x / b), so roots of any magnitude keep that relative
+    accuracy (an ulp of ln x alone exceeds it once x passes ~1e32).
 
-    Raises BracketingError when expansion cannot straddle the target (it is
-    outside the function's range, or a positive end would have to leave the
-    doubles) and ConvergenceError when MAX_ITERATIONS is hit, which
-    indicates a non-monotone f.
+    Raises ValueError on a bad bracket, BracketingError when expansion
+    cannot straddle the target (it is outside the function's range, or an
+    end would have to leave the positive doubles) and ConvergenceError when
+    MAX_ITERATIONS is hit, which indicates a non-monotone f.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     lo = float(bracket_lo)
     hi = float(bracket_hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise ValueError(f"invalid bracket [{bracket_lo!r}, {bracket_hi!r}]")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, "
+                         f"got [{bracket_lo!r}, {bracket_hi!r}]")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
     sign = 1.0 if direction == "increasing" else -1.0
@@ -240,41 +235,34 @@ def solve_monotone(
         return sign * (f(x) - target)
 
     r_lo, r_hi = residual(lo), residual(hi)
+    # The factor squares each step, so within ten steps it overflows and the
+    # moving end leaves the doubles: the loop always ends.
     factor = BRACKET_GROWTH
-    for _ in range(MAX_BRACKET_EXPANSIONS):
+    while r_lo > 0.0 or r_hi < 0.0:
         if r_lo > 0.0:
-            scaled = lo > 0.0
-            lo, hi, r_hi = lo / factor if scaled else lo - factor * (hi - lo), lo, r_lo
-        elif r_hi < 0.0:
-            scaled = hi > 0.0
-            lo, hi, r_lo = hi, hi * factor if scaled else hi + factor * (hi - lo), r_hi
+            lo, hi, r_hi = lo / factor, lo, r_lo
         else:
-            break
+            lo, hi, r_lo = hi, hi * factor, r_hi
         if lo == 0.0 or hi == math.inf:
             raise BracketingError(f"bracket end underflowed to 0 or overflowed "
                                   f"(target {target!r})")
-        factor *= factor if scaled else 1.0
+        factor *= factor
         if r_lo > 0.0:
             r_lo = residual(lo)
         else:
             r_hi = residual(hi)
-    else:
-        raise BracketingError(f"no bracket after {MAX_BRACKET_EXPANSIONS} expansions "
-                              f"(target {target!r} outside range?)")
 
     # Brent's method (zeroin): b is the best point, c holds the residual's
     # other sign, a is the previous b.  Positions enter only as offsets from
     # b, so log coordinates keep full precision as the bracket closes.
-    geometric = lo > 0.0
-    offset, step = (_log_offset, _log_step) if geometric else (operator.sub, operator.add)
     a, r_a, b, r_b = lo, r_lo, hi, r_hi
     c, r_c = a, r_a
-    d = e = offset(b, a)
+    d = e = _log_offset(b, a)
+    tol = 0.5 * SOLVER_WIDTH_TOL
     for _ in range(MAX_ITERATIONS):
         if abs(r_c) < abs(r_b):
             a, r_a, b, r_b, c, r_c = b, r_b, c, r_c, b, r_b
-        tol = 0.5 * SOLVER_WIDTH_TOL * (1.0 if geometric else max(1.0, abs(b)))
-        m = 0.5 * offset(c, b)
+        m = 0.5 * _log_offset(c, b)
         if abs(m) <= tol or r_b == 0.0:
             return b
         interpolate = abs(e) >= tol and abs(r_a) > abs(r_b)
@@ -284,7 +272,7 @@ def solve_monotone(
                 p, q = 2.0 * m * s, 1.0 - s
             else:                         # inverse quadratic interpolation
                 qa, r = r_a / r_c, r_b / r_c
-                p = s * (2.0 * m * qa * (qa - r) - offset(b, a) * (r - 1.0))
+                p = s * (2.0 * m * qa * (qa - r) - _log_offset(b, a) * (r - 1.0))
                 q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
             q = -q if p > 0.0 else q
             interpolate = 2.0 * abs(p) < min(3.0 * m * q - abs(tol * q), abs(e * q))
@@ -293,10 +281,10 @@ def solve_monotone(
         else:
             d = e = m                     # bisection
         a, r_a = b, r_b
-        b = step(b, d if abs(d) > tol else math.copysign(tol, m))
+        b = _log_step(b, d if abs(d) > tol else math.copysign(tol, m))
         r_b = residual(b)
         if (r_b > 0.0) == (r_c > 0.0):
             c, r_c = a, r_a
-            d = e = offset(b, a)
+            d = e = _log_offset(b, a)
     raise ConvergenceError("Brent iteration failed to converge; "
                            "is the function strictly monotone on the bracket?")

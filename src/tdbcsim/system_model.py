@@ -2,7 +2,8 @@
 
 Powers throughout the package are linear and normalized to a unit-variance
 receiver noise, so they read as SNRs; dB conversion happens only at the CLI
-boundary.  Rate expressions are base-2.
+boundary.  Rate expressions are base-2.  The sampler draws unit-mean gains;
+the Monte Carlo engine scales them by each link's mean gain.
 """
 
 from __future__ import annotations
@@ -76,12 +77,13 @@ class SystemConfig:
 
 
 class FadingSampler:
-    """Deterministic sampler of exponential squared-amplitude pairs.
+    """Deterministic sampler of unit-mean exponential squared-amplitude pairs.
 
-    The squared amplitudes of Rayleigh-faded links are exponential with means
-    omega_x and omega_y.  Sampling is by inverse CDF, x = -omega * ln(u) with
-    u uniform on (0, 1], so for a fixed uniform stream the draws scale
-    linearly and deterministically with omega.
+    The squared amplitudes of Rayleigh-faded links are exponential.  Sampling
+    is by inverse CDF, x = -ln(u) with u uniform on (0, 1], at unit mean;
+    the draws of a link with mean gain omega are omega times these, which is
+    bit for bit -omega * ln(u) since negation is exact and rounding is
+    symmetric in sign.
 
     The stream is fully determined by (seed, stream_index): substreams are
     derived by key-splitting a 64-bit seed, never by wall-clock state, which
@@ -90,33 +92,26 @@ class FadingSampler:
     threads; create one per substream instead.
     """
 
-    def __init__(self, seed: int, omega_x: float, omega_y: float,
-                 stream_index: int = 0) -> None:
+    def __init__(self, seed: int, stream_index: int = 0) -> None:
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         if isinstance(stream_index, bool) or not isinstance(stream_index, int) or stream_index < 0:
             raise ValueError(f"stream_index must be a non-negative integer, got {stream_index!r}")
         self.seed = seed
         self.stream_index = stream_index
-        self.omega_x = require_positive(omega_x, "omega_x")
-        self.omega_y = require_positive(omega_y, "omega_y")
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,))
         self._rng = np.random.Generator(np.random.PCG64(ss))
 
     def sample_block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the next `n` channel states.
+        """Draw the next `n` unit-mean channel states.
 
         Row i uses the next two uniforms u of the stream (x first), mapped
-        to -omega * log1p(-u): equal seeds, stream indices and block sizes
-        give bit-identical output.  The draws scale exactly with the mean:
-        (-omega) * log1p(-u) == omega * (-log1p(-u)) for every omega, since
-        negation is exact and rounding is symmetric in sign, so the block of
-        a unit-mean sampler multiplied by omega equals, bit for bit, the
-        block of a sampler with mean omega on the same stream.
+        to -log1p(-u): equal seeds, stream indices and block sizes give
+        bit-identical output.
         """
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         u = self._rng.random((n, 2))
-        x = -self.omega_x * np.log1p(-u[:, 0])
-        y = -self.omega_y * np.log1p(-u[:, 1])
+        x = -np.log1p(-u[:, 0])
+        y = -np.log1p(-u[:, 1])
         return x, y

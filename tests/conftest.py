@@ -12,6 +12,8 @@ import pytest
 from scipy import optimize, special
 from scipy.integrate import quad
 
+from tdbcsim.system_model import FadingSampler
+
 EULER_GAMMA = 0.5772156649015329
 
 
@@ -28,6 +30,14 @@ def log_cutoff_oracle(load: float) -> float:
     for every load in [1e-300, 700]."""
     return optimize.brentq(lambda t: special.exp1(math.exp(t)) - load,
                            -EULER_GAMMA - load - 1.0, 7.0, xtol=1e-15, rtol=1e-15)
+
+
+def scaled_gains(seed: int, omega_x: float, omega_y: float, n: int):
+    """n channel states with mean gains omega_x and omega_y: the unit-mean
+    draws of FadingSampler(seed) scaled by the means, as the Monte Carlo
+    engine scales them."""
+    x, y = FadingSampler(seed).sample_block(n)
+    return omega_x * x, omega_y * y
 
 
 @pytest.fixture(scope="session")

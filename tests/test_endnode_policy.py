@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import log_cutoff_oracle
+from conftest import log_cutoff_oracle, scaled_gains
 from tdbcsim import endnode_policy
 from tdbcsim.endnode_policy import EndNodePolicy, solve_cutoff
 from tdbcsim.relay_policy import UNBOUNDED, RelayPolicy, cycle_powers
 from tdbcsim.specfun import BracketingError, exp_integral_e1
-from tdbcsim.system_model import FadingSampler
 
 #: Loads L = pbar * omega / delta from 1e-6 up to 665, the load of each end
 #: node of the sweep at 33 dB, where the cutoff is about exp(-666).
@@ -156,7 +155,7 @@ class TestBudgetStatistics:
         """Monte Carlo mean of the power rule over 1e6 exponential draws
         reproduces the budget within 1%, confirming the cutoff equation."""
         policy = EndNodePolicy.from_budget(1.0, 2.0, 0.6)
-        gains, _ = FadingSampler(999, 2.0, 1.0).sample_block(1_000_000)
+        gains, _ = scaled_gains(999, 2.0, 1.0, 1_000_000)
         spend = np.zeros_like(gains)
         mask = gains >= policy.cutoff
         spend[mask] = policy.delta / gains[mask]
@@ -167,7 +166,7 @@ class TestBudgetStatistics:
         within 4 binomial sigmas at 1e6 draws."""
         n = 1_000_000
         policy = EndNodePolicy.from_budget(1.0, 1.0, 0.8)
-        gains, _ = FadingSampler(31337, 1.0, 1.0).sample_block(n)
+        gains, _ = scaled_gains(31337, 1.0, 1.0, n)
         rate = float(np.mean(gains < policy.cutoff))
         expected = -math.expm1(-policy.cutoff)
         sigma = math.sqrt(expected * (1.0 - expected) / n)

@@ -177,20 +177,16 @@ class TestOutageOnly:
 
 
 class TestSimReport:
-    def _report(self, kind, powers):
-        return SimReport(10, 0.5, *powers, 0.1, 1, kind)
-
     def test_opa_powers_may_be_none(self):
-        assert self._report("OPA", (None, None, None)).avg_power_relay is None
+        assert SimReport(10, 0.5, None, None, None).avg_power_relay is None
 
-    def test_fpa_powers_may_not_be_none(self):
+    # A negative relay power in an adaptive report, a negative node power in
+    # a fixed-power one.
+    @pytest.mark.parametrize("powers", [(0.8, 1.2, -0.5), (-3.0, 5.0, 7.0)],
+                             ids=["OPA", "FPA"])
+    def test_rejects_negative_power(self, powers):
         with pytest.raises(ValueError):
-            self._report("FPA", (1.0, 1.0, None))
-
-    @pytest.mark.parametrize("kind", ["OPA", "FPA"])
-    def test_rejects_negative_power(self, kind):
-        with pytest.raises(ValueError):
-            self._report(kind, (1.0, -1.0, 1.0))
+            SimReport(10, 0.5, *powers)
 
 
 class TestOpaEstimates:
@@ -236,7 +232,6 @@ class TestOpaEstimates:
         report = run_opa(_relay(_capped_config()), trials=N, seed=36)
         r = report.outage_rate
         assert report.binomial_sigma == pytest.approx(math.sqrt(r * (1 - r) / N), rel=1e-12)
-        assert report.policy_kind == "OPA"
 
     def test_outage_nonincreasing_in_budgets(self):
         """Raising any one budget cannot raise the outage rate (within one
@@ -273,7 +268,6 @@ class TestFpaEstimates:
         assert report.avg_power_s1 == 3.0
         assert report.avg_power_s2 == 5.0
         assert report.avg_power_relay == 7.0
-        assert report.policy_kind == "FPA"
 
     def test_huge_relay_power_leaves_uplink_limit(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 1.0, 1.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scaled_gains
 from tdbcsim.outage_analytics import (
     FpaConfig,
     OutageReport,
@@ -15,7 +16,7 @@ from tdbcsim.outage_analytics import (
     outage_opa,
 )
 from tdbcsim.relay_policy import UNBOUNDED, RelayPolicy, policies_from_config
-from tdbcsim.system_model import FadingSampler, SystemConfig
+from tdbcsim.system_model import SystemConfig
 
 # Frozen: 1 - exp(-0.4) and 1 - exp(-0.2).
 FLOOR_02_02 = 0.3296799539643607
@@ -119,7 +120,7 @@ class TestOutageOpa:
             policy = _policy(d1, d2, x0, y0, ox, oy,
                              UNBOUNDED if rho is None else rho)
             analytic = outage_opa(policy).p_out
-            x, y = FadingSampler(4242, ox, oy).sample_block(n)
+            x, y = scaled_gains(4242, ox, oy, n)
             decoded = (x >= x0) & (y >= y0)
             power = np.zeros(n)
             power[decoded] = np.maximum(d1 / y[decoded], d2 / x[decoded])
@@ -184,7 +185,7 @@ class TestOutageFpa:
         config = self._config(1 / 3, 2 / 3, 2.0, 0.5)
         fpa = FpaConfig(5.0, 8.0, 3.0)
         analytic = outage_fpa(config, fpa)
-        x, y = FadingSampler(1717, 2.0, 0.5).sample_block(n)
+        x, y = scaled_gains(1717, 2.0, 0.5, n)
         d1, d2 = config.delta1, config.delta2
         outage = ((x < d1 / fpa.p_s1_fix) | (y < d2 / fpa.p_s2_fix)
                   | (y < d1 / fpa.p_r_fix) | (x < d2 / fpa.p_r_fix))

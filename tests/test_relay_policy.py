@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scaled_gains
 from tdbcsim import relay_policy
 from tdbcsim.endnode_policy import solve_cutoff
 from tdbcsim.relay_policy import (
@@ -22,7 +23,7 @@ from tdbcsim.relay_policy import (
     solve_rho,
 )
 from tdbcsim.specfun import exp_integral_e1
-from tdbcsim.system_model import FadingSampler, SystemConfig
+from tdbcsim.system_model import SystemConfig
 
 # Frozen from the quadrature oracle (rel 1e-13): 2 * E1(0.4).
 TWICE_E1_04 = 1.4047602377313249
@@ -74,7 +75,7 @@ class TestStaticPower:
         policy = _policy(delta1=1.0, delta2=7.0, x0=0.3, y0=0.2)
         rate_1 = math.log2(1.0 + policy.delta1) / 3.0
         rate_2 = math.log2(1.0 + policy.delta2) / 3.0
-        x, y = FadingSampler(60, 1.0, 1.0).sample_block(2000)
+        x, y = scaled_gains(60, 1.0, 1.0, 2000)
         for xi, yi, power in zip(x, y, _relay_power(policy, x, y)):
             if power == 0.0:
                 continue
@@ -126,7 +127,7 @@ class TestOptimalPower:
         policy = _policy(delta1=1.0, delta2=3.0, x0=0.3, y0=0.15, rho=2.5)
         d1, d2 = policy.delta1, policy.delta2
         l1, l2 = policy.lambda1, policy.lambda2
-        x, y = FadingSampler(61, 1.0, 1.5).sample_block(4000)
+        x, y = scaled_gains(61, 1.0, 1.5, 4000)
         for xi, yi, power in zip(x, y, _relay_power(policy, x, y)):
             if xi >= policy.x0 and l2 <= yi <= (d1 / d2) * xi:
                 expected = d1 / yi
@@ -156,7 +157,7 @@ class TestCyclePowers:
         y >= lambda2 whose complement outage_opa integrates, and each end
         node exactly at or above its cutoff."""
         policy = _policy(delta1=1.0, delta2=3.0, x0=0.3, y0=0.15, rho=rho)
-        x, y = FadingSampler(62, 1.0, 1.5).sample_block(65_536)
+        x, y = scaled_gains(62, 1.0, 1.5, 65_536)
         p1, p2, pr = cycle_powers(policy, x, y)
         assert np.array_equal(pr > 0.0, (x >= policy.lambda1) & (y >= policy.lambda2))
         assert np.array_equal(p1 > 0.0, x >= policy.x0)
@@ -164,7 +165,7 @@ class TestCyclePowers:
 
     def test_scalars_and_arrays_agree(self):
         policy = _policy(delta1=1.0, delta2=3.0, x0=0.3, y0=0.15, rho=2.5)
-        x, y = FadingSampler(63, 1.0, 1.5).sample_block(200)
+        x, y = scaled_gains(63, 1.0, 1.5, 200)
         arrays = cycle_powers(policy, x, y)
         for i in range(len(x)):
             scalars = cycle_powers(policy, float(x[i]), float(y[i]))
@@ -203,7 +204,7 @@ class TestCyclePowers:
 
 # One sampled chunk, and random relay policies on three pairs of rates:
 # (log10 x0, log10 y0, cap as a fraction of the saturation cap or None).
-_CHUNK = FadingSampler(64, 1.0, 1.5).sample_block(8192)
+_CHUNK = scaled_gains(64, 1.0, 1.5, 8192)
 _RANDOM_POLICIES = st.lists(
     st.tuples(st.sampled_from([(1.0, 3.0), (0.26, 0.26), (2.0, 0.5)]),
               st.floats(-3.0, 0.5), st.floats(-3.0, 0.5),
@@ -217,6 +218,9 @@ class TestServedMasks:
     @given(_RANDOM_POLICIES)
     @settings(max_examples=100, deadline=None)
     def test_masks_are_where_the_relay_transmits(self, draws):
+        """Masks and relay powers against the rule written out here: the
+        relay serves where x >= x0, y >= y0 and, under a cap, its demand
+        max(delta1 / y, delta2 / x) is at most rho, and sends that demand."""
         policies = []
         for (d1, d2), log_x0, log_y0, fraction in draws:
             x0, y0 = 10.0 ** log_x0, 10.0 ** log_y0
@@ -224,7 +228,14 @@ class TestServedMasks:
             policies.append(_policy(d1, d2, x0, y0, 1.0, 1.5, rho))
         x, y = _CHUNK
         for policy, mask in zip(policies, served_masks(policies, x, y), strict=True):
-            assert np.array_equal(mask, cycle_powers(policy, x, y)[2] > 0.0)
+            decoded = (x >= policy.x0) & (y >= policy.y0)
+            demand = np.zeros_like(x)
+            demand[decoded] = np.maximum(policy.delta1 / y[decoded], policy.delta2 / x[decoded])
+            served = decoded if policy.rho is UNBOUNDED else decoded & (demand <= policy.rho)
+            pr = cycle_powers(policy, x, y)[2]
+            assert np.array_equal(mask, served)
+            assert np.array_equal(pr > 0.0, served)
+            assert np.array_equal(pr[served], demand[served])
 
     @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
     def test_subnormal_and_normal_cutoffs_share_a_demand(self, rho):
@@ -333,7 +344,7 @@ class TestAveragePower:
         policy = _policy(d1, d2, x0, y0, ox, oy, UNBOUNDED if rho is None else rho)
         analytic = avg_relay_power(policy)
         n = 400_000
-        x, y = FadingSampler(808, ox, oy).sample_block(n)
+        x, y = scaled_gains(808, ox, oy, n)
         decoded = (x >= x0) & (y >= y0)
         power = np.zeros(n)
         power[decoded] = np.maximum(d1 / y[decoded], d2 / x[decoded])

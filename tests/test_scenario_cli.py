@@ -193,6 +193,14 @@ class TestPowerGains:
             / ((d2 / spec.omega_y) * exp_integral_e1(exponent))
         assert rows[0]["gain_s_dB"] == pytest.approx(10 * math.log10(gain_2), rel=1e-12)
 
+    def test_default_gains_are_pinned(self, tmp_path):
+        """The default grid at seed 1, byte for byte as written before the
+        relay rule and the fixed-power corner were each written once."""
+        out = tmp_path / "gains.csv"
+        assert main(["power-gains", "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d47df53769ce415ce76e5ac27081f5d0d3dcf48d9f7a790ff94ca82ad1ce6e3e")
+
 
 class TestValidateScenario:
     def test_parameter_table_spans_regimes(self):
@@ -216,6 +224,17 @@ class TestValidateScenario:
         for row in rows:
             if row["check"] in identity_checks:
                 assert row["status"] == "PASS", row
+
+    def test_validate_csv_is_pinned(self, tmp_path):
+        """100,000 trials at seed 1, byte for byte as written before the
+        relay rule and the fixed-power corner were each written once.  At
+        this trial count five Monte Carlo power rows miss their 1% tolerance,
+        so the run exits 2."""
+        out = tmp_path / "validate.csv"
+        assert main(["validate", "--trials", "100000", "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f09d0fa342184d7cae3017c8b3fdfc65688db8b3430d3935db8905dadefc1520")
 
 
 class TestCsvAndCli:

@@ -151,7 +151,7 @@ class TestRequirePositive:
 
 class TestSolveMonotone:
     def test_identity_function(self):
-        assert solve_monotone(lambda v: v, 3.0, 0.0, 10.0, "increasing") \
+        assert solve_monotone(lambda v: v, 3.0, 0.5, 10.0, "increasing") \
             == pytest.approx(3.0, abs=1e-12)
 
     def test_e1_round_trip_from_spec_bracket(self):
@@ -171,10 +171,12 @@ class TestSolveMonotone:
             solve_monotone(exp_integral_e1, 1000.0, 1e-300, 1.0, "decreasing")
 
     def test_expansion_reaches_root_outside_bracket(self):
-        got = solve_monotone(lambda v: v, 250.0, 0.0, 1.0, "increasing")
+        got = solve_monotone(lambda v: v, 250.0, 0.5, 1.0, "increasing")
         assert got == pytest.approx(250.0, rel=1e-12)
-        got = solve_monotone(lambda v: v, -250.0, 0.0, 1.0, "increasing")
-        assert got == pytest.approx(-250.0, rel=1e-12)
+        got = solve_monotone(lambda v: v, 1e-5, 0.5, 1.0, "increasing")
+        assert got == pytest.approx(1e-5, rel=1e-12)
+        with pytest.raises(BracketingError):      # a root below 0 is out of reach
+            solve_monotone(lambda v: v, -250.0, 0.5, 1.0, "increasing")
 
     def test_tiny_positive_roots_keep_relative_accuracy(self):
         """Positive brackets bisect in log space, so roots near the bottom of
@@ -194,8 +196,11 @@ class TestSolveMonotone:
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):
-            solve_monotone(lambda v: v, 1.0, 0.0, 1.0, "sideways")
+            solve_monotone(lambda v: v, 1.0, 0.5, 1.0, "sideways")
 
     def test_bracket_validation(self):
-        with pytest.raises(ValueError):
-            solve_monotone(lambda v: v, 1.0, 2.0, 1.0, "increasing")
+        """Only brackets with 0 < lo < hi < inf are accepted."""
+        for lo, hi in [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                       (1.0, math.inf), (math.nan, 1.0), (0.5, math.nan)]:
+            with pytest.raises(ValueError):
+                solve_monotone(lambda v: v, 1.0, lo, hi, "increasing")
