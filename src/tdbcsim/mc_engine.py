@@ -1,10 +1,10 @@
 """Chunked, reproducible Monte Carlo simulation of transmission cycles.
 
 The engine is the empirical oracle for every closed form in the package.  It
-writes no rule of the protocol itself: it draws the fading, takes what the
-nodes send from `relay_policy.cycle_powers` (or only where the relay serves,
-from `relay_policy.served_masks`) and where the fixed-power baseline serves
-from `outage_analytics.fpa_corner`, and counts.  Trials are cut into
+writes no rule of the protocol itself: it draws the fading, takes the outage
+counts and power sums of the adaptive policies from
+`relay_policy.cycle_totals` and where the fixed-power baseline serves from
+`outage_analytics.fpa_corner`, and counts.  Trials are cut into
 fixed-size chunks, chunk i always consumes fading substream (seed, i), and
 partial sums are reduced in chunk order, so a report is bit-identical for
 any worker count and any scheduling.
@@ -14,12 +14,10 @@ unit-mean gains of chunk i once, scales them to each distinct pair of mean
 gains, and evaluates every policy on those states (common random numbers).
 Inverse-CDF draws scale exactly with the mean, so each report equals the
 one a separate run of that policy alone would give, bit for bit.
-
-A run that needs only outage rates (`powers=False`) skips the power arrays:
-`served_masks` computes the relay demand once per group of policies that
-share mean gains and rates, and each policy then costs a few comparisons and
-a count.  Both functions read one relay pass, so the outage rates are those
-of a full run.
+`cycle_totals` computes the relay demand once per group of policies that
+share mean gains and rates; a run that needs only outage rates
+(`powers=False`) skips the power arrays, so each policy then costs a few
+comparisons and a count, and its outage rates are those of a full run.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .outage_analytics import FpaConfig, fpa_corner
-from .relay_policy import RelayPolicy, cycle_powers, served_masks
+from .relay_policy import RelayPolicy, cycle_totals
 from .system_model import FadingSampler, SystemConfig
 
 __all__ = [
@@ -100,12 +98,6 @@ def _map_chunks(fn: Callable[[int], list], n_chunks: int, workers: int) -> list[
         return list(pool.map(fn, range(n_chunks)))
 
 
-def _opa_sums(policy: RelayPolicy, x: np.ndarray, y: np.ndarray) -> tuple:
-    p1, p2, pr = cycle_powers(policy, x, y)
-    return (x.size - int(np.count_nonzero(pr > 0.0)),
-            float(p1.sum()), float(p2.sum()), float(pr.sum()))
-
-
 def simulate(opa_policies: Sequence[RelayPolicy],
              fpa_pairs: Sequence[tuple[SystemConfig, FpaConfig]],
              trials: int, seed: int, workers: int = 1, *,
@@ -114,7 +106,7 @@ def simulate(opa_policies: Sequence[RelayPolicy],
 
     OPA policies (relay policies, e.g. from `policies_from_config`, which
     also fix both end-node cutoffs) apply `cycle_powers` per trial; a cycle
-    is an outage exactly when the relay ends up silent.  FPA pairs
+    is an outage exactly when the relay does not serve it.  FPA pairs
     (configuration, fixed powers) spend their constant powers every cycle,
     so only their outage rate is estimated and their average powers are the
     fixed powers exactly.  Each policy sees gains with its own mean gains,
@@ -145,13 +137,10 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         for (omega_x, omega_y), (opa, fpa) in groups.items():
             x = omega_x * unit_x
             y = omega_y * unit_y
-            if powers:
-                for j in opa:
-                    parts[j] = _opa_sums(opa_policies[j], x, y)
-            elif opa:
-                served = served_masks([opa_policies[j] for j in opa], x, y)
-                for j, mask in zip(opa, served):
-                    parts[j] = (x.size - int(np.count_nonzero(mask)),)
+            if opa:
+                totals = cycle_totals([opa_policies[j] for j in opa], x, y, powers)
+                for j, total in zip(opa, totals):
+                    parts[j] = total
             for j in fpa:
                 x_floor, y_floor = corners[j]
                 parts[n_opa + j] = (int(np.count_nonzero((x < x_floor) | (y < y_floor))),)

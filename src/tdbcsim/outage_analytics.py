@@ -4,8 +4,8 @@ A cycle succeeds only if both uplinks clear their cutoffs and the relay's
 capped broadcast can serve both directions; the outage probability is the
 fading measure of everything else.  Under the adaptive policies the served
 set is the quadrant above the truncation corners (lambda1, lambda2); the
-fixed-power baseline is a quadrant too, above the larger of its uplink and
-broadcast thresholds on each axis.
+fixed-power baseline follows the same rule at constant powers, so its served
+set is the quadrant above the corners of the same rule.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .relay_policy import RelayPolicy
+from .relay_policy import RelayPolicy, truncation_corners
 from .specfun import require_positive
 from .system_model import SystemConfig
 
@@ -87,12 +87,11 @@ def outage_opa(policy: RelayPolicy) -> OutageReport:
 
 def fpa_corner(config: SystemConfig, fpa: FpaConfig) -> tuple[float, float]:
     """Corner (x_floor, y_floor) of the quadrant on which the fixed-power
-    baseline serves a cycle: both uplink inversions and both broadcast
-    constraints hold at the constant powers exactly when x and y each clear
-    the larger of their uplink and broadcast thresholds."""
+    baseline serves a cycle.  It follows the relay's rule at constant
+    powers: the uplinks clear cutoffs delta1 / p1 and delta2 / p2, and the
+    relay's cap is its fixed power p_r."""
     d1, d2 = config.delta1, config.delta2
-    return (max(d1 / fpa.p_s1_fix, d2 / fpa.p_r_fix),
-            max(d2 / fpa.p_s2_fix, d1 / fpa.p_r_fix))
+    return truncation_corners(d1, d2, d1 / fpa.p_s1_fix, d2 / fpa.p_s2_fix, fpa.p_r_fix)
 
 
 def outage_fpa(config: SystemConfig, fpa: FpaConfig) -> float:

@@ -6,8 +6,9 @@ broadcast power serving both directions is max(delta1 / y, delta2 / x); the
 relay's own long-term budget then imposes a cap rho, above which the relay
 stays silent rather than overspend.  A RelayPolicy holds both thresholds,
 both end-node cutoffs and the cap, so `cycle_powers` evaluates what all three
-nodes send in a cycle from it alone; one relay pass serves it and the batch
-`served_masks`.  The cap is pinned by inverting the closed-form average
+nodes send in a cycle from it alone.  `cycle_totals` counts the outages
+(and, on request, sums the powers) of many policies on the same gains; both
+read one relay pass.  The cap is pinned by inverting the closed-form average
 broadcast power, which this module evaluates in terms of the effective
 truncation corners
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +37,8 @@ __all__ = [
     "RelayPolicy",
     "RhoValue",
     "cycle_powers",
-    "served_masks",
+    "cycle_totals",
+    "truncation_corners",
     "avg_relay_power",
     "avg_relay_power_max",
     "solve_rho",
@@ -60,8 +62,11 @@ UNBOUNDED = _UnboundedRho()
 RhoValue = Union[float, _UnboundedRho]
 
 
-def _lambdas(delta1: float, delta2: float, x0: float, y0: float,
-             rho: RhoValue) -> tuple[float, float]:
+def truncation_corners(delta1: float, delta2: float, x0: float, y0: float,
+                       rho: RhoValue) -> tuple[float, float]:
+    """Corners (max(x0, delta2 / rho), max(y0, delta1 / rho)) of the quadrant
+    on which a relay that decodes from (x0, y0) on and broadcasts
+    max(delta1 / y, delta2 / x) under the cap rho serves a cycle."""
     if isinstance(rho, _UnboundedRho):
         return x0, y0
     return max(x0, delta2 / rho), max(y0, delta1 / rho)
@@ -92,17 +97,9 @@ class RelayPolicy:
             object.__setattr__(self, name, require_positive(getattr(self, name), name))
         if not isinstance(self.rho, _UnboundedRho):
             object.__setattr__(self, "rho", require_positive(self.rho, "rho"))
-        corners = _lambdas(self.delta1, self.delta2, self.x0, self.y0, self.rho)
+        corners = truncation_corners(self.delta1, self.delta2, self.x0, self.y0, self.rho)
         for name, value in zip(("lambda1", "lambda2"), corners):
             object.__setattr__(self, name, require_positive(value, name))
-
-    @classmethod
-    def from_budget(cls, delta1: float, delta2: float, x0: float, y0: float,
-                    omega_x: float, omega_y: float, p_avg: float) -> "RelayPolicy":
-        """Solve the cap that spends exactly the budget `p_avg` (UNBOUNDED
-        when the budget reaches the saturation value)."""
-        rho = solve_rho(delta1, delta2, x0, y0, omega_x, omega_y, p_avg)
-        return cls(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
 def _gains(values, name: str) -> np.ndarray:
@@ -124,65 +121,65 @@ def cycle_powers(policy: RelayPolicy, x, y) -> tuple[np.ndarray, np.ndarray, np.
     on a negative or non-finite gain.
     """
     x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
-    [(served, demand)] = _relay_pass([policy], x, y)
+    served, demand = next(_relay_pass([policy], x, y))
     pr = np.where(served, demand, 0.0)
     del served, demand      # freed before p1 and p2: a fourth live array re-faults pages each call
-    p1 = _inverse(policy.delta1, x, x >= policy.x0)
-    p2 = _inverse(policy.delta2, y, y >= policy.y0)
-    return p1, p2, pr
+    return (*_end_node_powers(policy, x, y), pr)
 
 
-def served_masks(policies: Sequence[RelayPolicy], x, y) -> list[np.ndarray]:
-    """Where the relay of each policy transmits at gains x, y: for each
-    policy the boolean array cycle_powers(policy, x, y)[2] > 0 (barring a
-    demand that underflows to 0), without the three power arrays.  Outage
-    counts of many policies on the same gains cost a few comparisons each.
-    Raises ValueError on a negative or non-finite gain.
+def cycle_totals(policies: Sequence[RelayPolicy], x, y, powers: bool) -> list[tuple]:
+    """Per policy, its outage count at gains x, y (the states where the relay
+    does not serve) and, with `powers`, the sums of its cycle_powers arrays
+    p1, p2 and pr, bit for bit.  Policies with equal delta1 and delta2 share
+    one relay demand.  Raises ValueError on a negative or non-finite gain.
     """
     x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
-    return [served for served, _ in _relay_pass(policies, x, y)]
+    totals = []
+    for policy, (served, demand) in zip(policies, _relay_pass(policies, x, y)):
+        total = (served.size - int(np.count_nonzero(served)),)
+        if powers:
+            p1, p2 = _end_node_powers(policy, x, y)
+            total += (float(p1.sum()), float(p2.sum()),
+                      float(np.where(served, demand, 0.0).sum()))
+        totals.append(total)
+    return totals
 
 
 def _relay_pass(policies: Sequence[RelayPolicy], x: np.ndarray,
-                y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+                y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(served, demand) of each policy at gains x, y: the relay serves where
     it decoded both uplinks (x >= x0, y >= y0) and its demand
     max(delta1 / y, delta2 / x) is within the cap; an overflowed demand
-    (inf) fails every finite cap.  The demand is exact wherever its policy
-    decodes, and policies with equal delta1 and delta2 share one demand
-    array, so a caller must not change it in place.
+    (inf) fails every finite cap.  Policies with equal delta1 and delta2
+    share one demand array, so a caller must not change it in place.
     """
-    groups: dict[tuple[float, float], list[int]] = {}
-    for j, policy in enumerate(policies):
-        groups.setdefault((policy.delta1, policy.delta2), []).append(j)
-    passes: list = [None] * len(policies)
-    for (delta1, delta2), members in groups.items():
-        # Dividing by the gain itself wherever it clears the group's smallest
-        # cutoff makes the demand exact wherever any member decodes.
-        demand = _demand(delta1, delta2, x, y,
-                         x >= min(policies[j].x0 for j in members),
-                         y >= min(policies[j].y0 for j in members))
-        for j in members:
-            policy = policies[j]
-            served = (x >= policy.x0) & (y >= policy.y0)
-            if not isinstance(policy.rho, _UnboundedRho):
-                served &= demand <= policy.rho
-            passes[j] = (served, demand)
-    return passes
+    demands: dict[tuple[float, float], np.ndarray] = {}
+    for policy in policies:
+        key = (policy.delta1, policy.delta2)
+        demand = demands.get(key)
+        if demand is None:
+            demand = demands[key] = _demand(*key, x, y)
+        served = (x >= policy.x0) & (y >= policy.y0)
+        if not isinstance(policy.rho, _UnboundedRho):
+            served &= demand <= policy.rho
+        yield served, demand
 
 
-def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray,
-            x_clear: np.ndarray, y_clear: np.ndarray) -> np.ndarray:
-    """max(delta1 / y, delta2 / x), exact wherever x_clear & y_clear.
-    Elsewhere a gain that is not clear divides as gain + 1, so no entry is
-    nan; an entry may be inf where a subnormal gain is clear."""
-    demand = np.empty(x.shape)
-    np.add(y, ~y_clear, out=demand)
-    np.divide(delta1, demand, out=demand)
+def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max(delta1 / y, delta2 / x), inf where a gain is 0 or a quotient
+    overflows; never nan, as gains are finite and >= 0."""
+    demand = np.empty(x.shape)      # a 0-d `out`, as divide would return a scalar
     quotient = np.empty(x.shape)
-    np.add(x, ~x_clear, out=quotient)
-    np.divide(delta2, quotient, out=quotient)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(delta1, y, out=demand)
+        np.divide(delta2, x, out=quotient)
     return np.maximum(demand, quotient, out=demand)
+
+
+def _end_node_powers(policy: RelayPolicy, x: np.ndarray,
+                     y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (_inverse(policy.delta1, x, x >= policy.x0),
+            _inverse(policy.delta2, y, y >= policy.y0))
 
 
 def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray) -> np.ndarray:
@@ -220,7 +217,7 @@ def _wedge_power(delta1: float, delta2: float, x0: float,
 
 def _avg_power(delta1: float, delta2: float, x0: float, y0: float,
                omega_x: float, omega_y: float, rho: RhoValue) -> float:
-    l1, l2 = _lambdas(delta1, delta2, x0, y0, rho)
+    l1, l2 = truncation_corners(delta1, delta2, x0, y0, rho)
     if delta2 * y0 <= delta1 * x0:
         return _wedge_power(delta1, delta2, x0, omega_x, omega_y, l1, l2)
     # The other geometry is this one with the two end nodes swapped.
@@ -295,8 +292,5 @@ def policies_from_config(config: SystemConfig) -> tuple[EndNodePolicy, EndNodePo
     """Solve all three node policies for one problem instance."""
     node1 = EndNodePolicy.from_budget(config.delta1, config.omega_x, config.pbar_s1)
     node2 = EndNodePolicy.from_budget(config.delta2, config.omega_y, config.pbar_s2)
-    relay = RelayPolicy.from_budget(
-        config.delta1, config.delta2, node1.cutoff, node2.cutoff,
-        config.omega_x, config.omega_y, config.p_avg_relay,
-    )
-    return node1, node2, relay
+    args = (node1.delta, node2.delta, node1.cutoff, node2.cutoff, node1.omega, node2.omega)
+    return node1, node2, RelayPolicy(*args, solve_rho(*args, config.p_avg_relay))

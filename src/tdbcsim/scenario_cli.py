@@ -321,8 +321,8 @@ def validation_policies() -> list[tuple[str, SystemConfig, RelayPolicy]]:
                 p_max = avg_relay_power_max(d1, d2, x0, y0, omega_x, omega_y)
                 config = SystemConfig(rate_1, rate_2, omega_x, omega_y,
                                       pbar_s1, pbar_s2, fraction * p_max)
-                relay = RelayPolicy.from_budget(d1, d2, x0, y0, omega_x, omega_y,
-                                                config.p_avg_relay)
+                args = (d1, d2, x0, y0, omega_x, omega_y)
+                relay = RelayPolicy(*args, solve_rho(*args, config.p_avg_relay))
                 sets.append((f"set{index:02d}", config, relay))
     return sets
 

@@ -25,21 +25,19 @@ __all__ = [
 TDBC_PHASES = 3
 
 
-def delta_of_rate(rate: float, phases: int = TDBC_PHASES) -> float:
-    """SNR threshold 2**(phases * rate) - 1 needed to sustain `rate`.
+def delta_of_rate(rate: float) -> float:
+    """SNR threshold 2**(TDBC_PHASES * rate) - 1 needed to sustain `rate`.
 
-    The 1/phases pre-log of the cycle is what puts `phases` in the exponent.
-    Raises ValueError for rate <= 0, a non-positive integer phase count, or
-    phases * rate >= 1024, where the threshold overflows a double.
+    The 1/TDBC_PHASES pre-log of the cycle is what puts the phase count in
+    the exponent.  Raises ValueError for rate <= 0, or for
+    TDBC_PHASES * rate >= 1024, where the threshold overflows a double.
     """
     rate = require_positive(rate, "rate")
-    if isinstance(phases, bool) or not isinstance(phases, int) or phases < 1:
-        raise ValueError(f"phases must be a positive integer, got {phases!r}")
-    if phases * rate >= 1024.0:
+    if TDBC_PHASES * rate >= 1024.0:
         raise ValueError(
-            f"rate {rate!r} too large: 2**({phases} * rate) overflows a double"
+            f"rate {rate!r} too large: 2**({TDBC_PHASES} * rate) overflows a double"
         )
-    return 2.0 ** (phases * rate) - 1.0
+    return 2.0 ** (TDBC_PHASES * rate) - 1.0
 
 
 @dataclass(frozen=True)

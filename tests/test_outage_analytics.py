@@ -11,6 +11,7 @@ from conftest import scaled_gains
 from tdbcsim.outage_analytics import (
     FpaConfig,
     OutageReport,
+    fpa_corner,
     min_outage,
     outage_fpa,
     outage_opa,
@@ -192,6 +193,17 @@ class TestOutageFpa:
         empirical = float(outage.mean())
         sigma = math.sqrt(analytic * (1.0 - analytic) / n)
         assert abs(empirical - analytic) <= 4.0 * sigma
+
+    @given(st.floats(0.01, 3.0), st.floats(0.01, 3.0),
+           *[st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)] * 3)
+    @settings(max_examples=300, deadline=None)
+    def test_corner_clears_uplink_and_broadcast_thresholds(self, rate_1, rate_2, p1, p2, pr):
+        """Bit for bit, the corner is each axis's larger threshold: uplink
+        inversion at p1 (p2), broadcast to the other end node at pr."""
+        config = self._config(rate_1, rate_2)
+        d1, d2 = config.delta1, config.delta2
+        assert fpa_corner(config, FpaConfig(p1, p2, pr)) == (max(d1 / p1, d2 / pr),
+                                                              max(d2 / p2, d1 / pr))
 
     def test_rejects_non_positive_powers(self):
         with pytest.raises(ValueError):

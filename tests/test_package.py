@@ -5,13 +5,13 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import random
 import sys
 
 import tdbcsim
 
 SRC = pathlib.Path(tdbcsim.__file__).parent
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 def test_no_private_cross_module_imports():
     offenders = []
@@ -42,9 +42,9 @@ def test_public_surface_does_not_grow():
     assert len(tdbcsim.__all__) <= 21
 
 
-def _import_tracing():
-    """bench/tracing.py as a module, loaded without writing bytecode."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench(name: str):
+    """bench/<name>.py as a module, loaded without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -53,13 +53,34 @@ def _import_tracing():
         sys.dont_write_bytecode = saved
     return module
 
-
 def test_traced_functions_resolve():
     """Every (layer, function) the traced benchmark run rebinds exists on
     tdbcsim.<layer>, as does the sampler method it wraps on its class."""
-    traced = _import_tracing().TRACED_FUNCTIONS
+    traced = _load_bench("tracing").TRACED_FUNCTIONS
     assert traced
     missing = [f"{layer}.{name}" for layer, name in traced
                if not callable(getattr(importlib.import_module(f"tdbcsim.{layer}"), name, None))]
     assert not missing, missing
     assert callable(tdbcsim.FadingSampler.sample_block)
+
+
+def test_benchmark_design_operations_check(monkeypatch, tmp_path):
+    """One capped and one uncapped `design` operation of the benchmark run
+    through the library and pass its checks: the benchmark pins the shapes
+    it reads (a 3-tuple from policies_from_config whose end-node policies
+    have .cutoff, OutageReport.p_out, UNBOUNDED not being a float)."""
+    monkeypatch.setitem(sys.modules, "oracles", _load_bench("oracles"))
+    workloads = _load_bench("workloads")
+    rng = random.Random(0)
+    params = []
+    for capped in (True, False):
+        design = None
+        while design is None:
+            design = workloads.draw_design(rng, (1 / 3, 2 / 3), (2.0, 0.5), 10.0, capped)
+        params.append(design)
+    workload = workloads.Workload(workloads.DESIGN, 0, str(tmp_path), params)
+    capped, uncapped = workload.run(0), workload.run(1)
+    assert capped[0] == uncapped[0] == "done"
+    assert isinstance(capped[3], float) and uncapped[3] is None
+    for design, result in zip(params, (capped, uncapped)):
+        assert workloads.check_design(design, result) == []

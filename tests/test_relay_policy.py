@@ -18,8 +18,8 @@ from tdbcsim.relay_policy import (
     avg_relay_power,
     avg_relay_power_max,
     cycle_powers,
+    cycle_totals,
     policies_from_config,
-    served_masks,
     solve_rho,
 )
 from tdbcsim.specfun import exp_integral_e1
@@ -212,13 +212,22 @@ _RANDOM_POLICIES = st.lists(
     min_size=1, max_size=6)
 
 
+def _sums(policy, x, y):
+    """(outages, sum p1, sum p2, sum pr) read off the cycle_powers arrays."""
+    p1, p2, pr = cycle_powers(policy, x, y)
+    return (pr.size - int(np.count_nonzero(pr > 0.0)),
+            float(p1.sum()), float(p2.sum()), float(pr.sum()))
+
+
 class TestServedMasks:
-    """The batch served rule is the relay's transmit set of cycle_powers."""
+    """The served set of each policy, counted in batches by cycle_totals, is
+    the relay's transmit set of cycle_powers, and the batch power sums are
+    those of cycle_powers."""
 
     @given(_RANDOM_POLICIES)
     @settings(max_examples=100, deadline=None)
     def test_masks_are_where_the_relay_transmits(self, draws):
-        """Masks and relay powers against the rule written out here: the
+        """Counts and relay powers against the rule written out here: the
         relay serves where x >= x0, y >= y0 and, under a cap, its demand
         max(delta1 / y, delta2 / x) is at most rho, and sends that demand."""
         policies = []
@@ -227,21 +236,23 @@ class TestServedMasks:
             rho = UNBOUNDED if fraction is None else fraction * max(d1 / y0, d2 / x0)
             policies.append(_policy(d1, d2, x0, y0, 1.0, 1.5, rho))
         x, y = _CHUNK
-        for policy, mask in zip(policies, served_masks(policies, x, y), strict=True):
+        totals = cycle_totals(policies, x, y, False)
+        for policy, total in zip(policies, totals, strict=True):
             decoded = (x >= policy.x0) & (y >= policy.y0)
             demand = np.zeros_like(x)
             demand[decoded] = np.maximum(policy.delta1 / y[decoded], policy.delta2 / x[decoded])
             served = decoded if policy.rho is UNBOUNDED else decoded & (demand <= policy.rho)
             pr = cycle_powers(policy, x, y)[2]
-            assert np.array_equal(mask, served)
+            assert total == (x.size - int(np.count_nonzero(served)),)
             assert np.array_equal(pr > 0.0, served)
             assert np.array_equal(pr[served], demand[served])
 
     @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
     def test_subnormal_and_normal_cutoffs_share_a_demand(self, rho):
-        """A group whose smallest cutoff is subnormal divides by subnormal
-        gains; the masks still match cycle_powers and nothing warns beyond
-        the overflow of delta / 5e-324."""
+        """Policies with subnormal and normal cutoffs share one demand, which
+        divides by subnormal gains; the totals still match cycle_powers and
+        nothing warns beyond the overflow of delta / 5e-324 in the end-node
+        powers."""
         gains = np.array([0.0, 5e-324, 1e-310, 0.3, 1e300])
         x, y = (g.ravel() for g in np.meshgrid(gains, gains))
         policies = [_policy(x0=5e-324, y0=5e-324, rho=rho), _policy(x0=0.3, y0=0.3, rho=rho),
@@ -249,17 +260,40 @@ class TestServedMasks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
-                masks = served_masks(policies, x, y)
-                expected = [cycle_powers(policy, x, y)[2] > 0.0 for policy in policies]
-        for mask, want in zip(masks, expected, strict=True):
-            assert np.array_equal(mask, want) and mask.any()
+                totals = cycle_totals(policies, x, y, True)
+                expected = [_sums(policy, x, y) for policy in policies]
+        assert totals == expected
+        assert all(outages < x.size for outages, *_ in totals)
+
+    def test_power_sums_are_those_of_cycle_powers(self):
+        """Bit for bit, over two delta groups, capped and unbounded caps and
+        a subnormal cutoff, on gains that include 0."""
+        x, y = (np.concatenate([[0.0, 0.0, 2.0], g]) for g in _CHUNK)
+        policies = [_policy(1.0, 3.0, 0.3, 0.15, rho=2.5), _policy(0.26, 0.26, 0.1, 0.2),
+                    _policy(1.0, 3.0, 5e-324, 0.4), _policy(0.26, 0.26, 0.05, 5e-324, rho=0.9),
+                    _policy(1.0, 3.0, 0.2, 0.2)]
+        assert cycle_totals(policies, x, y, True) == [_sums(p, x, y) for p in policies]
+
+    @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
+    def test_zero_and_subnormal_gains_do_not_warn(self, rho):
+        """With normal cutoffs, gains of 0 and subnormal gains divide the
+        relay demand to inf or overflow it, silently: no RuntimeWarning."""
+        gains = np.array([0.0, 5e-324, 1e-310, 0.3, 2.0])
+        x, y = (g.ravel() for g in np.meshgrid(gains, gains))
+        policies = [_policy(x0=0.3, y0=0.3, rho=rho), _policy(3.0, 1.0, 0.1, 0.2, rho=rho)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            totals = cycle_totals(policies, x, y, True)
+            expected = [_sums(policy, x, y) for policy in policies]
+        assert totals == expected
 
     def test_scalars_and_bad_gains(self):
         policy = _policy(x0=0.3, y0=0.3, rho=2.5)
-        assert [bool(m) for m in served_masks([policy, _policy()], 0.5, 2.0)] == [True, True]
-        assert served_masks([], [1.0], [1.0]) == []
+        assert cycle_totals([policy, _policy()], 0.5, 2.0, False) == [(0,), (0,)]
+        assert cycle_totals([policy], 0.1, 2.0, True) == [(1, 0.0, 0.5, 0.0)]
+        assert cycle_totals([], [1.0], [1.0], True) == []
         with pytest.raises(ValueError):
-            served_masks([policy], [1.0, -1.0], 1.0)
+            cycle_totals([policy], [1.0, -1.0], 1.0, False)
 
 
 class TestPolicyConstruction:

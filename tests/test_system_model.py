@@ -35,18 +35,10 @@ class TestDeltaOfRate:
         values = [delta_of_rate(float(r)) for r in rates]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_phases_parameter(self):
-        assert delta_of_rate(1.0, phases=2) == 3.0
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, 400.0])
     def test_rejects_bad_rate(self, bad):
         with pytest.raises(ValueError):
             delta_of_rate(bad)
-
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
-    def test_rejects_bad_phases(self, bad):
-        with pytest.raises(ValueError):
-            delta_of_rate(0.5, phases=bad)
 
 
 class TestSystemConfig:
