@@ -1,35 +1,30 @@
 """Chunked, reproducible Monte Carlo simulation of transmission cycles.
 
 The engine is the empirical oracle for every closed form in the package.  It
-writes no rule of the protocol itself: it draws the fading, takes the outage
-counts and power sums of the adaptive policies from
-`relay_policy.cycle_totals` and where the fixed-power baseline serves from
-`outage_analytics.fpa_corner`, and counts.  Trials are cut into
-fixed-size chunks, chunk i always consumes fading substream (seed, i), and
-partial sums are reduced in chunk order, so a report is bit-identical for
-any worker count and any scheduling.
-
-One draw per chunk is shared by every policy of a run: `simulate` draws the
-unit-mean gains of chunk i once, scales them to each distinct pair of mean
-gains, and evaluates every policy on those states (common random numbers).
-Inverse-CDF draws scale exactly with the mean, so each report equals the
-one a separate run of that policy alone would give, bit for bit.
-`cycle_totals` computes the relay demand once per group of policies that
-share mean gains and rates; a run that needs only outage rates
-(`powers=False`) skips the power arrays, so each policy then costs a few
-comparisons and a count, and its outage rates are those of a full run.
+writes no rule of the protocol itself: it draws the fading and counts each
+policy's outages as the states outside its served quadrant, whose corner is
+`relay_policy.served_corner` for an adaptive policy and
+`outage_analytics.fpa_corner` for the fixed-power baseline; average powers
+are the sums of `relay_policy.cycle_totals`.  Chunk i of a run always
+consumes fading substream (seed, i), and partial sums are reduced in chunk
+order, so a report is bit-identical for any worker count and scheduling.
+The unit-mean draws of a chunk are shared by every policy, scaled to each
+pair of mean gains (common random numbers; inverse-CDF draws scale exactly,
+so each report equals a run of its policy alone), and every chunk a thread
+runs reuses that thread's buffers.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .outage_analytics import FpaConfig, fpa_corner
-from .relay_policy import RelayPolicy, cycle_totals
+from .relay_policy import RelayPolicy, cycle_totals, served_corner
 from .system_model import FadingSampler, SystemConfig
 
 __all__ = [
@@ -78,16 +73,6 @@ class SimReport:
         return math.sqrt(rate * (1.0 - rate) / self.trials)
 
 
-def _validate_trials(trials: int) -> None:
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-
-
-def _chunk_sizes(trials: int) -> list[int]:
-    n_full, rest = divmod(trials, CHUNK_TRIALS)
-    return [CHUNK_TRIALS] * n_full + ([rest] if rest else [])
-
-
 def _map_chunks(fn: Callable[[int], list], n_chunks: int, workers: int) -> list[list]:
     workers = min(workers, n_chunks)    # no thread without a chunk to run
     if workers <= 1:
@@ -102,48 +87,57 @@ def simulate(opa_policies: Sequence[RelayPolicy],
              fpa_pairs: Sequence[tuple[SystemConfig, FpaConfig]],
              trials: int, seed: int, workers: int = 1, *,
              powers: bool = True) -> list[SimReport]:
-    """Simulate every policy on one shared fading stream.
-
-    OPA policies (relay policies, e.g. from `policies_from_config`, which
-    also fix both end-node cutoffs) apply `cycle_powers` per trial; a cycle
-    is an outage exactly when the relay does not serve it.  FPA pairs
-    (configuration, fixed powers) spend their constant powers every cycle,
-    so only their outage rate is estimated and their average powers are the
-    fixed powers exactly.  Each policy sees gains with its own mean gains,
-    scaled from the same unit-mean draws.  Returns one report per OPA
+    """Simulate every policy on one shared fading stream: one report per OPA
     policy, then one per FPA pair, in the order given.
 
-    With `powers=False` only outages are counted: each OPA report carries
-    the same outage rate as with `powers=True` and None for its three
-    average powers.
+    An OPA policy (a relay policy, which also fixes both end-node cutoffs)
+    sends the powers of `cycle_powers`; a cycle is an outage exactly when
+    the relay does not serve it.  An FPA pair (configuration, fixed powers)
+    spends its fixed powers every cycle, which its report holds exactly.
+    Each policy sees the shared unit-mean draws scaled by its mean gains.
+    With `powers=False` only outages are counted: the OPA reports carry the
+    same outage rates and None for their three average powers.
     """
-    _validate_trials(trials)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     try:
-        sizes = _chunk_sizes(trials)
+        n_full, rest = divmod(trials, CHUNK_TRIALS)
+        sizes = [CHUNK_TRIALS] * n_full + ([rest] if rest else [])
     except MemoryError:
         raise MemoryError(f"out of memory planning the chunks of {trials} trials") from None
     n_opa = len(opa_policies)
-    # Indices of the OPA policies and of the FPA pairs of each mean-gain pair.
-    groups: dict[tuple[float, float], tuple[list[int], list[int]]] = {}
-    for j, policy in enumerate(opa_policies):
-        groups.setdefault((policy.omega_x, policy.omega_y), ([], []))[0].append(j)
-    for j, (config, _) in enumerate(fpa_pairs):
-        groups.setdefault((config.omega_x, config.omega_y), ([], []))[1].append(j)
-    corners = [fpa_corner(config, fpa) for config, fpa in fpa_pairs]
+    # Each policy's served corner and mean gains; OPA policies first.
+    policies = ([(served_corner(p), (p.omega_x, p.omega_y)) for p in opa_policies]
+                + [(fpa_corner(c, f), (c.omega_x, c.omega_y)) for c, f in fpa_pairs])
+    groups: dict[tuple[float, float], list[int]] = {}
+    for j, (_, omega) in enumerate(policies):
+        groups.setdefault(omega, []).append(j)
+    local = threading.local()   # each thread's buffers, reused by all its chunks
 
     def one_chunk(i: int) -> list[tuple]:
-        unit_x, unit_y = FadingSampler(seed, stream_index=i).sample_block(sizes[i])
-        parts: list = [None] * (n_opa + len(fpa_pairs))
-        for (omega_x, omega_y), (opa, fpa) in groups.items():
-            x = omega_x * unit_x
-            y = omega_y * unit_y
+        m = sizes[i]
+        if not hasattr(local, "draw"):
+            n = sizes[0]
+            local.draw, local.gains, local.masks = (
+                np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool))
+        unit_x, unit_y = FadingSampler(seed, stream_index=i).sample_block(m, out=local.draw[:m])
+        x, y = local.gains[0, :m], local.gains[1, :m]
+        served, served_y = local.masks[0, :m], local.masks[1, :m]
+        parts: list = [None] * len(policies)
+        for (omega_x, omega_y), members in groups.items():
+            np.multiply(unit_x, omega_x, out=x)
+            np.multiply(unit_y, omega_y, out=y)
+            # With powers, cycle_totals counts the OPA outages with their sums.
+            opa = [j for j in members if j < n_opa] if powers else []
             if opa:
-                totals = cycle_totals([opa_policies[j] for j in opa], x, y, powers)
-                for j, total in zip(opa, totals):
+                for j, total in zip(opa, cycle_totals([opa_policies[j] for j in opa], x, y)):
                     parts[j] = total
-            for j in fpa:
-                x_floor, y_floor = corners[j]
-                parts[n_opa + j] = (int(np.count_nonzero((x < x_floor) | (y < y_floor))),)
+            for j in members[len(opa):]:
+                (a, b), _ = policies[j]
+                np.greater_equal(x, a, out=served)
+                np.greater_equal(y, b, out=served_y)
+                served &= served_y
+                parts[j] = (m - int(np.count_nonzero(served)),)
         return parts
 
     chunks = _map_chunks(one_chunk, len(sizes), workers) if groups else []

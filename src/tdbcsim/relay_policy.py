@@ -6,11 +6,12 @@ broadcast power serving both directions is max(delta1 / y, delta2 / x); the
 relay's own long-term budget then imposes a cap rho, above which the relay
 stays silent rather than overspend.  A RelayPolicy holds both thresholds,
 both end-node cutoffs and the cap, so `cycle_powers` evaluates what all three
-nodes send in a cycle from it alone.  `cycle_totals` counts the outages
-(and, on request, sums the powers) of many policies on the same gains; both
-read one relay pass.  The cap is pinned by inverting the closed-form average
-broadcast power, which this module evaluates in terms of the effective
-truncation corners
+nodes send in a cycle from it alone.  `cycle_totals` counts the outages and
+sums the powers of many policies on the same gains; both
+read one relay pass, whose served set is the quadrant above `served_corner`:
+the decode region and the cap in one test per axis, exact in floating point.
+The cap is pinned by inverting the closed-form average broadcast power,
+which this module evaluates in terms of the effective truncation corners
 
     lambda1 = max(x0, delta2 / rho),    lambda2 = max(y0, delta1 / rho).
 
@@ -21,6 +22,7 @@ power over each wedge reduces to E1 terms.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -38,6 +40,7 @@ __all__ = [
     "RhoValue",
     "cycle_powers",
     "cycle_totals",
+    "served_corner",
     "truncation_corners",
     "avg_relay_power",
     "avg_relay_power_max",
@@ -102,6 +105,32 @@ class RelayPolicy:
             object.__setattr__(self, name, require_positive(value, name))
 
 
+def served_corner(policy: RelayPolicy) -> tuple[float, float]:
+    """Corner (a, b) of the quadrant on which `cycle_powers` has the relay
+    serve, bit for bit: at finite gains x, y >= 0, x >= a and y >= b exactly
+    when x >= x0, y >= y0 and max(delta1 / y, delta2 / x) <= rho as rounded.
+    Rounded division is monotone, so delta / x <= rho holds from a least
+    double on; it replaces the quotient delta / rho of `truncation_corners`.
+    """
+    if isinstance(policy.rho, _UnboundedRho):
+        return policy.x0, policy.y0
+    return (max(policy.x0, _least_gain(policy.delta2, policy.rho)),
+            max(policy.y0, _least_gain(policy.delta1, policy.rho)))
+
+
+def _least_gain(delta: float, rho: float) -> float:
+    """Least double t > 0 with delta / t <= rho as rounded (inf if no finite
+    one), a step or two from its estimate: quotients round to rho up to the
+    midpoint of rho and the next double, far above rho if rho is subnormal."""
+    t = (delta / rho if rho >= sys.float_info.min
+         else 2.0 * (delta / (rho + math.nextafter(rho, 1.0))))
+    while t > math.ulp(0.0) and delta / math.nextafter(t, 0.0) <= rho:
+        t = math.nextafter(t, 0.0)
+    while t == 0.0 or delta / t > rho:      # delta / 0 is inf, which fails
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 def _gains(values, name: str) -> np.ndarray:
     g = np.asarray(values, dtype=float)
     # min and max propagate NaN, which fails both comparisons.
@@ -124,34 +153,39 @@ def cycle_powers(policy: RelayPolicy, x, y) -> tuple[np.ndarray, np.ndarray, np.
     served, demand = next(_relay_pass([policy], x, y))
     pr = np.where(served, demand, 0.0)
     del served, demand      # freed before p1 and p2: a fourth live array re-faults pages each call
-    return (*_end_node_powers(policy, x, y), pr)
+    return (_inverse(policy.delta1, x, x >= policy.x0),
+            _inverse(policy.delta2, y, y >= policy.y0), pr)
 
 
-def cycle_totals(policies: Sequence[RelayPolicy], x, y, powers: bool) -> list[tuple]:
+def cycle_totals(policies: Sequence[RelayPolicy], x, y) -> list[tuple[int, float, float, float]]:
     """Per policy, its outage count at gains x, y (the states where the relay
-    does not serve) and, with `powers`, the sums of its cycle_powers arrays
-    p1, p2 and pr, bit for bit.  Policies with equal delta1 and delta2 share
-    one relay demand.  Raises ValueError on a negative or non-finite gain.
+    does not serve) and the sums of its cycle_powers arrays p1, p2 and pr,
+    bit for bit.  Policies with equal delta1 and delta2 share one relay
+    demand, and each end node's sum is taken once per (delta, cutoff).
+    Raises ValueError on a negative or non-finite gain.
     """
     x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
+
+    @functools.cache
+    def node_sum(axis: int, delta: float, cutoff: float) -> float:
+        gain = (x, y)[axis]
+        return float(_inverse(delta, gain, gain >= cutoff).sum())
+
     totals = []
     for policy, (served, demand) in zip(policies, _relay_pass(policies, x, y)):
-        total = (served.size - int(np.count_nonzero(served)),)
-        if powers:
-            p1, p2 = _end_node_powers(policy, x, y)
-            total += (float(p1.sum()), float(p2.sum()),
-                      float(np.where(served, demand, 0.0).sum()))
-        totals.append(total)
+        totals.append((served.size - int(np.count_nonzero(served)),
+                       node_sum(0, policy.delta1, policy.x0), node_sum(1, policy.delta2, policy.y0),
+                       float(np.where(served, demand, 0.0).sum())))
     return totals
 
 
 def _relay_pass(policies: Sequence[RelayPolicy], x: np.ndarray,
                 y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(served, demand) of each policy at gains x, y: the relay serves where
-    it decoded both uplinks (x >= x0, y >= y0) and its demand
-    max(delta1 / y, delta2 / x) is within the cap; an overflowed demand
-    (inf) fails every finite cap.  Policies with equal delta1 and delta2
-    share one demand array, so a caller must not change it in place.
+    """(served, demand) of each policy at gains x, y: the relay serves on the
+    quadrant above `served_corner`, where it decoded both uplinks and its
+    demand max(delta1 / y, delta2 / x) is within the cap.  Policies with
+    equal delta1 and delta2 share one demand array, so a caller must not
+    change it in place.
     """
     demands: dict[tuple[float, float], np.ndarray] = {}
     for policy in policies:
@@ -159,10 +193,8 @@ def _relay_pass(policies: Sequence[RelayPolicy], x: np.ndarray,
         demand = demands.get(key)
         if demand is None:
             demand = demands[key] = _demand(*key, x, y)
-        served = (x >= policy.x0) & (y >= policy.y0)
-        if not isinstance(policy.rho, _UnboundedRho):
-            served &= demand <= policy.rho
-        yield served, demand
+        a, b = served_corner(policy)
+        yield (x >= a) & (y >= b), demand
 
 
 def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -174,12 +206,6 @@ def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray) -> np.nd
         np.divide(delta1, y, out=demand)
         np.divide(delta2, x, out=quotient)
     return np.maximum(demand, quotient, out=demand)
-
-
-def _end_node_powers(policy: RelayPolicy, x: np.ndarray,
-                     y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (_inverse(policy.delta1, x, x >= policy.x0),
-            _inverse(policy.delta2, y, y >= policy.y0))
 
 
 def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray) -> np.ndarray:

@@ -285,11 +285,8 @@ def scenario_power_gains(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
         p_r_fix = max(d1 * p_s2_fix / d2, d2 * p_s1_fix / d1)
         gain_s = p_s1_fix / pbar_s1     # equals p_s2_fix / pbar_s2 under this split
         gain_r = p_r_fix / p_r_avg_max
-        rows.append({
-            "op_target": float(target),
-            "gain_s_dB": linear_to_db(gain_s),
-            "gain_r_dB": linear_to_db(gain_r),
-        })
+        rows.append({"op_target": float(target), "gain_s_dB": linear_to_db(gain_s),
+                     "gain_r_dB": linear_to_db(gain_r)})
     return fieldnames, rows
 
 
@@ -350,15 +347,9 @@ _TIE_GRID = tuple(
 
 def _row(check: str, params: str, analytic: float, empirical: float,
          deviation: float, tolerance: float) -> dict:
-    return {
-        "check": check,
-        "params": params,
-        "analytic": analytic,
-        "empirical": empirical,
-        "deviation": deviation,
-        "tolerance": tolerance,
-        "status": "PASS" if deviation <= tolerance else "FAIL",
-    }
+    status = "PASS" if deviation <= tolerance else "FAIL"
+    return dict(check=check, params=params, analytic=analytic, empirical=empirical,
+                deviation=deviation, tolerance=tolerance, status=status)
 
 
 def _rel_dev(a: float, b: float) -> float:
@@ -534,15 +525,10 @@ def _absorb_negative_grid(argv: list[str]) -> list[str]:
     read as the next option string (its negative-number exemption covers
     plain numbers only, not start:stop:step).
     """
-    joined = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--grid" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            joined.append(f"--grid={argv[i + 1]}")
-            skip = True
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--grid" and token.startswith("-"):
+            joined[-1] = f"--grid={token}"
         else:
             joined.append(token)
     return joined

@@ -100,16 +100,23 @@ class FadingSampler:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,))
         self._rng = np.random.Generator(np.random.PCG64(ss))
 
-    def sample_block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the next `n` unit-mean channel states.
+    def sample_block(self, n: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the next `n` unit-mean channel states as the columns (x, y)
+        of an (n, 2) array: `out`, C-contiguous float64, if given.
 
         Row i uses the next two uniforms u of the stream (x first), mapped
-        to -log1p(-u): equal seeds, stream indices and block sizes give
-        bit-identical output.
+        in place to -log1p(-u): equal seeds, stream indices and block sizes
+        give bit-identical output.
         """
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        u = self._rng.random((n, 2))
-        x = -np.log1p(-u[:, 0])
-        y = -np.log1p(-u[:, 1])
-        return x, y
+        if out is None:
+            out = np.empty((n, 2))
+        elif not (isinstance(out, np.ndarray) and out.shape == (n, 2)
+                  and out.dtype == np.float64 and out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float64 array of shape ({n}, 2)")
+        self._rng.random(out=out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        return out[:, 0], out[:, 1]

@@ -3,14 +3,15 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from tdbcsim.mc_engine import SimReport, run_fpa, run_opa, simulate
+from tdbcsim.mc_engine import CHUNK_TRIALS, SimReport, run_fpa, run_opa, simulate
 from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
 from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config
 from tdbcsim.scenario_cli import load_spec, validation_policies
 from tdbcsim.specfun import exp_integral_e1
-from tdbcsim.system_model import SystemConfig
+from tdbcsim.system_model import FadingSampler, SystemConfig
 
 N = 400_000
 
@@ -174,6 +175,72 @@ class TestOutageOnly:
         blank = dict(avg_power_s1=None, avg_power_s2=None, avg_power_relay=None)
         assert quick == ([dataclasses.replace(r, **blank) for r in full[:len(relays)]]
                          + full[len(relays):])
+
+
+def _demand_rule_outages(omega_x, omega_y, d1, d2, x0, y0, cap, sizes, seed):
+    """Outages of the relay's rule, written out with numpy division, on the
+    draws of each chunk: served where x >= x0, y >= y0 and, under a cap,
+    max(d1 / y, d2 / x) <= cap."""
+    outages = 0
+    for i, n in enumerate(sizes):
+        unit_x, unit_y = FadingSampler(seed, stream_index=i).sample_block(n)
+        x, y = omega_x * unit_x, omega_y * unit_y
+        served = (x >= x0) & (y >= y0)
+        if cap is not UNBOUNDED:
+            with np.errstate(divide="ignore", over="ignore"):
+                served &= np.maximum(d1 / y, d2 / x) <= cap
+        outages += n - int(np.count_nonzero(served))
+    return outages
+
+
+class TestChunkedCounts:
+    """Three chunks, the last one short, two mean-gain groups, capped and
+    unbounded OPA policies and FPA pairs in one run."""
+
+    TRIALS = 2 * CHUNK_TRIALS + 123
+    SEED = 31
+
+    @staticmethod
+    def _policies():
+        sets = _validation_sets()
+        relays = [sets[label][1] for label in ("set01", "set02", "set03", "set04")]
+        pairs = [(sets["set01"][0], FpaConfig(3.0, 3.0, 3.0)),
+                 (sets["set03"][0], FpaConfig(5.0, 8.0, 3.0))]
+        return relays, pairs
+
+    def test_policies_span_both_groups_and_caps(self):
+        relays, pairs = self._policies()
+        assert {(r.omega_x, r.omega_y) for r in relays} == {(1.0, 1.0), (2.0, 0.5)}
+        assert {r.rho is UNBOUNDED for r in relays} == {True, False}
+        assert {(c.omega_x, c.omega_y) for c, _ in pairs} == {(1.0, 1.0), (2.0, 0.5)}
+
+    @pytest.mark.parametrize("powers", [True, False])
+    def test_one_and_two_workers_agree(self, powers):
+        relays, pairs = self._policies()
+        serial = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
+        assert serial == simulate(relays, pairs, self.TRIALS, self.SEED, workers=2, powers=powers)
+
+    def test_outage_rates_do_not_depend_on_powers(self):
+        relays, pairs = self._policies()
+        full = simulate(relays, pairs, self.TRIALS, self.SEED)
+        quick = simulate(relays, pairs, self.TRIALS, self.SEED, powers=False)
+        assert [r.outage_rate for r in full] == [r.outage_rate for r in quick]
+        assert all(r.avg_power_relay is None for r in quick[:len(relays)])
+
+    @pytest.mark.parametrize("powers", [True, False])
+    def test_counts_are_the_demand_rule(self, powers):
+        """OPA outages equal the rule bit for bit.  The FPA rule is the same
+        at constant powers: uplink cutoffs d / p and the cap p_r."""
+        relays, pairs = self._policies()
+        sizes = [CHUNK_TRIALS, CHUNK_TRIALS, 123]
+        expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
+                                         r.x0, r.y0, r.rho, sizes, self.SEED) for r in relays]
+        expected += [_demand_rule_outages(c.omega_x, c.omega_y, c.delta1, c.delta2,
+                                          c.delta1 / f.p_s1_fix, c.delta2 / f.p_s2_fix,
+                                          f.p_r_fix, sizes, self.SEED) for c, f in pairs]
+        reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
+        assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
+        assert 0 < min(expected) and max(expected) < self.TRIALS
 
 
 class TestSimReport:

@@ -84,3 +84,14 @@ def test_benchmark_design_operations_check(monkeypatch, tmp_path):
     assert isinstance(capped[3], float) and uncapped[3] is None
     for design, result in zip(params, (capped, uncapped)):
         assert workloads.check_design(design, result) == []
+
+
+def test_benchmark_figures_operation_checks(monkeypatch, tmp_path):
+    """One `figures` operation of the benchmark (the default sweep at 1M
+    trials, then power-gains) passes the benchmark's own correctness check,
+    so a counting change that would fail it fails here first."""
+    monkeypatch.setitem(sys.modules, "oracles", _load_bench("oracles"))
+    workloads = _load_bench("workloads")
+    workload = workloads.Workload(workloads.FIGURES, 5, str(tmp_path))
+    codes, blobs = workload.collect(0, workload.run(0))
+    assert workloads.check_figures(codes, blobs, workloads.sweep_reference()) == []

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import scaled_gains
@@ -20,6 +20,7 @@ from tdbcsim.relay_policy import (
     cycle_powers,
     cycle_totals,
     policies_from_config,
+    served_corner,
     solve_rho,
 )
 from tdbcsim.specfun import exp_integral_e1
@@ -236,14 +237,14 @@ class TestServedMasks:
             rho = UNBOUNDED if fraction is None else fraction * max(d1 / y0, d2 / x0)
             policies.append(_policy(d1, d2, x0, y0, 1.0, 1.5, rho))
         x, y = _CHUNK
-        totals = cycle_totals(policies, x, y, False)
+        totals = cycle_totals(policies, x, y)
         for policy, total in zip(policies, totals, strict=True):
             decoded = (x >= policy.x0) & (y >= policy.y0)
             demand = np.zeros_like(x)
             demand[decoded] = np.maximum(policy.delta1 / y[decoded], policy.delta2 / x[decoded])
             served = decoded if policy.rho is UNBOUNDED else decoded & (demand <= policy.rho)
             pr = cycle_powers(policy, x, y)[2]
-            assert total == (x.size - int(np.count_nonzero(served)),)
+            assert total[0] == x.size - int(np.count_nonzero(served))
             assert np.array_equal(pr > 0.0, served)
             assert np.array_equal(pr[served], demand[served])
 
@@ -260,19 +261,20 @@ class TestServedMasks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
-                totals = cycle_totals(policies, x, y, True)
+                totals = cycle_totals(policies, x, y)
                 expected = [_sums(policy, x, y) for policy in policies]
         assert totals == expected
         assert all(outages < x.size for outages, *_ in totals)
 
     def test_power_sums_are_those_of_cycle_powers(self):
         """Bit for bit, over two delta groups, capped and unbounded caps and
-        a subnormal cutoff, on gains that include 0."""
+        a subnormal cutoff, on gains that include 0; the last policy has the
+        same (delta, cutoff) on both end nodes, whose sums still differ."""
         x, y = (np.concatenate([[0.0, 0.0, 2.0], g]) for g in _CHUNK)
         policies = [_policy(1.0, 3.0, 0.3, 0.15, rho=2.5), _policy(0.26, 0.26, 0.1, 0.2),
                     _policy(1.0, 3.0, 5e-324, 0.4), _policy(0.26, 0.26, 0.05, 5e-324, rho=0.9),
-                    _policy(1.0, 3.0, 0.2, 0.2)]
-        assert cycle_totals(policies, x, y, True) == [_sums(p, x, y) for p in policies]
+                    _policy(1.0, 3.0, 0.2, 0.2), _policy(0.26, 0.26, 0.2, 0.2)]
+        assert cycle_totals(policies, x, y) == [_sums(p, x, y) for p in policies]
 
     @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
     def test_zero_and_subnormal_gains_do_not_warn(self, rho):
@@ -283,17 +285,68 @@ class TestServedMasks:
         policies = [_policy(x0=0.3, y0=0.3, rho=rho), _policy(3.0, 1.0, 0.1, 0.2, rho=rho)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            totals = cycle_totals(policies, x, y, True)
+            totals = cycle_totals(policies, x, y)
             expected = [_sums(policy, x, y) for policy in policies]
         assert totals == expected
 
     def test_scalars_and_bad_gains(self):
         policy = _policy(x0=0.3, y0=0.3, rho=2.5)
-        assert cycle_totals([policy, _policy()], 0.5, 2.0, False) == [(0,), (0,)]
-        assert cycle_totals([policy], 0.1, 2.0, True) == [(1, 0.0, 0.5, 0.0)]
-        assert cycle_totals([], [1.0], [1.0], True) == []
+        assert [t[0] for t in cycle_totals([policy, _policy()], 0.5, 2.0)] == [0, 0]
+        assert cycle_totals([policy], 0.1, 2.0) == [(1, 0.0, 0.5, 0.0)]
+        assert cycle_totals([], [1.0], [1.0]) == []
         with pytest.raises(ValueError):
-            cycle_totals([policy], [1.0, -1.0], 1.0, False)
+            cycle_totals([policy], [1.0, -1.0], 1.0)
+
+
+_DELTAS = st.one_of(st.floats(2.2e-16, 1e-8), st.floats(0.01, 1e3))
+_CUTOFFS = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-6, 10.0))
+_CAPS = st.one_of(st.just(UNBOUNDED), st.floats(1e-3, 1e3), st.floats(1e-140, 1e-120),
+                  st.floats(1e300, 1.7e308), st.floats(5e-324, 1e-305))
+
+
+def _neighbours(values, steps=3):
+    """Each value and its `steps` nearest doubles on either side, clipped to
+    finite gains >= 0."""
+    out = []
+    for v in values:
+        up = down = np.float64(v)
+        out.append(up)
+        for _ in range(steps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            out += [up, down]
+    g = np.array(out)
+    return np.unique(g[np.isfinite(g)])
+
+
+class TestServedCorner:
+    """The quadrant above served_corner is, bit for bit, the relay's rule
+    written out with numpy division."""
+
+    @given(_DELTAS, _DELTAS, _CUTOFFS, _CUTOFFS, _CAPS)
+    @settings(max_examples=300, deadline=None)
+    @example(1.0, 3.0, 0.3, 0.15, 2.5)
+    @example(1e-12, 0.5, 1e-310, 0.1, 1e300)            # delta1 / rho subnormal
+    @example(3.0, 1.0, 1e-6, 1e-6, 1e-130)              # delta / rho about 1e130
+    @example(1e-9, 1e-9, 5e-324, 5e-324, 1.7e308)       # t at the smallest double
+    @example(1e-15, 2e-15, 0.1, 0.1, 1e-310)            # a subnormal cap
+    @example(0.26, 0.26, 5e-324, 0.2, UNBOUNDED)
+    def test_quadrant_is_the_demand_rule(self, delta1, delta2, x0, y0, rho):
+        # A policy's corners are finite: delta / rho must not overflow.
+        assume(rho is UNBOUNDED or max(delta1, delta2) / rho < math.inf)
+        policy = _policy(delta1, delta2, x0, y0, 1.0, 1.0, rho)
+        a, b = served_corner(policy)
+        quotients = [] if rho is UNBOUNDED else [delta1 / rho, delta2 / rho]
+        gains = _neighbours([0.0, 5e-324, 1e-310, 0.5, 1e300, x0, y0, *quotients])
+        x, y = (g.ravel() for g in np.meshgrid(gains, gains))
+        with np.errstate(divide="ignore", over="ignore"):
+            demand = np.maximum(delta1 / y, delta2 / x)
+        rule = (x >= x0) & (y >= y0)
+        if rho is not UNBOUNDED:
+            rule &= demand <= rho
+        assert np.array_equal((x >= a) & (y >= b), rule)
+
+    def test_unbounded_corner_is_the_cutoffs(self):
+        assert served_corner(_policy(x0=5e-324, y0=0.3)) == (5e-324, 0.3)
 
 
 class TestPolicyConstruction:

@@ -147,6 +147,20 @@ class TestTotalPowerSweep:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "95e061356b66090c3d9a4f7743fb402f27fd8b50f67d5b359f82b9336c933143")
 
+    def test_capped_asymmetric_sweep_is_pinned(self, tmp_path):
+        """Rates (1/3, 2/3), mean gains (0.5, 2) and 30 to 33 dB at the
+        default trials and seed 1, byte for byte as written before the Monte
+        Carlo counts moved to each policy's served corner.  The relay cap
+        binds at every point, where delta / rho falls from about 1e-23 to 3e-46."""
+        ini = tmp_path / "asym.ini"
+        ini.write_text("[sweep_total_power]\nrate_1 = 0.3333333333333333\n"
+                       "rate_2 = 0.6666666666666666\nomega_x = 0.5\nomega_y = 2.0\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-total-power", "--config", str(ini), "--grid", "30:33:1",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "48911cb60c596db09a103c6f449c665c5cd97a32c809bf0c98662391dcc00dd6")
+
     def test_vanishing_power_forces_outage(self):
         spec = ScenarioSpec(scenario="sweep_total_power", grid=(-30.0,), **SMALL)
         _, rows = scenario_total_power(spec)
