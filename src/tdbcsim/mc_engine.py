@@ -11,7 +11,8 @@ order, so a report is bit-identical for any worker count and scheduling.
 The unit-mean draws of a chunk are shared by every policy, scaled to each
 pair of mean gains (common random numbers; inverse-CDF draws scale exactly,
 so each report equals a run of its policy alone), and every chunk a thread
-runs reuses that thread's buffers.
+runs reuses that thread's buffers.  Square corners (a == b) of one mean-gain
+group are counted from one sort per chunk instead (see `simulate`).
 """
 
 from __future__ import annotations
@@ -96,7 +97,10 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     spends its fixed powers every cycle, which its report holds exactly.
     Each policy sees the shared unit-mean draws scaled by its mean gains.
     With `powers=False` only outages are counted: the OPA reports carry the
-    same outage rates and None for their three average powers.
+    same outage rates and None for their three average powers.  Square
+    corners (a == b, as on symmetric links) are counted from min(x, y),
+    sorted once per chunk in x's buffer: x >= a and y >= a is
+    min(x, y) >= a, so the outages are `searchsorted` positions.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -112,6 +116,14 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     groups: dict[tuple[float, float], list[int]] = {}
     for j, (_, omega) in enumerate(policies):
         groups.setdefault(omega, []).append(j)
+    # Per group: OPA policies for cycle_totals, quadrant tests, sorted corners.
+    plans = []
+    for omega, members in groups.items():
+        opa = [j for j in members if j < n_opa] if powers else []
+        rest = members[len(opa):]
+        square = [j for j in rest if policies[j][0][0] == policies[j][0][1]]
+        plans.append((omega, opa, [j for j in rest if j not in square], square,
+                      np.array([policies[j][0][0] for j in square])))
     local = threading.local()   # each thread's buffers, reused by all its chunks
 
     def one_chunk(i: int) -> list[tuple]:
@@ -124,20 +136,23 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         x, y = local.gains[0, :m], local.gains[1, :m]
         served, served_y = local.masks[0, :m], local.masks[1, :m]
         parts: list = [None] * len(policies)
-        for (omega_x, omega_y), members in groups.items():
+        for (omega_x, omega_y), opa, quadrant, square, corners in plans:
             np.multiply(unit_x, omega_x, out=x)
             np.multiply(unit_y, omega_y, out=y)
-            # With powers, cycle_totals counts the OPA outages with their sums.
-            opa = [j for j in members if j < n_opa] if powers else []
             if opa:
                 for j, total in zip(opa, cycle_totals([opa_policies[j] for j in opa], x, y)):
                     parts[j] = total
-            for j in members[len(opa):]:
+            for j in quadrant:
                 (a, b), _ = policies[j]
                 np.greater_equal(x, a, out=served)
                 np.greater_equal(y, b, out=served_y)
                 served &= served_y
                 parts[j] = (m - int(np.count_nonzero(served)),)
+            if square:          # x is free now: it takes min(x, y), sorted
+                np.minimum(x, y, out=x)
+                x.sort()
+                for j, count in zip(square, np.searchsorted(x, corners).tolist()):
+                    parts[j] = (count,)
         return parts
 
     chunks = _map_chunks(one_chunk, len(sizes), workers) if groups else []

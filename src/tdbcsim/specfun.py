@@ -218,7 +218,8 @@ def solve_monotone(
     Raises ValueError on a bad bracket, BracketingError when expansion
     cannot straddle the target (it is outside the function's range, or an
     end would have to leave the positive doubles) and ConvergenceError when
-    MAX_ITERATIONS is hit, which indicates a non-monotone f.
+    the bracket closes on two adjacent subnormal doubles or MAX_ITERATIONS
+    is hit, which indicates a non-monotone f.
     """
     if direction not in ("increasing", "decreasing"):
         raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
@@ -265,6 +266,9 @@ def solve_monotone(
         m = 0.5 * _log_offset(c, b)
         if abs(m) <= tol or r_b == 0.0:
             return b
+        if math.nextafter(b, c) == c:   # wider than tol: b and c are subnormal
+            raise ConvergenceError(f"the root near {b!r} is subnormal; the bracket "
+                                   f"cannot narrow to a relative width of {SOLVER_WIDTH_TOL}")
         interpolate = abs(e) >= tol and abs(r_a) > abs(r_b)
         if interpolate:
             s = r_b / r_a
@@ -282,7 +286,7 @@ def solve_monotone(
             d = e = m                     # bisection
         a, r_a = b, r_b
         b = _log_step(b, d if abs(d) > tol else math.copysign(tol, m))
-        r_b = residual(b)
+        r_b = residual(b) if b != a else r_a    # a step too small to move b
         if (r_b > 0.0) == (r_c > 0.0):
             c, r_c = a, r_a
             d = e = _log_offset(b, a)

@@ -2,14 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tdbcsim import mc_engine
 from tdbcsim.mc_engine import CHUNK_TRIALS, SimReport, run_fpa, run_opa, simulate
-from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
-from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config
-from tdbcsim.scenario_cli import load_spec, validation_policies
+from tdbcsim.outage_analytics import FpaConfig, fpa_corner, min_outage, outage_fpa, outage_opa
+from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config, served_corner
+from tdbcsim.scenario_cli import db_to_linear, load_spec, validation_policies
 from tdbcsim.specfun import exp_integral_e1
 from tdbcsim.system_model import FadingSampler, SystemConfig
 
@@ -241,6 +243,103 @@ class TestChunkedCounts:
         reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         assert 0 < min(expected) and max(expected) < self.TRIALS
+
+
+def _default_sweep():
+    """The relay policies and fixed-power pairs of the default
+    `sweep-total-power` grid, as the CLI builds them."""
+    spec = load_spec("sweep_total_power")
+    relays, pairs = [], []
+    for p_t_db in spec.grid:
+        share = db_to_linear(p_t_db) / 3.0
+        config = SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
+                              share, share, share)
+        relays.append(policies_from_config(config)[2])
+        pairs.append((config, FpaConfig(share, share, share)))
+    return relays, pairs
+
+
+class TestSortedCorners:
+    """Square corners (a == b) counted from one sort of min(x, y) per chunk
+    give the counts of the relay's rule."""
+
+    TRIALS = 2 * CHUNK_TRIALS + 123
+    SIZES = [CHUNK_TRIALS, CHUNK_TRIALS, 123]
+    SEED = 17
+
+    def test_default_sweep_takes_the_sort(self):
+        relays, pairs = _default_sweep()
+        corners = [served_corner(r) for r in relays] + [fpa_corner(c, f) for c, f in pairs]
+        assert all(a == b for a, b in corners)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_sweep_counts_agree(self, workers):
+        """The OPA outage rates from the sort (outage only) equal those of
+        cycle_totals' relay pass (with powers), for either worker count."""
+        relays, pairs = _default_sweep()
+        reports = {powers: simulate(relays, pairs, self.TRIALS, self.SEED,
+                                    workers=workers, powers=powers)
+                   for powers in (False, True)}
+        assert [r.outage_rate for r in reports[False]] \
+            == [r.outage_rate for r in reports[True]]
+        for powers, got in reports.items():
+            assert got == simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
+
+    def test_default_sweep_counts_are_the_demand_rule(self):
+        relays, pairs = _default_sweep()
+        expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
+                                         r.x0, r.y0, r.rho, self.SIZES, self.SEED) for r in relays]
+        expected += [_demand_rule_outages(c.omega_x, c.omega_y, c.delta1, c.delta2,
+                                          c.delta1 / f.p_s1_fix, c.delta2 / f.p_s2_fix,
+                                          f.p_r_fix, self.SIZES, self.SEED) for c, f in pairs]
+        reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=False)
+        assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
+
+    @pytest.mark.parametrize("powers", [False, True])
+    def test_mixed_groups_and_edge_corners(self, monkeypatch, powers):
+        """Two mean-gain groups, each with square and non-square corners; the
+        square ones include a drawn min(x, y) itself (a tie, served), the
+        next double above it, 0.0 and inf."""
+        sets = _validation_sets()
+        groups = [sets["set01"][0], sets["set03"][0]]
+        assert {(c.omega_x, c.omega_y) for c in groups} == {(1.0, 1.0), (2.0, 0.5)}
+        corners = []
+        for k, config in enumerate(groups):
+            unit_x, unit_y = FadingSampler(self.SEED, stream_index=k).sample_block(CHUNK_TRIALS)
+            tie = float(min(config.omega_x * unit_x[1000], config.omega_y * unit_y[1000]))
+            corners += [(config, corner) for corner in
+                        [(tie, tie), (math.nextafter(tie, math.inf),) * 2, (0.0, 0.0),
+                         (math.inf, math.inf), (0.5, 0.5), (0.3, 0.7), (0.9, 0.2)]]
+        # Pair j has relay power j + 1, which picks its corner.
+        pairs = [(config, FpaConfig(1.0, 1.0, j + 1.0)) for j, (config, _) in enumerate(corners)]
+        monkeypatch.setattr(mc_engine, "fpa_corner", lambda c, f: corners[int(f.p_r_fix) - 1][1])
+        relays = [sets[label][1] for label in ("set01", "set03")]
+        reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
+        expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
+                                         r.x0, r.y0, r.rho, self.SIZES, self.SEED) for r in relays]
+        expected += [_demand_rule_outages(c.omega_x, c.omega_y, c.delta1, c.delta2, a, b,
+                                          UNBOUNDED, self.SIZES, self.SEED)
+                     for c, (a, b) in corners]
+        assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
+        expected = expected[len(relays):]
+        for group in (expected[:7], expected[7:]):
+            tie, above, zero, infinite = group[:4]
+            assert tie < above and zero == 0 and infinite == self.TRIALS
+
+
+def test_default_sweep_allocates_no_new_buffer():
+    """Traced peak of an outage-only `simulate` of the default sweep at 1M
+    trials, bounded 5% above the 2,259,484 bytes (the per-thread draw, gains
+    and masks) it took before the sort came in."""
+    relays, pairs = _default_sweep()
+    simulate(relays, pairs, 1_000_000, 20240915, powers=False)
+    tracemalloc.start()
+    try:
+        simulate(relays, pairs, 1_000_000, 20240915, powers=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 2_259_484
 
 
 class TestSimReport:

@@ -147,6 +147,15 @@ class TestTotalPowerSweep:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "95e061356b66090c3d9a4f7743fb402f27fd8b50f67d5b359f82b9336c933143")
 
+    def test_default_sweep_at_default_trials_is_pinned(self, tmp_path):
+        """The default grid at the default 1M trials and seed, byte for byte
+        as written before square corners were counted from one sort of
+        min(x, y): all 16 chunks take that path."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-total-power", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9b7bd2d9f15acdb6496de1ae4abaf234536944786e14bec4698ac0b879df1424")
+
     def test_capped_asymmetric_sweep_is_pinned(self, tmp_path):
         """Rates (1/3, 2/3), mean gains (0.5, 2) and 30 to 33 dB at the
         default trials and seed 1, byte for byte as written before the Monte

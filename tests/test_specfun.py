@@ -11,6 +11,7 @@ from scipy import special
 from tdbcsim import specfun
 from tdbcsim.specfun import (
     BracketingError,
+    ConvergenceError,
     exp_integral_e1,
     require_positive,
     solve_monotone,
@@ -185,6 +186,28 @@ class TestSolveMonotone:
             target = exp_integral_e1(x_true)
             got = solve_monotone(exp_integral_e1, target, 1e-300, 50.0, "decreasing")
             assert got == pytest.approx(x_true, rel=1e-11)
+
+    def test_subnormal_root_stops_early(self):
+        """E1 = 720 near 1.1e-313, where adjacent doubles differ by 4e-11
+        relative and the 1e-14 width stop cannot be met: the solver says so
+        once its bracket closes on two adjacent doubles, not after 200
+        iterations with a message about monotonicity."""
+        evaluations = []
+
+        def e1(x):
+            evaluations.append(x)
+            return exp_integral_e1(x)
+
+        with pytest.raises(ConvergenceError, match="subnormal"):
+            solve_monotone(e1, 720.0, 1e-300, 1.0, "decreasing")
+        assert len(evaluations) <= 50
+        assert len(set(evaluations)) == len(evaluations)    # none evaluated twice
+
+    @pytest.mark.parametrize("root", [4.166282e-317, 2.72868e-319, 3.57782786e-316])
+    def test_exact_subnormal_roots_still_converge(self, root):
+        """A step may fail to move a subnormal best point, yet a later one
+        can land on the root exactly; that solve still returns it."""
+        assert solve_monotone(lambda v: v, root, 1e-300, 1.0, "increasing") == root
 
     @given(st.floats(min_value=-4.0, max_value=math.log10(20.0)))
     @settings(max_examples=100, deadline=None)
