@@ -5,22 +5,20 @@ writes no rule of the protocol itself: it draws the fading and counts each
 policy's outages as the states outside its served quadrant, whose corner is
 `relay_policy.served_corner` for an adaptive policy and
 `outage_analytics.fpa_corner` for the fixed-power baseline; average powers
-are the sums of `relay_policy.cycle_totals`.  Chunk i of a run always
-consumes fading substream (seed, i), and partial sums are reduced in chunk
-order, so a report is bit-identical for any worker count and scheduling.
-The unit-mean draws of a chunk are shared by every policy, scaled to each
-pair of mean gains (common random numbers; inverse-CDF draws scale exactly,
-so each report equals a run of its policy alone), and every chunk a thread
-runs reuses that thread's buffers.  Square corners (a == b) of one mean-gain
-group are counted from one sort per chunk instead (see `simulate`).
+are the sums of `relay_policy.cycle_totals`.  Chunks run one after another
+on one set of buffers, and chunk i of a run always consumes fading substream
+(seed, i), so a report depends only on the policies, trials and seed.  The
+unit-mean draws of a chunk are shared by every policy, scaled to each pair of
+mean gains (common random numbers; inverse-CDF draws scale exactly, so each
+report equals a run of its policy alone).  Square corners (a == b) of one
+mean-gain group are counted from one sort per chunk instead (see `simulate`).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +34,8 @@ __all__ = [
     "run_fpa",
 ]
 
-#: Trials per chunk.  Fixed: determinism relies on the chunk grid never
-#: depending on the worker count.
+#: Trials per chunk.  Fixed: chunk i draws substream (seed, i), so every
+#: report depends on the chunk grid.
 CHUNK_TRIALS = 1 << 16
 
 
@@ -74,19 +72,9 @@ class SimReport:
         return math.sqrt(rate * (1.0 - rate) / self.trials)
 
 
-def _map_chunks(fn: Callable[[int], list], n_chunks: int, workers: int) -> list[list]:
-    workers = min(workers, n_chunks)    # no thread without a chunk to run
-    if workers <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    # Imported here: concurrent.futures loads logging, which serial runs never need.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
-
-
 def simulate(opa_policies: Sequence[RelayPolicy],
              fpa_pairs: Sequence[tuple[SystemConfig, FpaConfig]],
-             trials: int, seed: int, workers: int = 1, *,
+             trials: int, seed: int, *,
              powers: bool = True) -> list[SimReport]:
     """Simulate every policy on one shared fading stream: one report per OPA
     policy, then one per FPA pair, in the order given.
@@ -113,6 +101,8 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     # Each policy's served corner and mean gains; OPA policies first.
     policies = ([(served_corner(p), (p.omega_x, p.omega_y)) for p in opa_policies]
                 + [(fpa_corner(c, f), (c.omega_x, c.omega_y)) for c, f in fpa_pairs])
+    if not policies:
+        return []
     groups: dict[tuple[float, float], list[int]] = {}
     for j, (_, omega) in enumerate(policies):
         groups.setdefault(omega, []).append(j)
@@ -124,58 +114,50 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         square = [j for j in rest if policies[j][0][0] == policies[j][0][1]]
         plans.append((omega, opa, [j for j in rest if j not in square], square,
                       np.array([policies[j][0][0] for j in square])))
-    local = threading.local()   # each thread's buffers, reused by all its chunks
-
-    def one_chunk(i: int) -> list[tuple]:
-        m = sizes[i]
-        if not hasattr(local, "draw"):
-            n = sizes[0]
-            local.draw, local.gains, local.masks = (
-                np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool))
-        unit_x, unit_y = FadingSampler(seed, stream_index=i).sample_block(m, out=local.draw[:m])
-        x, y = local.gains[0, :m], local.gains[1, :m]
-        served, served_y = local.masks[0, :m], local.masks[1, :m]
-        parts: list = [None] * len(policies)
+    n = sizes[0]
+    draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
+    outages = [0] * len(policies)
+    sums: list[list] = [[] for _ in opa_policies]   # each OPA chunk's three power sums
+    for i, m in enumerate(sizes):
+        unit_x, unit_y = FadingSampler(seed, stream_index=i).sample_block(m, out=draw[:m])
+        x, y = gains[0, :m], gains[1, :m]
+        served, served_y = masks[0, :m], masks[1, :m]
         for (omega_x, omega_y), opa, quadrant, square, corners in plans:
             np.multiply(unit_x, omega_x, out=x)
             np.multiply(unit_y, omega_y, out=y)
             if opa:
-                for j, total in zip(opa, cycle_totals([opa_policies[j] for j in opa], x, y)):
-                    parts[j] = total
+                totals = cycle_totals([opa_policies[j] for j in opa], x, y)
+                for j, (count, *chunk_sums) in zip(opa, totals):
+                    outages[j] += count
+                    sums[j].append(chunk_sums)
             for j in quadrant:
                 (a, b), _ = policies[j]
                 np.greater_equal(x, a, out=served)
                 np.greater_equal(y, b, out=served_y)
                 served &= served_y
-                parts[j] = (m - int(np.count_nonzero(served)),)
+                outages[j] += m - int(np.count_nonzero(served))
             if square:          # x is free now: it takes min(x, y), sorted
                 np.minimum(x, y, out=x)
                 x.sort()
                 for j, count in zip(square, np.searchsorted(x, corners).tolist()):
-                    parts[j] = (count,)
-        return parts
-
-    chunks = _map_chunks(one_chunk, len(sizes), workers) if groups else []
+                    outages[j] += count
     reports = []
     for j in range(n_opa):
-        parts = [chunk[j] for chunk in chunks]
-        averages = ([math.fsum(p[k] for p in parts) / trials for k in (1, 2, 3)]
+        averages = ([math.fsum(column) / trials for column in zip(*sums[j])]
                     if powers else [None] * 3)
-        reports.append(SimReport(trials, sum(p[0] for p in parts) / trials, *averages))
+        reports.append(SimReport(trials, outages[j] / trials, *averages))
     for j, (_, fpa) in enumerate(fpa_pairs, start=n_opa):
-        outages = sum(chunk[j][0] for chunk in chunks)
-        reports.append(SimReport(trials, outages / trials,
+        reports.append(SimReport(trials, outages[j] / trials,
                                  fpa.p_s1_fix, fpa.p_s2_fix, fpa.p_r_fix))
     return reports
 
 
-def run_opa(policy: RelayPolicy, trials: int = 1_000_000, seed: int = 0,
-            workers: int = 1) -> SimReport:
+def run_opa(policy: RelayPolicy, trials: int = 1_000_000, seed: int = 0) -> SimReport:
     """`simulate` of one adaptive policy."""
-    return simulate([policy], [], trials, seed, workers)[0]
+    return simulate([policy], [], trials, seed)[0]
 
 
 def run_fpa(config: SystemConfig, fpa: FpaConfig, trials: int = 1_000_000,
-            seed: int = 0, workers: int = 1) -> SimReport:
+            seed: int = 0) -> SimReport:
     """`simulate` of one fixed-power baseline."""
-    return simulate([], [(config, fpa)], trials, seed, workers)[0]
+    return simulate([], [(config, fpa)], trials, seed)[0]

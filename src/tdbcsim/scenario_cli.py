@@ -306,21 +306,16 @@ def validation_policies() -> list[tuple[str, SystemConfig, RelayPolicy]]:
     budget_fractions = (0.5, 2.0)
     pbar_s1, pbar_s2 = 0.8, 1.2
     sets = []
-    index = 0
     for rate_1, rate_2 in rate_pairs:
         for omega_x, omega_y in omega_pairs:
             for fraction in budget_fractions:
-                index += 1
-                d1 = delta_of_rate(rate_1)
-                d2 = delta_of_rate(rate_2)
+                d1, d2 = delta_of_rate(rate_1), delta_of_rate(rate_2)
                 x0 = solve_cutoff(d1, omega_x, pbar_s1)
                 y0 = solve_cutoff(d2, omega_y, pbar_s2)
                 p_max = avg_relay_power_max(d1, d2, x0, y0, omega_x, omega_y)
                 config = SystemConfig(rate_1, rate_2, omega_x, omega_y,
                                       pbar_s1, pbar_s2, fraction * p_max)
-                args = (d1, d2, x0, y0, omega_x, omega_y)
-                relay = RelayPolicy(*args, solve_rho(*args, config.p_avg_relay))
-                sets.append((f"set{index:02d}", config, relay))
+                sets.append((f"set{len(sets) + 1:02d}", config, policies_from_config(config)[2]))
     return sets
 
 

@@ -84,10 +84,10 @@ class FadingSampler:
     symmetric in sign.
 
     The stream is fully determined by (seed, stream_index): substreams are
-    derived by key-splitting a 64-bit seed, never by wall-clock state, which
-    is what makes chunk-parallel simulation reproducible for any worker
-    count.  A sampler instance owns its stream and must not be shared across
-    threads; create one per substream instead.
+    derived by key-splitting a 64-bit seed, never by wall-clock state, so a
+    chunked simulation that draws chunk i from substream (seed, i) is
+    reproducible.  A sampler instance owns its stream; create one per
+    substream.
     """
 
     def __init__(self, seed: int, stream_index: int = 0) -> None:

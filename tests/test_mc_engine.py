@@ -10,8 +10,10 @@ import pytest
 from tdbcsim import mc_engine
 from tdbcsim.mc_engine import CHUNK_TRIALS, SimReport, run_fpa, run_opa, simulate
 from tdbcsim.outage_analytics import FpaConfig, fpa_corner, min_outage, outage_fpa, outage_opa
-from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config, served_corner
-from tdbcsim.scenario_cli import db_to_linear, load_spec, validation_policies
+from tdbcsim.relay_policy import (UNBOUNDED, avg_relay_power, cycle_powers, policies_from_config,
+                                  served_corner)
+from tdbcsim.scenario_cli import (_FPA_VALIDATION_SETS, db_to_linear, load_spec,
+                                  validation_policies)
 from tdbcsim.specfun import exp_integral_e1
 from tdbcsim.system_model import FadingSampler, SystemConfig
 
@@ -49,47 +51,6 @@ class TestDeterminism:
         b = run_opa(_relay(_capped_config()), trials=50_000, seed=124)
         assert a.outage_rate != b.outage_rate
 
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_worker_count_invariance(self, workers):
-        serial = run_opa(_relay(_capped_config()), trials=200_000, seed=5)
-        parallel = run_opa(_relay(_capped_config()), trials=200_000, seed=5, workers=workers)
-        assert serial == parallel
-
-    def test_threads_never_outnumber_chunks(self, monkeypatch):
-        """A worker count far above the chunk count asks the pool for one
-        thread per chunk; the recording pool starts no thread at all."""
-        import concurrent.futures
-
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        relay = _relay(_capped_config())
-        assert run_opa(relay, trials=200_000, seed=5, workers=10 ** 6) \
-            == run_opa(relay, trials=200_000, seed=5)
-        assert asked == [4]
-        run_opa(relay, trials=50_000, seed=5, workers=10 ** 6)     # one chunk: serial
-        assert asked == [4]
-
-    def test_fpa_worker_count_invariance(self):
-        config = _capped_config()
-        fpa = FpaConfig(3.0, 3.0, 3.0)
-        serial = run_fpa(config, fpa, trials=200_000, seed=5)
-        parallel = run_fpa(config, fpa, trials=200_000, seed=5, workers=8)
-        assert serial == parallel
-
 
 class TestPinnedReports:
     """Reports recorded from the engine before the per-cycle rule moved into
@@ -99,35 +60,30 @@ class TestPinnedReports:
         ("set01", True, 178595, (0.7987362517341459, 1.2030514451411267, 0.5178252365563577)),
         ("set08", False, 191332, (0.7987362517341459, 1.1999006472316447, 1.2368733373873073)),
     ])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_report_is_pinned(self, label, capped, outages, powers, workers):
+    def test_report_is_pinned(self, label, capped, outages, powers):
         relay = _validation_sets()[label][1]
         assert (relay.rho is not UNBOUNDED) == capped
-        report = run_opa(relay, trials=300_001, seed=7, workers=workers)
+        report = run_opa(relay, trials=300_001, seed=7)
         assert report.outage_rate == outages / 300_001
         assert (report.avg_power_s1, report.avg_power_s2,
                 report.avg_power_relay) == pytest.approx(powers, rel=1e-12, abs=0.0)
 
 
 def _default_sweep():
-    """Relay policies and FPA pairs of the 21 points of the default sweep."""
+    """The relay policies and fixed-power pairs of the default
+    `sweep-total-power` grid, as the CLI builds them."""
+    spec = load_spec("sweep_total_power")
     relays, pairs = [], []
-    for p_t_db in load_spec("sweep_total_power").grid:
-        share = 10.0 ** (p_t_db / 10.0) / 3.0
-        config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, share, share, share)
-        relays.append(_relay(config))
+    for p_t_db in spec.grid:
+        share = db_to_linear(p_t_db) / 3.0
+        config = SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
+                              share, share, share)
+        relays.append(policies_from_config(config)[2])
         pairs.append((config, FpaConfig(share, share, share)))
     return relays, pairs
 
 
 class TestSimulate:
-    def test_worker_count_invariance_on_the_default_sweep(self):
-        relays, pairs = _default_sweep()
-        assert (len(relays), len(pairs)) == (21, 21)
-        reports = [simulate(relays, pairs, 300_001, 3, workers=w) for w in (1, 2, 8)]
-        assert len(reports[0]) == 42
-        assert reports[0] == reports[1] == reports[2]
-
     def test_mixed_means_keep_order_and_match_single_runs(self):
         """Policies of different mean gains, interleaved, come back in the
         order given and equal to runs of each policy alone."""
@@ -165,15 +121,14 @@ class TestSimulate:
 
 
 class TestOutageOnly:
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_outage_rates_match_full_runs(self, workers):
+    def test_outage_rates_match_full_runs(self):
         """The 21 default-sweep policies and the 24 validate policies (mixed
         mean gains and rates, capped and unbounded) with the sweep's FPA
         pairs: an outage-only run is the full run with the OPA powers None."""
         relays, pairs = _default_sweep()
         relays += [relay for _, _, relay in validation_policies()]
         full = simulate(relays, pairs, 200_001, 9)
-        quick = simulate(relays, pairs, 200_001, 9, workers=workers, powers=False)
+        quick = simulate(relays, pairs, 200_001, 9, powers=False)
         blank = dict(avg_power_s1=None, avg_power_s2=None, avg_power_relay=None)
         assert quick == ([dataclasses.replace(r, **blank) for r in full[:len(relays)]]
                          + full[len(relays):])
@@ -216,12 +171,6 @@ class TestChunkedCounts:
         assert {r.rho is UNBOUNDED for r in relays} == {True, False}
         assert {(c.omega_x, c.omega_y) for c, _ in pairs} == {(1.0, 1.0), (2.0, 0.5)}
 
-    @pytest.mark.parametrize("powers", [True, False])
-    def test_one_and_two_workers_agree(self, powers):
-        relays, pairs = self._policies()
-        serial = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
-        assert serial == simulate(relays, pairs, self.TRIALS, self.SEED, workers=2, powers=powers)
-
     def test_outage_rates_do_not_depend_on_powers(self):
         relays, pairs = self._policies()
         full = simulate(relays, pairs, self.TRIALS, self.SEED)
@@ -232,7 +181,9 @@ class TestChunkedCounts:
     @pytest.mark.parametrize("powers", [True, False])
     def test_counts_are_the_demand_rule(self, powers):
         """OPA outages equal the rule bit for bit.  The FPA rule is the same
-        at constant powers: uplink cutoffs d / p and the cap p_r."""
+        at constant powers: uplink cutoffs d / p and the cap p_r.  With
+        powers, each OPA average power is, bit for bit, the fsum over the
+        chunks of that chunk's cycle_powers sum, divided by trials."""
         relays, pairs = self._policies()
         sizes = [CHUNK_TRIALS, CHUNK_TRIALS, 123]
         expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
@@ -243,20 +194,15 @@ class TestChunkedCounts:
         reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         assert 0 < min(expected) and max(expected) < self.TRIALS
-
-
-def _default_sweep():
-    """The relay policies and fixed-power pairs of the default
-    `sweep-total-power` grid, as the CLI builds them."""
-    spec = load_spec("sweep_total_power")
-    relays, pairs = [], []
-    for p_t_db in spec.grid:
-        share = db_to_linear(p_t_db) / 3.0
-        config = SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
-                              share, share, share)
-        relays.append(policies_from_config(config)[2])
-        pairs.append((config, FpaConfig(share, share, share)))
-    return relays, pairs
+        if powers:
+            for relay, report in zip(relays, reports):
+                chunk_sums = []
+                for i, n in enumerate(sizes):
+                    unit_x, unit_y = FadingSampler(self.SEED, stream_index=i).sample_block(n)
+                    chunk_sums.append([float(p.sum()) for p in cycle_powers(
+                        relay, relay.omega_x * unit_x, relay.omega_y * unit_y)])
+                assert (report.avg_power_s1, report.avg_power_s2, report.avg_power_relay) \
+                    == tuple(math.fsum(column) / self.TRIALS for column in zip(*chunk_sums))
 
 
 class TestSortedCorners:
@@ -272,18 +218,14 @@ class TestSortedCorners:
         corners = [served_corner(r) for r in relays] + [fpa_corner(c, f) for c, f in pairs]
         assert all(a == b for a, b in corners)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_default_sweep_counts_agree(self, workers):
+    def test_default_sweep_counts_agree(self):
         """The OPA outage rates from the sort (outage only) equal those of
-        cycle_totals' relay pass (with powers), for either worker count."""
+        cycle_totals' relay pass (with powers)."""
         relays, pairs = _default_sweep()
-        reports = {powers: simulate(relays, pairs, self.TRIALS, self.SEED,
-                                    workers=workers, powers=powers)
+        reports = {powers: simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
                    for powers in (False, True)}
         assert [r.outage_rate for r in reports[False]] \
             == [r.outage_rate for r in reports[True]]
-        for powers, got in reports.items():
-            assert got == simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
 
     def test_default_sweep_counts_are_the_demand_rule(self):
         relays, pairs = _default_sweep()
@@ -329,7 +271,7 @@ class TestSortedCorners:
 
 def test_default_sweep_allocates_no_new_buffer():
     """Traced peak of an outage-only `simulate` of the default sweep at 1M
-    trials, bounded 5% above the 2,259,484 bytes (the per-thread draw, gains
+    trials, bounded 5% above the 2,259,484 bytes (the run's one draw, gains
     and masks) it took before the sort came in."""
     relays, pairs = _default_sweep()
     simulate(relays, pairs, 1_000_000, 20240915, powers=False)
@@ -340,6 +282,24 @@ def test_default_sweep_allocates_no_new_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * 2_259_484
+
+
+def test_validate_run_allocates_no_new_buffer():
+    """Traced peak of a `simulate` with powers of the 24 validate policies
+    and its four fixed-power pairs over three chunks, bounded 5% above the
+    5,121,950 bytes it took when the engine could run chunks on threads."""
+    relays = [relay for _, _, relay in validation_policies()]
+    pairs = [(SystemConfig(*links, 1.0, 1.0, 1.0), FpaConfig(*powers))
+             for _, links, powers in _FPA_VALIDATION_SETS]
+    trials = 2 * CHUNK_TRIALS + 123
+    simulate(relays, pairs, trials, 20240915)
+    tracemalloc.start()
+    try:
+        simulate(relays, pairs, trials, 20240915)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 5_121_950
 
 
 class TestSimReport:
