@@ -60,13 +60,17 @@ class TestPinnedReports:
         ("set01", True, 178595, (0.7987362517341459, 1.2030514451411267, 0.5178252365563577)),
         ("set08", False, 191332, (0.7987362517341459, 1.1999006472316447, 1.2368733373873073)),
     ])
-    def test_report_is_pinned(self, label, capped, outages, powers):
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_report_is_pinned(self, label, capped, outages, powers, copies):
+        """Each copy of the policy in one run gets the pinned report."""
         relay = _validation_sets()[label][1]
         assert (relay.rho is not UNBOUNDED) == capped
-        report = run_opa(relay, trials=300_001, seed=7)
-        assert report.outage_rate == outages / 300_001
-        assert (report.avg_power_s1, report.avg_power_s2,
-                report.avg_power_relay) == pytest.approx(powers, rel=1e-12, abs=0.0)
+        reports = simulate([relay] * copies, [], 300_001, 7)
+        assert len(reports) == copies
+        for report in reports:
+            assert report.outage_rate == outages / 300_001
+            assert (report.avg_power_s1, report.avg_power_s2,
+                    report.avg_power_relay) == pytest.approx(powers, rel=1e-12, abs=0.0)
 
 
 def _default_sweep():
@@ -81,6 +85,19 @@ def _default_sweep():
         relays.append(policies_from_config(config)[2])
         pairs.append((config, FpaConfig(share, share, share)))
     return relays, pairs
+
+
+def _simulate_in_batches(relays, pairs, batches, trials, seed, powers=True):
+    """`simulate` of the relays and pairs split into `batches` consecutive
+    runs, with the reports put back in the order one run returns them."""
+    relay_reports, pair_reports = [], []
+    for k in range(batches):
+        some_relays = relays[k * len(relays) // batches:(k + 1) * len(relays) // batches]
+        some_pairs = pairs[k * len(pairs) // batches:(k + 1) * len(pairs) // batches]
+        reports = simulate(some_relays, some_pairs, trials, seed, powers=powers)
+        relay_reports += reports[:len(some_relays)]
+        pair_reports += reports[len(some_relays):]
+    return relay_reports + pair_reports
 
 
 class TestSimulate:
@@ -121,14 +138,16 @@ class TestSimulate:
 
 
 class TestOutageOnly:
-    def test_outage_rates_match_full_runs(self):
+    @pytest.mark.parametrize("batches", [1, 2, 8])
+    def test_outage_rates_match_full_runs(self, batches):
         """The 21 default-sweep policies and the 24 validate policies (mixed
         mean gains and rates, capped and unbounded) with the sweep's FPA
-        pairs: an outage-only run is the full run with the OPA powers None."""
+        pairs: an outage-only run is the full run with the OPA powers None,
+        however the policies are split across runs."""
         relays, pairs = _default_sweep()
         relays += [relay for _, _, relay in validation_policies()]
         full = simulate(relays, pairs, 200_001, 9)
-        quick = simulate(relays, pairs, 200_001, 9, powers=False)
+        quick = _simulate_in_batches(relays, pairs, batches, 200_001, 9, powers=False)
         blank = dict(avg_power_s1=None, avg_power_s2=None, avg_power_relay=None)
         assert quick == ([dataclasses.replace(r, **blank) for r in full[:len(relays)]]
                          + full[len(relays):])
@@ -218,12 +237,15 @@ class TestSortedCorners:
         corners = [served_corner(r) for r in relays] + [fpa_corner(c, f) for c, f in pairs]
         assert all(a == b for a, b in corners)
 
-    def test_default_sweep_counts_agree(self):
-        """The OPA outage rates from the sort (outage only) equal those of
-        cycle_totals' relay pass (with powers)."""
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_default_sweep_counts_agree(self, batches):
+        """The OPA outage rates from the sort (outage only, in one run or in
+        `batches` runs of fewer square corners) equal those of cycle_totals'
+        relay pass (with powers, in one run)."""
         relays, pairs = _default_sweep()
-        reports = {powers: simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
-                   for powers in (False, True)}
+        reports = {False: _simulate_in_batches(relays, pairs, batches, self.TRIALS, self.SEED,
+                                               powers=False),
+                   True: simulate(relays, pairs, self.TRIALS, self.SEED)}
         assert [r.outage_rate for r in reports[False]] \
             == [r.outage_rate for r in reports[True]]
 
