@@ -12,6 +12,7 @@ unit-mean draws of a chunk are shared by every policy, scaled to each pair of
 mean gains (common random numbers; inverse-CDF draws scale exactly, so each
 report equals a run of its policy alone).  Square corners (a == b) of one
 mean-gain group are counted from one sort per chunk instead (see `simulate`).
+numpy is imported by `simulate`, not when this module loads.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .outage_analytics import FpaConfig, fpa_corner
 from .relay_policy import RelayPolicy, cycle_totals, served_corner
@@ -92,6 +91,7 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    import numpy as np
     try:
         n_full, rest = divmod(trials, CHUNK_TRIALS)
         sizes = [CHUNK_TRIALS] * n_full + ([rest] if rest else [])

@@ -17,7 +17,8 @@ which this module evaluates in terms of the effective truncation corners
 
 With the cap in force the served region is exactly the quadrant x >= lambda1,
 y >= lambda2 split along the ray y = (delta1 / delta2) x, and the average
-power over each wedge reduces to E1 terms.
+power over each wedge reduces to E1 terms.  numpy is imported inside the
+functions that build arrays, so policy solves and closed forms run without it.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .endnode_policy import EndNodePolicy
 from .specfun import BracketingError, exp_integral_e1, require_positive, solve_monotone
 from .system_model import SystemConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UNBOUNDED",
@@ -132,6 +134,7 @@ def _least_gain(delta: float, rho: float) -> float:
 
 
 def _gains(values, name: str) -> np.ndarray:
+    import numpy as np
     g = np.asarray(values, dtype=float)
     # min and max propagate NaN, which fails both comparisons.
     if g.size and not (g.min() >= 0.0 and g.max() < math.inf):
@@ -149,6 +152,7 @@ def cycle_powers(policy: RelayPolicy, x, y) -> tuple[np.ndarray, np.ndarray, np.
     cap, and is silent otherwise: pr == 0 marks an outage.  Raises ValueError
     on a negative or non-finite gain.
     """
+    import numpy as np
     x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
     served, demand = next(_relay_pass([policy], x, y))
     pr = np.where(served, demand, 0.0)
@@ -164,6 +168,7 @@ def cycle_totals(policies: Sequence[RelayPolicy], x, y) -> list[tuple[int, float
     demand, and each end node's sum is taken once per (delta, cutoff).
     Raises ValueError on a negative or non-finite gain.
     """
+    import numpy as np
     x, y = np.broadcast_arrays(_gains(x, "x"), _gains(y, "y"))
 
     @functools.cache
@@ -200,6 +205,7 @@ def _relay_pass(policies: Sequence[RelayPolicy], x: np.ndarray,
 def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """max(delta1 / y, delta2 / x), inf where a gain is 0 or a quotient
     overflows; never nan, as gains are finite and >= 0."""
+    import numpy as np
     demand = np.empty(x.shape)      # a 0-d `out`, as divide would return a scalar
     quotient = np.empty(x.shape)
     with np.errstate(divide="ignore", over="ignore"):
@@ -211,6 +217,7 @@ def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray) -> np.nd
 def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray) -> np.ndarray:
     """delta / gain where `sends`, +0.0 elsewhere.  Where `sends` the
     denominator is gain + 0 == gain exactly."""
+    import numpy as np
     out = np.empty(gain.shape)
     np.add(gain, ~sends, out=out)
     np.divide(delta, out, out=out)

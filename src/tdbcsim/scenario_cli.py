@@ -24,8 +24,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .endnode_policy import solve_cutoff
 from .mc_engine import simulate
 from .outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
@@ -307,12 +305,12 @@ def validation_policies() -> list[tuple[str, SystemConfig, RelayPolicy]]:
     pbar_s1, pbar_s2 = 0.8, 1.2
     sets = []
     for rate_1, rate_2 in rate_pairs:
+        d1, d2 = delta_of_rate(rate_1), delta_of_rate(rate_2)
         for omega_x, omega_y in omega_pairs:
+            x0 = solve_cutoff(d1, omega_x, pbar_s1)
+            y0 = solve_cutoff(d2, omega_y, pbar_s2)
+            p_max = avg_relay_power_max(d1, d2, x0, y0, omega_x, omega_y)
             for fraction in budget_fractions:
-                d1, d2 = delta_of_rate(rate_1), delta_of_rate(rate_2)
-                x0 = solve_cutoff(d1, omega_x, pbar_s1)
-                y0 = solve_cutoff(d2, omega_y, pbar_s2)
-                p_max = avg_relay_power_max(d1, d2, x0, y0, omega_x, omega_y)
                 config = SystemConfig(rate_1, rate_2, omega_x, omega_y,
                                       pbar_s1, pbar_s2, fraction * p_max)
                 sets.append((f"set{len(sets) + 1:02d}", config, policies_from_config(config)[2]))
@@ -384,6 +382,7 @@ def _mc_consistency_rows(spec: ScenarioSpec) -> list[dict]:
 
 
 def _identity_rows(spec: ScenarioSpec) -> list[dict]:
+    import numpy as np
     rows = []
 
     dev = 0.0

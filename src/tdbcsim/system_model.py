@@ -3,16 +3,19 @@
 Powers throughout the package are linear and normalized to a unit-variance
 receiver noise, so they read as SNRs; dB conversion happens only at the CLI
 boundary.  Rate expressions are base-2.  The sampler draws unit-mean gains;
-the Monte Carlo engine scales them by each link's mean gain.
+the Monte Carlo engine scales them by each link's mean gain.  numpy is
+imported inside the sampler's two methods, not when this module loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .specfun import require_positive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TDBC_PHASES",
@@ -97,6 +100,7 @@ class FadingSampler:
             raise ValueError(f"stream_index must be a non-negative integer, got {stream_index!r}")
         self.seed = seed
         self.stream_index = stream_index
+        import numpy as np
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,))
         self._rng = np.random.Generator(np.random.PCG64(ss))
 
@@ -110,6 +114,7 @@ class FadingSampler:
         """
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
+        import numpy as np
         if out is None:
             out = np.empty((n, 2))
         elif not (isinstance(out, np.ndarray) and out.shape == (n, 2)

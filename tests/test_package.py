@@ -1,14 +1,19 @@
 """Package structure: public names resolve, no module reaches into another
-module's private names, and the benchmark's tracer finds what it wraps."""
+module's private names, numpy loads only where arrays are built, and the
+benchmark's tracer finds what it wraps."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import tdbcsim
+from tdbcsim import scenario_cli
 
 SRC = pathlib.Path(tdbcsim.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -40,6 +45,101 @@ def test_module_exports_resolve():
 
 def test_public_surface_does_not_grow():
     assert len(tdbcsim.__all__) <= 21
+
+
+def _eager_numpy_imports(source: str) -> list[int]:
+    """Lines of the imports of numpy that run when `source` loads as a
+    module: those outside every function body and `if TYPE_CHECKING:`."""
+    lines, stack = [], list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            stack += node.orelse
+            continue
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            lines.append(node.lineno)
+        stack += ast.iter_child_nodes(node)
+    return lines
+
+
+def test_numpy_is_not_imported_at_module_level():
+    assert _eager_numpy_imports("try:\n    import numpy.random\nexcept ImportError:\n    pass")
+    assert _eager_numpy_imports("class A:\n    from numpy import ndarray")
+    assert not _eager_numpy_imports("if TYPE_CHECKING:\n    import numpy as np\n"
+                                    "def f():\n    import numpy as np")
+    offenders = {path.name: lines for path in sorted(SRC.glob("*.py"))
+                 if (lines := _eager_numpy_imports(path.read_text(encoding="utf-8")))}
+    assert not offenders, f"numpy imported at module level (file: lines): {offenders}"
+
+
+#: Code run both here and in a fresh interpreter: the calls of one `design`
+#: operation of the benchmark on a capped and an uncapped configuration, and
+#: the first array calls (scalar cycle powers, four fading draws, a
+#: 2,000-trial simulation of both relays and their fixed-power baselines).
+_PROBE = """
+import dataclasses
+
+import tdbcsim
+
+CONFIGS = [tdbcsim.SystemConfig(1 / 3, 2 / 3, 2.0, 0.5, 1.0, 1.5, p_avg_relay)
+           for p_avg_relay in (0.05, 100.0)]
+FPA = tdbcsim.FpaConfig(1.0, 1.5, 2.0)
+
+
+def design_calls():
+    values = []
+    for config in CONFIGS:
+        relay = tdbcsim.policies_from_config(config)[2]
+        values.append([relay.rho is tdbcsim.UNBOUNDED, tdbcsim.outage_opa(relay).p_out,
+                       tdbcsim.avg_relay_power(relay), tdbcsim.outage_fpa(config, FPA)])
+    return values
+
+
+def array_calls():
+    relays = [tdbcsim.policies_from_config(config)[2] for config in CONFIGS]
+    reports = tdbcsim.simulate(relays, [(config, FPA) for config in CONFIGS], 2_000, seed=7)
+    return {
+        "cycle_powers": [float(p) for p in tdbcsim.cycle_powers(relays[0], 0.7, 1.3)],
+        "sample_block": [c.tolist() for c in tdbcsim.FadingSampler(1, 0).sample_block(4)],
+        "simulate": [dataclasses.astuple(report) for report in reports],
+    }
+"""
+
+_FRESH_CHILD = _PROBE + """
+import json, sys
+from tdbcsim import scenario_cli
+
+result = {"design": design_calls()}
+scenario_cli.main(["power-gains", "--out", sys.argv[1]])
+result["numpy_loaded"] = "numpy" in sys.modules
+result.update(array_calls())
+print(json.dumps(result))
+"""
+
+
+def test_fresh_interpreter_designs_without_numpy(tmp_path):
+    """Policy design, the closed forms and power-gains run in a fresh
+    interpreter without loading numpy; its first array calls then load it
+    and agree with this process bit for bit, as does the CSV."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _FRESH_CHILD, str(tmp_path / "child.csv")],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result.pop("numpy_loaded") is False
+    assert [unbounded for unbounded, *_ in result["design"]] == [False, True]
+    probe = {}
+    exec(_PROBE, probe)
+    assert result == json.loads(json.dumps({"design": probe["design_calls"](),
+                                            **probe["array_calls"]()}))
+    assert scenario_cli.main(["power-gains", "--out", str(tmp_path / "here.csv")]) == 0
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
 def _load_bench(name: str):
