@@ -11,8 +11,8 @@ on one set of buffers, and chunk i of a run always consumes fading substream
 unit-mean draws of a chunk are shared by every policy, scaled to each pair of
 mean gains (common random numbers; inverse-CDF draws scale exactly, so each
 report equals a run of its policy alone).  Square corners (a == b) of one
-mean-gain group are counted from one sort per chunk instead (see `simulate`).
-numpy is imported by `simulate`, not when this module loads.
+mean-gain group are counted from one sort of float32 keys per chunk instead
+(see `simulate`).  numpy is imported by `simulate`, not when this module loads.
 """
 
 from __future__ import annotations
@@ -85,9 +85,11 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     Each policy sees the shared unit-mean draws scaled by its mean gains.
     With `powers=False` only outages are counted: the OPA reports carry the
     same outage rates and None for their three average powers.  Square
-    corners (a == b, as on symmetric links) are counted from min(x, y),
-    sorted once per chunk in x's buffer: x >= a and y >= a is
-    min(x, y) >= a, so the outages are `searchsorted` positions.
+    corners (a == b) are counted from z = min(x, y), as x, y >= a is z >= a:
+    the sorted float32 keys of z give the count of z < a as a `searchsorted`
+    position where no key equals a's (rounding is monotone), else it is
+    counted on z.  A group of equal mean gains omega and only square corners
+    takes z bit for bit as -omega * max(log_x, log_y), from log1p(-u).
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -102,45 +104,57 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     policies = ([(served_corner(p), (p.omega_x, p.omega_y)) for p in opa_policies]
                 + [(fpa_corner(c, f), (c.omega_x, c.omega_y)) for c, f in fpa_pairs])
     if not policies:
+        FadingSampler(seed)     # checks the seed
         return []
     groups: dict[tuple[float, float], list[int]] = {}
     for j, (_, omega) in enumerate(policies):
         groups.setdefault(omega, []).append(j)
-    # Per group: OPA policies for cycle_totals, quadrant tests, sorted corners.
+    # Per group: OPA policies for cycle_totals, quadrant tests, square corners.
     plans = []
     for omega, members in groups.items():
         opa = [j for j in members if j < n_opa] if powers else []
         rest = members[len(opa):]
         square = [j for j in rest if policies[j][0][0] == policies[j][0][1]]
-        plans.append((omega, opa, [j for j in rest if j not in square], square,
-                      np.array([policies[j][0][0] for j in square])))
+        with np.errstate(over="ignore"):    # corners past float32's range key as inf
+            keys = np.array([policies[j][0][0] for j in square], dtype=np.float32)
+        plans.append((omega, opa, [j for j in rest if j not in square], square, keys))
     n = sizes[0]
     draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
     outages = [0] * len(policies)
     sums: list[list] = [[] for _ in opa_policies]   # each OPA chunk's three power sums
     for i, m in enumerate(sizes):
-        unit_x, unit_y = FadingSampler(seed, stream_index=i).sample_block(m, out=draw[:m])
+        log_x, log_y = FadingSampler(seed, stream_index=i)._log_block(m, out=draw[:m]).T
         x, y = gains[0, :m], gains[1, :m]
         served, served_y = masks[0, :m], masks[1, :m]
-        for (omega_x, omega_y), opa, quadrant, square, corners in plans:
-            np.multiply(unit_x, omega_x, out=x)
-            np.multiply(unit_y, omega_y, out=y)
-            if opa:
-                totals = cycle_totals([opa_policies[j] for j in opa], x, y)
-                for j, (count, *chunk_sums) in zip(opa, totals):
-                    outages[j] += count
-                    sums[j].append(chunk_sums)
-            for j in quadrant:
-                (a, b), _ = policies[j]
-                np.greater_equal(x, a, out=served)
-                np.greater_equal(y, b, out=served_y)
-                served &= served_y
-                outages[j] += m - int(np.count_nonzero(served))
-            if square:          # x is free now: it takes min(x, y), sorted
+        for (omega_x, omega_y), opa, quadrant, square, keys in plans:
+            if omega_x == omega_y and not (opa or quadrant):
+                np.maximum(log_x, log_y, out=x)
+                x *= -omega_x
+            else:
+                np.multiply(log_x, -omega_x, out=x)
+                np.multiply(log_y, -omega_y, out=y)
+                if opa:
+                    totals = cycle_totals([opa_policies[j] for j in opa], x, y)
+                    for j, (count, *chunk_sums) in zip(opa, totals):
+                        outages[j] += count
+                        sums[j].append(chunk_sums)
+                for j in quadrant:
+                    (a, b), _ = policies[j]
+                    np.greater_equal(x, a, out=served)
+                    np.greater_equal(y, b, out=served_y)
+                    served &= served_y
+                    outages[j] += m - int(np.count_nonzero(served))
+                if not square:
+                    continue
                 np.minimum(x, y, out=x)
-                x.sort()
-                for j, count in zip(square, np.searchsorted(x, corners).tolist()):
-                    outages[j] += count
+            # x holds min(x, y); y is free and takes its float32 keys, sorted.
+            z_keys = y.view(np.float32)[:m]
+            with np.errstate(over="ignore"):
+                z_keys[...] = x
+            z_keys.sort()
+            below, ties = (np.searchsorted(z_keys, keys, s).tolist() for s in ("left", "right"))
+            for j, count, tie in zip(square, below, ties):
+                outages[j] += count if count == tie else _count_below(x, policies[j][0][0], served)
     reports = []
     for j in range(n_opa):
         averages = ([math.fsum(column) / trials for column in zip(*sums[j])]
@@ -150,6 +164,12 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         reports.append(SimReport(trials, outages[j] / trials,
                                  fpa.p_s1_fix, fpa.p_s2_fix, fpa.p_r_fix))
     return reports
+
+
+def _count_below(z, a: float, out) -> int:
+    """Exact count of z < a, for a corner whose float32 key a state shares."""
+    import numpy as np
+    return int(np.count_nonzero(np.less(z, a, out=out)))
 
 
 def run_opa(policy: RelayPolicy, trials: int = 1_000_000, seed: int = 0) -> SimReport:

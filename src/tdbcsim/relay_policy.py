@@ -323,7 +323,8 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
 
 def policies_from_config(config: SystemConfig) -> tuple[EndNodePolicy, EndNodePolicy, RelayPolicy]:
     """Solve all three node policies for one problem instance."""
-    node1 = EndNodePolicy.from_budget(config.delta1, config.omega_x, config.pbar_s1)
-    node2 = EndNodePolicy.from_budget(config.delta2, config.omega_y, config.pbar_s2)
+    solve = functools.cache(EndNodePolicy.from_budget)     # equal end nodes solve once
+    node1 = solve(config.delta1, config.omega_x, config.pbar_s1)
+    node2 = solve(config.delta2, config.omega_y, config.pbar_s2)
     args = (node1.delta, node2.delta, node1.cutoff, node2.cutoff, node1.omega, node2.omega)
     return node1, node2, RelayPolicy(*args, solve_rho(*args, config.p_avg_relay))

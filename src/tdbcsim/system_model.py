@@ -112,6 +112,12 @@ class FadingSampler:
         in place to -log1p(-u): equal seeds, stream indices and block sizes
         give bit-identical output.
         """
+        out = self._log_block(n, out)
+        out *= -1.0
+        return out[:, 0], out[:, 1]
+
+    def _log_block(self, n: int, out: np.ndarray | None) -> np.ndarray:
+        """The (n, 2) array of log1p(-u) that `sample_block` negates."""
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         import numpy as np
@@ -122,6 +128,4 @@ class FadingSampler:
             raise ValueError(f"out must be a C-contiguous float64 array of shape ({n}, 2)")
         self._rng.random(out=out)
         np.negative(out, out=out)
-        np.log1p(out, out=out)
-        np.negative(out, out=out)
-        return out[:, 0], out[:, 1]
+        return np.log1p(out, out=out)

@@ -130,7 +130,14 @@ class TestSimulate:
         assert report.outage_rate == 169859 / 300_001
 
     def test_nothing_to_simulate(self):
+        """No policies, no reports; a bad seed is rejected as it is with
+        policies to simulate, with the sampler's message."""
         assert simulate([], [], 1000, 1) == []
+        relay = _relay(_capped_config())
+        for seed in (-5, 2 ** 64, 1.5, True):
+            for policies in ([], [relay]):
+                with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                    simulate(policies, [], 1000, seed)
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
@@ -289,6 +296,56 @@ class TestSortedCorners:
         for group in (expected[:7], expected[7:]):
             tie, above, zero, infinite = group[:4]
             assert tie < above and zero == 0 and infinite == self.TRIALS
+
+    @pytest.mark.parametrize("powers", [False, True])
+    def test_float32_key_ties_are_counted_exactly(self, monkeypatch, powers):
+        """Square corners at a drawn min(x, y) z and the doubles next to it,
+        which share z's float32 key but not its double, are counted by the
+        exact fallback; 0.0, 5e-324, 3.5e38 (float32 key inf) and inf are
+        counted as well.  One group has equal mean gains and only square
+        corners, the other unequal ones and a relay policy."""
+        sets = _validation_sets()
+        groups = [sets["set01"][0], sets["set03"][0]]
+        assert [(c.omega_x, c.omega_y) for c in groups] == [(1.0, 1.0), (2.0, 0.5)]
+        unit_x, unit_y = FadingSampler(self.SEED, stream_index=0).sample_block(CHUNK_TRIALS)
+        corners, near = [], []
+        for k, config in enumerate(groups):
+            z = float(min(config.omega_x * unit_x[500 + k], config.omega_y * unit_y[500 + k]))
+            beside = [math.nextafter(z, -math.inf), math.nextafter(z, math.inf)]
+            assert np.float32(beside[0]) == np.float32(z) == np.float32(beside[1])
+            near += beside
+            corners += [(config, a) for a in [z, *beside, 0.0, 5e-324, 0.5, 3.5e38, math.inf]]
+        with np.errstate(over="ignore"):
+            assert np.float32(3.5e38) == np.inf
+        # Pair j has relay power j + 1, which picks its corner.
+        pairs = [(config, FpaConfig(1.0, 1.0, j + 1.0)) for j, (config, _) in enumerate(corners)]
+        monkeypatch.setattr(mc_engine, "fpa_corner",
+                            lambda c, f: (corners[int(f.p_r_fix) - 1][1],) * 2)
+        fallback = []
+        count_below = mc_engine._count_below
+        monkeypatch.setattr(mc_engine, "_count_below",
+                            lambda z, a, out: fallback.append(a) or count_below(z, a, out))
+        relays = [sets["set03"][1]]
+        reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
+        expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
+                                         r.x0, r.y0, r.rho, self.SIZES, self.SEED) for r in relays]
+        expected += [_demand_rule_outages(c.omega_x, c.omega_y, c.delta1, c.delta2, a, a,
+                                          UNBOUNDED, self.SIZES, self.SEED) for c, a in corners]
+        assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
+        assert set(near) <= set(fallback)
+        for group in (expected[1:9], expected[9:]):
+            tie, below, above, zero, tiny, _, huge, infinite = group
+            assert below <= tie < above and zero == tiny == 0 and huge == infinite == self.TRIALS
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.37, 3.0])
+def test_equal_gain_min_is_max_of_logs(omega):
+    """-omega * max(log_x, log_y) of the sampler's logs is, byte for byte
+    over a full chunk, min(omega * x, omega * y) of its unit-mean draws."""
+    log_x, log_y = FadingSampler(3, stream_index=1)._log_block(CHUNK_TRIALS, None).T
+    x, y = FadingSampler(3, stream_index=1).sample_block(CHUNK_TRIALS)
+    assert ((-omega) * np.maximum(log_x, log_y)).tobytes() \
+        == np.minimum(omega * x, omega * y).tobytes()
 
 
 def test_default_sweep_allocates_no_new_buffer():

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import scaled_gains
-from tdbcsim import relay_policy
+from tdbcsim import endnode_policy, relay_policy
 from tdbcsim.endnode_policy import solve_cutoff
 from tdbcsim.relay_policy import (
     UNBOUNDED,
@@ -23,7 +23,7 @@ from tdbcsim.relay_policy import (
     served_corner,
     solve_rho,
 )
-from tdbcsim.specfun import exp_integral_e1
+from tdbcsim.specfun import BracketingError, exp_integral_e1
 from tdbcsim.system_model import SystemConfig
 
 # Frozen from the quadrature oracle (rel 1e-13): 2 * E1(0.4).
@@ -532,3 +532,38 @@ class TestPoliciesFromConfig:
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.8, 1.2, 50.0)
         _, _, relay = policies_from_config(config)
         assert relay.rho is UNBOUNDED
+
+    @staticmethod
+    def _count_cutoff_solves(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_cutoff(*args)
+
+        monkeypatch.setattr(endnode_policy, "solve_cutoff", counted)
+        return calls
+
+    def test_equal_end_nodes_share_one_cutoff_solve(self, monkeypatch):
+        calls = self._count_cutoff_solves(monkeypatch)
+        config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.7, 0.7, 0.6)
+        node1, node2, relay = policies_from_config(config)
+        assert len(calls) == 1
+        assert node1 == node2 and relay.x0 == relay.y0 == node1.cutoff
+
+    @pytest.mark.parametrize("config", [
+        SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.8, 1.2, 0.6),     # budgets differ
+        SystemConfig(1 / 3, 2 / 3, 1.0, 1.0, 0.7, 0.7, 0.6),     # rates differ
+        SystemConfig(1 / 3, 1 / 3, 2.0, 0.5, 0.7, 0.7, 0.6),     # mean gains differ
+    ], ids=["budgets", "rates", "gains"])
+    def test_unequal_end_nodes_solve_twice(self, monkeypatch, config):
+        calls = self._count_cutoff_solves(monkeypatch)
+        policies_from_config(config)
+        assert len(calls) == 2
+
+    def test_equal_failing_end_nodes_raise_as_before(self):
+        config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 730.0, 730.0, 730.0)
+        with pytest.raises(BracketingError) as info:
+            policies_from_config(config)
+        assert str(info.value) == ("cutoff solve for budget 730.0: "
+                                   "the cutoff falls below the smallest normal double")

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from conftest import scaled_gains
+from tdbcsim.mc_engine import CHUNK_TRIALS
 from tdbcsim.system_model import (
     FadingSampler,
     SystemConfig,
@@ -143,6 +144,17 @@ class TestFadingSampler:
             fresh_x, fresh_y = b.sample_block(n)
             assert np.shares_memory(x, buf) and np.shares_memory(y, buf)
             assert x.tobytes() == fresh_x.tobytes() and y.tobytes() == fresh_y.tobytes()
+
+    def test_log_block_negated_is_the_block(self):
+        """The engine's private step log1p(-u), negated, is `sample_block`
+        byte for byte over a full chunk, in a fresh array and in a caller's
+        buffer."""
+        buf = np.empty((CHUNK_TRIALS, 2))
+        for out in (None, buf):
+            logs = FadingSampler(5, stream_index=2)._log_block(CHUNK_TRIALS, out)
+            assert np.all(logs <= 0.0) and (out is None or logs is buf)
+            x, y = FadingSampler(5, stream_index=2).sample_block(CHUNK_TRIALS)
+            assert (-logs).tobytes() == np.column_stack([x, y]).tobytes()
 
     @pytest.mark.parametrize("out", [np.empty((8, 2)), np.empty((9, 3)), np.empty(18),
                                      np.empty((9, 2), dtype=np.float32),
