@@ -31,11 +31,7 @@ from .specfun import (
     ConvergenceError,
     exp_integral_e1,
 )
-from .system_model import (
-    FadingSampler,
-    SystemConfig,
-    delta_of_rate,
-)
+from .system_model import FadingSampler, SystemConfig, delta_of_rate
 
 __version__ = "0.1.0"
 

@@ -10,9 +10,10 @@ on one set of buffers, and chunk i of a run always consumes fading substream
 (seed, i), so a report depends only on the policies, trials and seed.  The
 unit-mean draws of a chunk are shared by every policy, scaled to each pair of
 mean gains (common random numbers; inverse-CDF draws scale exactly, so each
-report equals a run of its policy alone).  Square corners (a == b) of one
-mean-gain group are counted from one sort of float32 keys per chunk instead
-(see `simulate`).  numpy is imported by `simulate`, not when this module loads.
+report equals a run of its policy alone).  Square corners (a == b) are
+counted from sorted float32 keys per chunk instead, of the uniforms where
+mean gains are equal (see `simulate`).  numpy is imported by `simulate`, not
+when this module loads.
 """
 
 from __future__ import annotations
@@ -88,8 +89,10 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     corners (a == b) are counted from z = min(x, y), as x, y >= a is z >= a:
     the sorted float32 keys of z give the count of z < a as a `searchsorted`
     position where no key equals a's (rounding is monotone), else it is
-    counted on z.  A group of equal mean gains omega and only square corners
-    takes z bit for bit as -omega * max(log_x, log_y), from log1p(-u).
+    counted on z.  Groups of equal mean gains omega and only square corners
+    share one sort of the keys of min(u_x, u_y) instead, as x >= a is u >= c
+    = 1 - exp(-a / omega): a key outside [c (1 - 2**-40), c (1 + 2**-40)] is
+    on c's side if np.log1p is accurate to 2**-40 relative; else z is built.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -109,52 +112,59 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     groups: dict[tuple[float, float], list[int]] = {}
     for j, (_, omega) in enumerate(policies):
         groups.setdefault(omega, []).append(j)
-    # Per group: OPA policies for cycle_totals, quadrant tests, square corners.
-    plans = []
+    # Per group: OPA policies for cycle_totals, quadrant tests, square corners;
+    # those of an equal-gain group with no other policy are counted on min(u).
+    plans, u_square = [], []
     for omega, members in groups.items():
         opa = [j for j in members if j < n_opa] if powers else []
         rest = members[len(opa):]
         square = [j for j in rest if policies[j][0][0] == policies[j][0][1]]
+        if omega[0] == omega[1] and len(square) == len(members):
+            u_square += square
+            continue
         with np.errstate(over="ignore"):    # corners past float32's range key as inf
             keys = np.array([policies[j][0][0] for j in square], dtype=np.float32)
         plans.append((omega, opa, [j for j in rest if j not in square], square, keys))
+    u_c = -np.expm1(-np.array([policies[j][0][0] / policies[j][1][0] for j in u_square]))
+    u_lo, u_hi = ((u_c * (1.0 + s * 2.0 ** -40)).astype(np.float32) for s in (-1, 1))
     n = sizes[0]
     draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
     outages = [0] * len(policies)
     sums: list[list] = [[] for _ in opa_policies]   # each OPA chunk's three power sums
     for i, m in enumerate(sizes):
-        log_x, log_y = FadingSampler(seed, stream_index=i)._log_block(m, out=draw[:m]).T
+        u = FadingSampler(seed, stream_index=i)._uniform_block(m, out=draw[:m])
         x, y = gains[0, :m], gains[1, :m]
         served, served_y = masks[0, :m], masks[1, :m]
-        for (omega_x, omega_y), opa, quadrant, square, keys in plans:
-            if omega_x == omega_y and not (opa or quadrant):
+        counts = []
+        if u_square:
+            counts = _sorted_counts(np.minimum(u[:, 0], u[:, 1], out=x), y, u_lo, u_hi)
+        if plans or None in counts:
+            log_x, log_y = FadingSampler._log_step(u).T
+        for j, count in zip(u_square, counts):
+            if count is None:   # a key in the window: count on min(x, y) itself
                 np.maximum(log_x, log_y, out=x)
-                x *= -omega_x
-            else:
-                np.multiply(log_x, -omega_x, out=x)
-                np.multiply(log_y, -omega_y, out=y)
-                if opa:
-                    totals = cycle_totals([opa_policies[j] for j in opa], x, y)
-                    for j, (count, *chunk_sums) in zip(opa, totals):
-                        outages[j] += count
-                        sums[j].append(chunk_sums)
-                for j in quadrant:
-                    (a, b), _ = policies[j]
-                    np.greater_equal(x, a, out=served)
-                    np.greater_equal(y, b, out=served_y)
-                    served &= served_y
-                    outages[j] += m - int(np.count_nonzero(served))
-                if not square:
-                    continue
-                np.minimum(x, y, out=x)
-            # x holds min(x, y); y is free and takes its float32 keys, sorted.
-            z_keys = y.view(np.float32)[:m]
-            with np.errstate(over="ignore"):
-                z_keys[...] = x
-            z_keys.sort()
-            below, ties = (np.searchsorted(z_keys, keys, s).tolist() for s in ("left", "right"))
-            for j, count, tie in zip(square, below, ties):
-                outages[j] += count if count == tie else _count_below(x, policies[j][0][0], served)
+                x *= -policies[j][1][0]
+                count = _count_below(x, policies[j][0][0], served)
+            outages[j] += count
+        for (omega_x, omega_y), opa, quadrant, square, keys in plans:
+            np.multiply(log_x, -omega_x, out=x)
+            np.multiply(log_y, -omega_y, out=y)
+            if opa:
+                totals = cycle_totals([opa_policies[j] for j in opa], x, y)
+                for j, (count, *chunk_sums) in zip(opa, totals):
+                    outages[j] += count
+                    sums[j].append(chunk_sums)
+            for j in quadrant:
+                (a, b), _ = policies[j]
+                np.greater_equal(x, a, out=served)
+                np.greater_equal(y, b, out=served_y)
+                served &= served_y
+                outages[j] += m - int(np.count_nonzero(served))
+            if not square:
+                continue
+            np.minimum(x, y, out=x)
+            for j, count in zip(square, _sorted_counts(x, y, keys, keys)):
+                outages[j] += _count_below(x, policies[j][0][0], served) if count is None else count
     reports = []
     for j in range(n_opa):
         averages = ([math.fsum(column) / trials for column in zip(*sums[j])]
@@ -166,8 +176,21 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     return reports
 
 
+def _sorted_counts(z, free, lo, hi) -> list:
+    """Per float32 window [lo, hi], the number of z's float32 keys below it,
+    or None if one is in it; the keys (inf past float32's range) are sorted
+    in the buffer `free`."""
+    import numpy as np
+    keys = free.view(np.float32)[:z.size]
+    with np.errstate(over="ignore"):
+        keys[...] = z
+    keys.sort()
+    return [below if below == upto else None for below, upto in
+            zip(np.searchsorted(keys, lo).tolist(), np.searchsorted(keys, hi, "right").tolist())]
+
+
 def _count_below(z, a: float, out) -> int:
-    """Exact count of z < a, for a corner whose float32 key a state shares."""
+    """Exact count of z < a, for a corner whose key window holds a state."""
     import numpy as np
     return int(np.count_nonzero(np.less(z, a, out=out)))
 

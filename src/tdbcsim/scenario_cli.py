@@ -170,50 +170,34 @@ def load_spec(scenario: str, config_path: str | None = None, *,
                         f"unknown key {key!r} in section [{scenario}] of {config_path!r}"
                     )
                 raw[key] = value
-    if grid is not None:
-        raw["grid"] = grid
-    if trials is not None:
-        raw["trials"] = str(trials)
-    if seed is not None:
-        raw["seed"] = str(seed)
-    if out is not None:
-        raw["out"] = out
+    for key, value in (("grid", grid), ("trials", trials), ("seed", seed), ("out", out)):
+        if value is not None:
+            raw[key] = str(value)
 
-    def _as_float(key: str, default: float) -> float:
+    def _as(key: str, kind: type, default):
         if key not in raw:
             return default
         try:
-            return float(raw[key])
+            return kind(raw[key])
         except ValueError:
-            raise ConfigError(f"field {key!r}: expected a number, got {raw[key]!r}") from None
-
-    def _as_int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise ConfigError(f"field {key!r}: expected an integer, got {raw[key]!r}") from None
+            noun = "a number" if kind is float else "an integer"
+            raise ConfigError(f"field {key!r}: expected {noun}, got {raw[key]!r}") from None
 
     return ScenarioSpec(
         scenario=scenario,
         grid=parse_grid(raw.get("grid", _SCENARIOS[scenario][0])),
-        rate_1=_as_float("rate_1", ONE_THIRD),
-        rate_2=_as_float("rate_2", ONE_THIRD),
-        omega_x=_as_float("omega_x", 1.0),
-        omega_y=_as_float("omega_y", 1.0),
-        trials=_as_int("trials", DEFAULT_TRIALS),
-        seed=_as_int("seed", DEFAULT_SEED),
+        rate_1=_as("rate_1", float, ONE_THIRD),
+        rate_2=_as("rate_2", float, ONE_THIRD),
+        omega_x=_as("omega_x", float, 1.0),
+        omega_y=_as("omega_y", float, 1.0),
+        trials=_as("trials", int, DEFAULT_TRIALS),
+        seed=_as("seed", int, DEFAULT_SEED),
         output_path=raw.get("out", ""),
     )
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:

@@ -4,7 +4,7 @@ Powers throughout the package are linear and normalized to a unit-variance
 receiver noise, so they read as SNRs; dB conversion happens only at the CLI
 boundary.  Rate expressions are base-2.  The sampler draws unit-mean gains;
 the Monte Carlo engine scales them by each link's mean gain.  numpy is
-imported inside the sampler's two methods, not when this module loads.
+imported inside the sampler's methods, not when this module loads.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class FadingSampler:
     is by inverse CDF, x = -ln(u) with u uniform on (0, 1], at unit mean;
     the draws of a link with mean gain omega are omega times these, which is
     bit for bit -omega * ln(u) since negation is exact and rounding is
-    symmetric in sign.
+    symmetric in sign.  `sample_block` draws these gains, `_uniform_block`
+    the uniforms u, which `_log_step` maps to log1p(-u) (`_log_block`: both).
 
     The stream is fully determined by (seed, stream_index): substreams are
     derived by key-splitting a 64-bit seed, never by wall-clock state, so a
@@ -118,6 +119,10 @@ class FadingSampler:
 
     def _log_block(self, n: int, out: np.ndarray | None) -> np.ndarray:
         """The (n, 2) array of log1p(-u) that `sample_block` negates."""
+        return self._log_step(self._uniform_block(n, out))
+
+    def _uniform_block(self, n: int, out: np.ndarray | None) -> np.ndarray:
+        """The next (n, 2) uniforms u of the stream, before `_log_step`."""
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         import numpy as np
@@ -127,5 +132,11 @@ class FadingSampler:
                   and out.dtype == np.float64 and out.flags.c_contiguous):
             raise ValueError(f"out must be a C-contiguous float64 array of shape ({n}, 2)")
         self._rng.random(out=out)
-        np.negative(out, out=out)
-        return np.log1p(out, out=out)
+        return out
+
+    @staticmethod
+    def _log_step(u: np.ndarray) -> np.ndarray:
+        """Map uniforms u to log1p(-u) in place: the inverse CDF, unnegated."""
+        import numpy as np
+        np.negative(u, out=u)
+        return np.log1p(u, out=u)

@@ -338,10 +338,106 @@ class TestSortedCorners:
             assert below <= tie < above and zero == tiny == 0 and huge == infinite == self.TRIALS
 
 
+def _trace_engine(monkeypatch):
+    """Record, for the runs that follow, the chunk of every log step, of
+    every `_sorted_counts` call, and of every exact count with its corner."""
+    trace, chunk = {"log": [], "sorts": [], "exact": []}, [None]
+    uniform_block, log_step = FadingSampler._uniform_block, FadingSampler._log_step
+    sorted_counts, count_below = mc_engine._sorted_counts, mc_engine._count_below
+
+    def draw(self, n, out):
+        chunk[0] = self.stream_index
+        return uniform_block(self, n, out)
+
+    monkeypatch.setattr(FadingSampler, "_uniform_block", draw)
+    monkeypatch.setattr(FadingSampler, "_log_step", staticmethod(
+        lambda u: trace["log"].append(chunk[0]) or log_step(u)))
+    monkeypatch.setattr(mc_engine, "_sorted_counts", lambda z, free, lo, hi: (
+        trace["sorts"].append(chunk[0]) or sorted_counts(z, free, lo, hi)))
+    monkeypatch.setattr(mc_engine, "_count_below", lambda z, a, out: (
+        trace["exact"].append((chunk[0], a)) or count_below(z, a, out)))
+    return trace
+
+
+def _corner_at(v, omega):
+    """A corner a whose c = -expm1(-a / omega) is the uniform v, found by
+    stepping from omega * -log1p(-v) one double at a time."""
+    a = omega * -math.log1p(-v)
+    for _ in range(64):
+        c = float(-np.expm1(-np.array([a]) / omega)[0])
+        if c == v:
+            return a
+        a = math.nextafter(a, math.inf if c < v else -math.inf)
+    raise AssertionError(f"no corner maps to {v!r} at omega {omega!r}")
+
+
+class TestUniformWindows:
+    """Equal-gain groups of square corners only, counted on the float32 keys
+    of min(u) with a window around each corner's c = 1 - exp(-a / omega)."""
+
+    TRIALS = 2 * CHUNK_TRIALS + 123
+    SIZES = [CHUNK_TRIALS, CHUNK_TRIALS, 123]
+    SEED = 23
+
+    def test_windows_are_counted_exactly(self, monkeypatch):
+        """Corners whose c equals a drawn min(u), and the doubles next to
+        them, reach the exact count; 0.0, 5e-324 (a / omega underflows),
+        1e308 at omega 1e-10 (it overflows) and inf are counted as well.
+        Three groups share one sort per chunk and take the log step only in
+        chunks where a window holds a state."""
+        assert 5e-324 / 3.0 == 0.0 and 1e308 / 1e-10 == math.inf
+        u = FadingSampler(self.SEED, stream_index=0)._uniform_block(CHUNK_TRIALS, None)
+        near, corners = [], []
+        for k, omega in enumerate([1.0, 3.0]):
+            a = _corner_at(float(u[700 + k].min()), omega)
+            near += [a, math.nextafter(a, -math.inf), math.nextafter(a, math.inf)]
+            corners += [(omega, c) for c in [*near[-3:], 0.0, 5e-324, 0.5, math.inf]]
+        corners += [(1e-10, c) for c in [0.0, 1e308, math.inf]]
+        # Pair j has relay power j + 1, which picks its corner.
+        pairs = [(SystemConfig(1 / 3, 1 / 3, omega, omega, 1.0, 1.0, 1.0),
+                  FpaConfig(1.0, 1.0, j + 1.0)) for j, (omega, _) in enumerate(corners)]
+        monkeypatch.setattr(mc_engine, "fpa_corner",
+                            lambda c, f: (corners[int(f.p_r_fix) - 1][1],) * 2)
+        expected = [_demand_rule_outages(omega, omega, 1.0, 1.0, a, a, UNBOUNDED,
+                                         self.SIZES, self.SEED) for omega, a in corners]
+        trace = _trace_engine(monkeypatch)
+        reports = simulate([], pairs, self.TRIALS, self.SEED)
+        assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
+        assert set(near) <= {a for _, a in trace["exact"]}
+        assert trace["sorts"] == [0, 1, 2]
+        assert trace["log"] == sorted({i for i, _ in trace["exact"]})
+        for group in (expected[:7], expected[7:14]):
+            at, below, above, zero, tiny, _, infinite = group
+            assert below <= at <= above and zero == tiny == 0 and infinite == self.TRIALS
+        assert expected[14:] == [0, self.TRIALS, self.TRIALS]
+
+    def test_outage_only_sweep_skips_the_log_step(self, monkeypatch):
+        """The outage-only default sweep at 100k trials, seed 1, takes the
+        log step only in chunks where a window holds a state."""
+        relays, pairs = _default_sweep()
+        trace = _trace_engine(monkeypatch)
+        simulate(relays, pairs, 100_000, 1, powers=False)
+        assert trace["sorts"] == [0, 1]
+        assert trace["log"] == sorted({i for i, _ in trace["exact"]})
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_fallback_seeds_match_the_powers_run(self, monkeypatch, seed):
+        """At seeds where a window holds a state, the outage-only default
+        sweep at 1M trials has the outage rates of the run with powers,
+        whose relay policies take cycle_totals' relay pass."""
+        relays, pairs = _default_sweep()
+        full = simulate(relays, pairs, 1_000_000, seed)
+        trace = _trace_engine(monkeypatch)
+        quick = simulate(relays, pairs, 1_000_000, seed, powers=False)
+        assert [r.outage_rate for r in quick] == [r.outage_rate for r in full]
+        assert trace["exact"] and trace["log"] == sorted({i for i, _ in trace["exact"]})
+
+
 @pytest.mark.parametrize("omega", [1.0, 0.37, 3.0])
 def test_equal_gain_min_is_max_of_logs(omega):
-    """-omega * max(log_x, log_y) of the sampler's logs is, byte for byte
-    over a full chunk, min(omega * x, omega * y) of its unit-mean draws."""
+    """-omega * max(log_x, log_y) of the sampler's logs, the min(x, y) of an
+    exact count in a uniform window, is, byte for byte over a full chunk,
+    min(omega * x, omega * y) of its unit-mean draws."""
     log_x, log_y = FadingSampler(3, stream_index=1)._log_block(CHUNK_TRIALS, None).T
     x, y = FadingSampler(3, stream_index=1).sample_block(CHUNK_TRIALS)
     assert ((-omega) * np.maximum(log_x, log_y)).tobytes() \

@@ -156,6 +156,18 @@ class TestTotalPowerSweep:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "9b7bd2d9f15acdb6496de1ae4abaf234536944786e14bec4698ac0b879df1424")
 
+    def test_symmetric_non_unit_gain_sweep_is_pinned(self, tmp_path):
+        """Mean gains (0.37, 0.37) on the default grid, trials and seed 1,
+        byte for byte as written before equal-gain square corners were
+        counted from the uniforms."""
+        ini = tmp_path / "sym.ini"
+        ini.write_text("[sweep_total_power]\nomega_x = 0.37\nomega_y = 0.37\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-total-power", "--config", str(ini), "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b3fbf2d662045297f7b477e0703df729413cdae07b75237293d4e1c12208cc24")
+
     def test_capped_asymmetric_sweep_is_pinned(self, tmp_path):
         """Rates (1/3, 2/3), mean gains (0.5, 2) and 30 to 33 dB at the
         default trials and seed 1, byte for byte as written before the Monte

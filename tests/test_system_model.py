@@ -156,6 +156,21 @@ class TestFadingSampler:
             x, y = FadingSampler(5, stream_index=2).sample_block(CHUNK_TRIALS)
             assert (-logs).tobytes() == np.column_stack([x, y]).tobytes()
 
+    def test_log_step_is_within_2_pow_minus_45_of_mpmath(self):
+        """The one assumption of `simulate`'s uniform windows, with margin:
+        the log step's log1p(-u) is within 2**-45 relative of 30-digit
+        mpmath (0 at u = 0), on 4,096 of the sampler's uniforms and on
+        u = 0, 2**-53, 0.5 and 1 - 2**-53."""
+        mpmath = pytest.importorskip("mpmath")
+        u = FadingSampler(8)._uniform_block(2050, None)
+        assert u[:2048].tobytes() == _direct_stream(8, 0).random((2048, 2)).tobytes()
+        u[2048:] = [[0.0, 2.0 ** -53], [0.5, 1.0 - 2.0 ** -53]]
+        logs = FadingSampler._log_step(u.copy())
+        with mpmath.workdps(30):
+            for v, log in zip(u.ravel().tolist(), logs.ravel().tolist()):
+                exact = mpmath.log1p(-mpmath.mpf(v))
+                assert abs(log - exact) <= 2.0 ** -45 * abs(exact)
+
     @pytest.mark.parametrize("out", [np.empty((8, 2)), np.empty((9, 3)), np.empty(18),
                                      np.empty((9, 2), dtype=np.float32),
                                      np.empty((2, 9)).T, [[0.0, 0.0]] * 9],
