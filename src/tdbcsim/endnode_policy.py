@@ -4,28 +4,24 @@ Above a cutoff gain the node inverts its own channel, spending exactly the
 power that makes the link capacity meet the session rate; below it the node
 stays silent and the cycle is written off.  The cutoff is pinned by equating
 the resulting average spend, (delta / omega) * E1(cutoff / omega) under
-exponential fading, to the node's long-term budget.  The per-cycle powers
-are evaluated by `relay_policy.cycle_powers`.
+exponential fading, to the node's long-term budget, so a node's policy is
+fixed by its budget alone.  The per-cycle powers are evaluated by
+`relay_policy.cycle_powers`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .specfun import (EULER_GAMMA, BracketingError, exp_integral_e1, require_positive,
                       solve_monotone)
 
 __all__ = [
-    "POLICY_CONSISTENCY_RTOL",
     "EndNodePolicy",
     "solve_cutoff",
 ]
-
-#: Allowed relative mismatch between a policy's stored budget and the budget
-#: implied by its cutoff.
-POLICY_CONSISTENCY_RTOL = 1e-6
 
 
 def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
@@ -62,25 +58,13 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
 
 @dataclass(frozen=True)
 class EndNodePolicy:
-    """Inversion rule of one end node: SNR threshold, cutoff gain, own-link
-    mean gain, and the budget the cutoff was solved against."""
+    """Inversion rule of one end node: SNR threshold, own-link mean gain,
+    budget, and the cutoff gain `solve_cutoff` derives from them."""
 
     delta: float
-    cutoff: float
     omega: float
     pbar: float
+    cutoff: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("delta", "cutoff", "omega", "pbar"):
-            object.__setattr__(self, name, require_positive(getattr(self, name), name))
-        implied = (self.delta / self.omega) * exp_integral_e1(self.cutoff / self.omega)
-        if abs(implied - self.pbar) > POLICY_CONSISTENCY_RTOL * max(1.0, self.pbar):
-            raise ValueError(
-                f"inconsistent policy: cutoff {self.cutoff!r} implies average power "
-                f"{implied!r}, stored budget is {self.pbar!r}"
-            )
-
-    @classmethod
-    def from_budget(cls, delta: float, omega: float, pbar: float) -> "EndNodePolicy":
-        """Solve the cutoff for a given budget."""
-        return cls(delta, solve_cutoff(delta, omega, pbar), omega, pbar)
+        object.__setattr__(self, "cutoff", solve_cutoff(self.delta, self.omega, self.pbar))

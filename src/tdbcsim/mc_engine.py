@@ -11,9 +11,9 @@ on one set of buffers, and chunk i of a run always consumes fading substream
 unit-mean draws of a chunk are shared by every policy, scaled to each pair of
 mean gains (common random numbers; inverse-CDF draws scale exactly, so each
 report equals a run of its policy alone).  Square corners (a == b) are
-counted from sorted float32 keys per chunk instead, of the uniforms where
-mean gains are equal (see `simulate`).  numpy is imported by `simulate`, not
-when this module loads.
+counted on min(x, y) instead, or, where mean gains are equal, from sorted
+float32 keys of the uniforms (see `simulate`).  numpy is imported by
+`simulate`, not when this module loads.
 """
 
 from __future__ import annotations
@@ -86,13 +86,13 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     Each policy sees the shared unit-mean draws scaled by its mean gains.
     With `powers=False` only outages are counted: the OPA reports carry the
     same outage rates and None for their three average powers.  Square
-    corners (a == b) are counted from z = min(x, y), as x, y >= a is z >= a:
-    the sorted float32 keys of z give the count of z < a as a `searchsorted`
-    position where no key equals a's (rounding is monotone), else it is
-    counted on z.  Groups of equal mean gains omega and only square corners
-    share one sort of the keys of min(u_x, u_y) instead, as x >= a is u >= c
-    = 1 - exp(-a / omega): a key outside [c (1 - 2**-40), c (1 + 2**-40)] is
-    on c's side if np.log1p is accurate to 2**-40 relative; else z is built.
+    corners (a == b) are counted as z < a on z = min(x, y), as x, y >= a is
+    z >= a.  Groups of equal mean gains omega and only square corners share
+    one sort of the float32 keys of min(u_x, u_y) instead, as x >= a is
+    u >= c = 1 - exp(-a / omega): a key outside [c (1 - 2**-40),
+    c (1 + 2**-40)] is on c's side if np.log1p is accurate to 2**-40
+    relative, so the count is a `searchsorted` position (rounding is
+    monotone); else z is built and counted.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -122,9 +122,7 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         if omega[0] == omega[1] and len(square) == len(members):
             u_square += square
             continue
-        with np.errstate(over="ignore"):    # corners past float32's range key as inf
-            keys = np.array([policies[j][0][0] for j in square], dtype=np.float32)
-        plans.append((omega, opa, [j for j in rest if j not in square], square, keys))
+        plans.append((omega, opa, [j for j in rest if j not in square], square))
     u_c = -np.expm1(-np.array([policies[j][0][0] / policies[j][1][0] for j in u_square]))
     u_lo, u_hi = ((u_c * (1.0 + s * 2.0 ** -40)).astype(np.float32) for s in (-1, 1))
     n = sizes[0]
@@ -146,7 +144,7 @@ def simulate(opa_policies: Sequence[RelayPolicy],
                 x *= -policies[j][1][0]
                 count = _count_below(x, policies[j][0][0], served)
             outages[j] += count
-        for (omega_x, omega_y), opa, quadrant, square, keys in plans:
+        for (omega_x, omega_y), opa, quadrant, square in plans:
             np.multiply(log_x, -omega_x, out=x)
             np.multiply(log_y, -omega_y, out=y)
             if opa:
@@ -160,11 +158,10 @@ def simulate(opa_policies: Sequence[RelayPolicy],
                 np.greater_equal(y, b, out=served_y)
                 served &= served_y
                 outages[j] += m - int(np.count_nonzero(served))
-            if not square:
-                continue
-            np.minimum(x, y, out=x)
-            for j, count in zip(square, _sorted_counts(x, y, keys, keys)):
-                outages[j] += _count_below(x, policies[j][0][0], served) if count is None else count
+            if square:
+                np.minimum(x, y, out=x)
+            for j in square:
+                outages[j] += _count_below(x, policies[j][0][0], served)
     reports = []
     for j in range(n_opa):
         averages = ([math.fsum(column) / trials for column in zip(*sums[j])]
@@ -178,19 +175,19 @@ def simulate(opa_policies: Sequence[RelayPolicy],
 
 def _sorted_counts(z, free, lo, hi) -> list:
     """Per float32 window [lo, hi], the number of z's float32 keys below it,
-    or None if one is in it; the keys (inf past float32's range) are sorted
-    in the buffer `free`."""
+    or None if one is in it; the keys of the uniforms z are sorted in the
+    buffer `free`."""
     import numpy as np
     keys = free.view(np.float32)[:z.size]
-    with np.errstate(over="ignore"):
-        keys[...] = z
+    keys[...] = z
     keys.sort()
     return [below if below == upto else None for below, upto in
             zip(np.searchsorted(keys, lo).tolist(), np.searchsorted(keys, hi, "right").tolist())]
 
 
 def _count_below(z, a: float, out) -> int:
-    """Exact count of z < a, for a corner whose key window holds a state."""
+    """Exact count of z < a, the outages of a square corner a at
+    z = min(x, y), through the boolean buffer `out`."""
     import numpy as np
     return int(np.count_nonzero(np.less(z, a, out=out)))
 

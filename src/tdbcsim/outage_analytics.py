@@ -11,7 +11,7 @@ set is the quadrant above the corners of the same rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .relay_policy import RelayPolicy, truncation_corners
 from .specfun import require_positive
@@ -29,20 +29,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OutageReport:
-    """Outage probability and the policy it was evaluated for."""
+    """A relay policy and its outage probability, the fading measure outside
+    its served quadrant (see `outage_opa`)."""
 
-    p_out: float
     policy: RelayPolicy
+    p_out: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p_out <= 1.0):
-            raise ValueError(f"p_out must lie in [0, 1], got {self.p_out!r}")
-        floor = min_outage(self.policy.x0, self.policy.y0,
-                           self.policy.omega_x, self.policy.omega_y)
-        if self.p_out < floor * (1.0 - 1e-12) - 1e-15:
-            raise ValueError(
-                f"p_out {self.p_out!r} below the decode-region floor {floor!r}"
-            )
+        policy = self.policy
+        object.__setattr__(self, "p_out", min_outage(policy.lambda1, policy.lambda2,
+                                                     policy.omega_x, policy.omega_y))
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,7 @@ def outage_opa(policy: RelayPolicy) -> OutageReport:
     y >= max(y0, delta1 / rho) = lambda2.  The cap only moves the corner of
     the served quadrant, so the outage is the measure outside it.
     """
-    return OutageReport(
-        min_outage(policy.lambda1, policy.lambda2, policy.omega_x, policy.omega_y),
-        policy,
-    )
+    return OutageReport(policy)
 
 
 def fpa_corner(config: SystemConfig, fpa: FpaConfig) -> tuple[float, float]:

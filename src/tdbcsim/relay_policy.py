@@ -272,9 +272,7 @@ def avg_relay_power_max(delta1: float, delta2: float, x0: float, y0: float,
                         omega_x: float, omega_y: float) -> float:
     """Saturation value of the average broadcast power: the spend with no cap
     at all, reached once rho clears max(delta1 / y0, delta2 / x0)."""
-    policy = RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, UNBOUNDED)
-    return _avg_power(policy.delta1, policy.delta2, policy.x0, policy.y0,
-                      policy.omega_x, policy.omega_y, UNBOUNDED)
+    return avg_relay_power(RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, UNBOUNDED))
 
 
 def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
@@ -323,7 +321,7 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
 
 def policies_from_config(config: SystemConfig) -> tuple[EndNodePolicy, EndNodePolicy, RelayPolicy]:
     """Solve all three node policies for one problem instance."""
-    solve = functools.cache(EndNodePolicy.from_budget)     # equal end nodes solve once
+    solve = functools.cache(EndNodePolicy)     # equal end nodes solve once
     node1 = solve(config.delta1, config.omega_x, config.pbar_s1)
     node2 = solve(config.delta2, config.omega_y, config.pbar_s2)
     args = (node1.delta, node2.delta, node1.cutoff, node2.cutoff, node1.omega, node2.omega)

@@ -85,7 +85,7 @@ class FadingSampler:
     the draws of a link with mean gain omega are omega times these, which is
     bit for bit -omega * ln(u) since negation is exact and rounding is
     symmetric in sign.  `sample_block` draws these gains, `_uniform_block`
-    the uniforms u, which `_log_step` maps to log1p(-u) (`_log_block`: both).
+    the uniforms u, which `_log_step` maps to log1p(-u).
 
     The stream is fully determined by (seed, stream_index): substreams are
     derived by key-splitting a 64-bit seed, never by wall-clock state, so a
@@ -113,13 +113,9 @@ class FadingSampler:
         in place to -log1p(-u): equal seeds, stream indices and block sizes
         give bit-identical output.
         """
-        out = self._log_block(n, out)
+        out = self._log_step(self._uniform_block(n, out))
         out *= -1.0
         return out[:, 0], out[:, 1]
-
-    def _log_block(self, n: int, out: np.ndarray | None) -> np.ndarray:
-        """The (n, 2) array of log1p(-u) that `sample_block` negates."""
-        return self._log_step(self._uniform_block(n, out))
 
     def _uniform_block(self, n: int, out: np.ndarray | None) -> np.ndarray:
         """The next (n, 2) uniforms u of the stream, before `_log_step`."""

@@ -79,13 +79,22 @@ class TestSolveCutoff:
 
 class TestEndNodePolicy:
     def test_from_budget_is_consistent(self):
-        policy = EndNodePolicy.from_budget(1.0, 1.0, 0.7)
+        policy = EndNodePolicy(1.0, 1.0, 0.7)
         implied = exp_integral_e1(policy.cutoff)
         assert implied == pytest.approx(0.7, rel=1e-9)
 
-    def test_rejects_inconsistent_budget(self):
+    @pytest.mark.parametrize("delta,omega,pbar", [(1.0, 1.0, 0.7), (0.516, 2.0, 3.1),
+                                                  (3.0, 0.5, 1e-4), (1.0, 1.0, 665.0)])
+    def test_cutoff_is_the_solved_cutoff(self, delta, omega, pbar):
+        """The record's cutoff is `solve_cutoff` of its budget, bit for bit."""
+        assert EndNodePolicy(delta, omega, pbar).cutoff == solve_cutoff(delta, omega, pbar)
+
+    @pytest.mark.parametrize("delta,omega,pbar", [
+        (0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0), (math.nan, 1.0, 1.0),
+        (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)])
+    def test_rejects_bad_inputs(self, delta, omega, pbar):
         with pytest.raises(ValueError):
-            EndNodePolicy(delta=1.0, cutoff=0.5, omega=1.0, pbar=3.0)
+            EndNodePolicy(delta, omega, pbar)
 
 
 def _policy(delta=1.0, cutoff=0.5, omega=1.0):
@@ -154,7 +163,7 @@ class TestBudgetStatistics:
     def test_average_spend_matches_budget(self):
         """Monte Carlo mean of the power rule over 1e6 exponential draws
         reproduces the budget within 1%, confirming the cutoff equation."""
-        policy = EndNodePolicy.from_budget(1.0, 2.0, 0.6)
+        policy = EndNodePolicy(1.0, 2.0, 0.6)
         gains, _ = scaled_gains(999, 2.0, 1.0, 1_000_000)
         spend = np.zeros_like(gains)
         mask = gains >= policy.cutoff
@@ -165,7 +174,7 @@ class TestBudgetStatistics:
         """Empirical share of silent cycles equals 1 - exp(-cutoff/omega)
         within 4 binomial sigmas at 1e6 draws."""
         n = 1_000_000
-        policy = EndNodePolicy.from_budget(1.0, 1.0, 0.8)
+        policy = EndNodePolicy(1.0, 1.0, 0.8)
         gains, _ = scaled_gains(31337, 1.0, 1.0, n)
         rate = float(np.mean(gains < policy.cutoff))
         expected = -math.expm1(-policy.cutoff)

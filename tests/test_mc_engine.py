@@ -298,12 +298,13 @@ class TestSortedCorners:
             assert tie < above and zero == 0 and infinite == self.TRIALS
 
     @pytest.mark.parametrize("powers", [False, True])
-    def test_float32_key_ties_are_counted_exactly(self, monkeypatch, powers):
-        """Square corners at a drawn min(x, y) z and the doubles next to it,
-        which share z's float32 key but not its double, are counted by the
-        exact fallback; 0.0, 5e-324, 3.5e38 (float32 key inf) and inf are
-        counted as well.  One group has equal mean gains and only square
-        corners, the other unequal ones and a relay policy."""
+    def test_counts_at_a_drawn_min_and_its_neighbours_are_exact(self, monkeypatch, powers):
+        """Square corners at a drawn min(x, y) z and at the doubles next to
+        it are counted exactly on z, with `_count_below`, as are 0.0,
+        5e-324, 3.5e38 (past float32's range) and inf.  One group has equal
+        mean gains and only square corners, whose corners near z share a
+        float32 key window with a state; the other has unequal ones and a
+        relay policy."""
         sets = _validation_sets()
         groups = [sets["set01"][0], sets["set03"][0]]
         assert [(c.omega_x, c.omega_y) for c in groups] == [(1.0, 1.0), (2.0, 0.5)]
@@ -438,7 +439,8 @@ def test_equal_gain_min_is_max_of_logs(omega):
     """-omega * max(log_x, log_y) of the sampler's logs, the min(x, y) of an
     exact count in a uniform window, is, byte for byte over a full chunk,
     min(omega * x, omega * y) of its unit-mean draws."""
-    log_x, log_y = FadingSampler(3, stream_index=1)._log_block(CHUNK_TRIALS, None).T
+    sampler = FadingSampler(3, stream_index=1)
+    log_x, log_y = sampler._log_step(sampler._uniform_block(CHUNK_TRIALS, None)).T
     x, y = FadingSampler(3, stream_index=1).sample_block(CHUNK_TRIALS)
     assert ((-omega) * np.maximum(log_x, log_y)).tobytes() \
         == np.minimum(omega * x, omega * y).tobytes()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import scaled_gains
 from tdbcsim.outage_analytics import (
     FpaConfig,
-    OutageReport,
     fpa_corner,
     min_outage,
     outage_fpa,
@@ -104,6 +103,16 @@ class TestOutageOpa:
                     p = outage_opa(policy).p_out
                     assert 0.0 <= p <= 1.0
 
+    @pytest.mark.parametrize("rho", [pytest.param(UNBOUNDED, id="unbounded"), 0.3, 3.0, 1e-3])
+    def test_p_out_is_the_measure_outside_the_corners(self, rho):
+        """The report's p_out is `min_outage` at the truncation corners, bit
+        for bit, and the report holds the policy it was evaluated for."""
+        policy = _policy(1.0, 3.0, 0.4, 0.2, 2.0, 0.5, rho)
+        report = outage_opa(policy)
+        assert report.policy is policy
+        assert report.p_out == min_outage(policy.lambda1, policy.lambda2,
+                                          policy.omega_x, policy.omega_y)
+
     def test_floor_invariant(self):
         for rho in (UNBOUNDED, 0.3, 3.0):
             policy = _policy(x0=0.4, y0=0.2, rho=rho)
@@ -149,16 +158,6 @@ class TestSweepRange:
         high = min(low + gap, 33.0)
         p_low, p_high = _sweep_outage(low), _sweep_outage(high)
         assert 0.0 <= p_high <= p_low <= 1.0
-
-
-class TestOutageReportValidation:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            OutageReport(1.5, _policy())
-
-    def test_rejects_below_floor(self):
-        with pytest.raises(ValueError):
-            OutageReport(0.01, _policy(x0=1.0, y0=1.0))
 
 
 class TestOutageFpa:

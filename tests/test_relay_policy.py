@@ -561,6 +561,25 @@ class TestPoliciesFromConfig:
         policies_from_config(config)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("config", [
+        SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.7, 0.7, 0.6),     # equal end nodes
+        SystemConfig(1 / 3, 2 / 3, 2.0, 0.5, 0.8, 1.2, 0.6),     # unequal, capped
+        SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.8, 1.2, 50.0),    # unequal, unbounded
+    ], ids=["equal", "capped", "unbounded"])
+    def test_e1_calls_are_the_solves_alone(self, count_e1, config):
+        """policies_from_config evaluates E1 only in one cutoff solve per
+        distinct end node and in the cap solve: nothing re-checks a cutoff."""
+        node_calls, relay_calls = count_e1(endnode_policy), count_e1(relay_policy)
+        node1, node2, relay = policies_from_config(config)
+        made = len(node_calls) + len(relay_calls)
+        node_calls.clear()
+        relay_calls.clear()
+        for node in {node1, node2}:
+            solve_cutoff(node.delta, node.omega, node.pbar)
+        solve_rho(relay.delta1, relay.delta2, relay.x0, relay.y0, relay.omega_x,
+                  relay.omega_y, config.p_avg_relay)
+        assert made == len(node_calls) + len(relay_calls) > 0
+
     def test_equal_failing_end_nodes_raise_as_before(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 730.0, 730.0, 730.0)
         with pytest.raises(BracketingError) as info:

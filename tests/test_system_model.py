@@ -151,7 +151,8 @@ class TestFadingSampler:
         buffer."""
         buf = np.empty((CHUNK_TRIALS, 2))
         for out in (None, buf):
-            logs = FadingSampler(5, stream_index=2)._log_block(CHUNK_TRIALS, out)
+            sampler = FadingSampler(5, stream_index=2)
+            logs = sampler._log_step(sampler._uniform_block(CHUNK_TRIALS, out))
             assert np.all(logs <= 0.0) and (out is None or logs is buf)
             x, y = FadingSampler(5, stream_index=2).sample_block(CHUNK_TRIALS)
             assert (-logs).tobytes() == np.column_stack([x, y]).tobytes()
