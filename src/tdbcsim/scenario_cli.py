@@ -260,7 +260,6 @@ def scenario_power_gains(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
         x0 = spec.omega_x * exponent
         y0 = spec.omega_y * exponent
         pbar_s1 = (d1 / spec.omega_x) * exp_integral_e1(exponent)
-        pbar_s2 = (d2 / spec.omega_y) * exp_integral_e1(exponent)
         p_r_avg_max = avg_relay_power_max(d1, d2, x0, y0, spec.omega_x, spec.omega_y)
         p_s1_fix = d1 / x0
         p_s2_fix = d2 / y0
@@ -293,11 +292,13 @@ def validation_policies() -> list[tuple[str, SystemConfig, RelayPolicy]]:
         for omega_x, omega_y in omega_pairs:
             x0 = solve_cutoff(d1, omega_x, pbar_s1)
             y0 = solve_cutoff(d2, omega_y, pbar_s2)
-            p_max = avg_relay_power_max(d1, d2, x0, y0, omega_x, omega_y)
+            args = (d1, d2, x0, y0, omega_x, omega_y)
+            p_max = avg_relay_power_max(*args)
             for fraction in budget_fractions:
                 config = SystemConfig(rate_1, rate_2, omega_x, omega_y,
                                       pbar_s1, pbar_s2, fraction * p_max)
-                sets.append((f"set{len(sets) + 1:02d}", config, policies_from_config(config)[2]))
+                sets.append((f"set{len(sets) + 1:02d}", config,
+                             RelayPolicy(*args, solve_rho(*args, config.p_avg_relay))))
     return sets
 
 

@@ -8,11 +8,11 @@ positive domain (every threshold is a positive gain or cap), worked in log
 coordinates.  Both are pure functions and safe to call from any number of
 threads.
 
-E1 is evaluated in three regimes: a power series on (0, 1], Chebyshev series
-of x * exp(x) * E1(x) on (1, 2], (2, 4] and (4, 8], and a continued fraction
-above 8.  Against 40-digit mpmath they reach 7.7e-16, 4.3e-16 and 1.6e-15
-relative.  A call in the Chebyshev regime costs about 2 us under CPython
-3.11; the continued fraction would need 30 to 90 steps there.
+E1 is evaluated in two regimes: a power series on (0, 1], and above 1
+Chebyshev series of x * exp(x) * E1(x) on (1, 2], (2, 4] and (4, 8] and in
+16 / x on (8, inf).  Against 50-digit mpmath they reach 7.7e-16 and 4.3e-16
+relative.  Neither iterates beyond its series; a call above 1 costs about
+1.5 us under CPython 3.11.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Callable, Literal
 
 __all__ = [
     "EULER_GAMMA",
-    "E1_REL_TOL",
     "SOLVER_WIDTH_TOL",
     "BRACKET_GROWTH",
     "MAX_ITERATIONS",
@@ -36,9 +35,6 @@ __all__ = [
 #: Euler-Mascheroni constant, full double precision.
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-#: Guaranteed relative accuracy of exp_integral_e1 on [1e-6, 700].
-E1_REL_TOL = 1e-12
-
 #: Bracket-width stop of solve_monotone, relative to the root.
 SOLVER_WIDTH_TOL = 1e-14
 
@@ -49,18 +45,15 @@ BRACKET_GROWTH = 4.0
 MAX_ITERATIONS = 200
 
 _SERIES_MAX_TERMS = 120
-_CF_MAX_ITERS = 400
-_CF_EPS = 1e-16
-_CF_TINY = 1e-300
 
-# Chebyshev coefficients c_0..c_21 of g(x) = x * exp(x) * E1(x) on (1, 2],
-# (2, 4] and (4, 8], in t = (x - mid) / half on [-1, 1]: the interpolant of g
-# at the 22 Chebyshev points of the first kind, t_j = cos(pi (j + 1/2) / 22),
-# computed with mpmath at 50 digits, c_0 halved, each rounded to the nearest
-# double.  `g_chebyshev_table` in tests/test_specfun.py is that recipe and
-# checks these literals bit for bit.  The analytic continuation of g is
-# singular only at x = 0, which lies at t = -3 for all three intervals, so
-# |c_k| falls like (3 + 2 sqrt 2)^-k and c_21 is below 2e-18 of c_0.
+# Chebyshev coefficients c_0..c_21 of g(x) = x * exp(x) * E1(x), in
+# t = (x - mid) / half on (1, 2], (2, 4] and (4, 8] and in t = 16 / x - 1 on
+# (8, inf): the interpolant of g at the 22 Chebyshev points of the first kind,
+# t_j = cos(pi (j + 1/2) / 22), computed with mpmath at 50 digits, c_0 halved,
+# each rounded to the nearest double.  `g_chebyshev_table` in
+# tests/test_specfun.py is that recipe and checks these literals bit for bit.
+# g is analytic except on x <= 0 and at x = inf: off t <= -3 on the finite
+# intervals, off t <= -1 in 16 / x.  c_21 is below 2e-18 of c_0 in each table.
 _G_ON_1_2 = (
     0.6660290478589338, 0.06242528843863769, -0.006439971522584476,
     0.0007188104965299417, -8.537148991010124e-05, 1.0648380975570468e-05,
@@ -91,6 +84,16 @@ _G_ON_4_8 = (
     -3.3944033327484333e-16, 5.3655604752841166e-17, -8.502709870361002e-18,
     1.318572357922825e-18,
 )
+_G_ABOVE_8 = (
+    0.9466095316542427, -0.050709220934640316, 0.0024942827807734208,
+    -0.00017073729027578313, 1.4572817499478609e-05, -1.4632458120799713e-06,
+    1.6678980183112264e-07, -2.107358168126306e-08, 2.901714131059491e-09,
+    -4.2997185626472835e-10, 6.790187134723789e-11, -1.1341018960999941e-11,
+    1.99096979738965e-12, -3.655202321460254e-13, 6.987945421955574e-14,
+    -1.3861838502092284e-14, 2.844416249388596e-15, -6.021654252682029e-16,
+    1.312147190708227e-16, -2.936570031070085e-17, 6.7182205482808845e-18,
+    -1.4908049196710958e-18,
+)
 
 
 class BracketingError(ValueError):
@@ -116,19 +119,16 @@ def require_positive(value: float, name: str) -> float:
 def exp_integral_e1(x: float) -> float:
     """E1(x): the integral of exp(-t)/t from t = x to infinity, for x > 0.
 
-    Three regimes, each measured against mpmath at 40 digits:
+    Two regimes, each measured against mpmath at 50 digits:
 
     * x <= 1: the alternating power series around the log singularity,
       within 7.7e-16 relative;
-    * 1 < x <= 8: exp(-x) / x * g(x), with g(x) = x exp(x) E1(x) summed by
+    * x > 1: exp(-x) / x * g(x), with g(x) = x exp(x) E1(x) summed by
       Clenshaw's recurrence from a 22-term Chebyshev series on (1, 2],
-      (2, 4] or (4, 8], within 4.3e-16 relative;
-    * x > 8: a modified Lentz continued fraction, within 1.6e-15 relative
-      and at most 22 steps on a 200,000-point grid of (8, 745].
+      (2, 4] or (4, 8], or in 16 / x on (8, inf), within 4.3e-16 relative
+      up to 700 (beyond about 708 the result is subnormal and loses bits).
 
-    All three sit comfortably inside E1_REL_TOL.  Once exp(-x)
-    underflows (x beyond ~745.13) the result is exactly 0.0, returned
-    before any iteration.
+    Once exp(-x) underflows (x beyond ~745.13) the result is exactly 0.0.
 
     Raises ValueError unless x is a positive finite real.
     """
@@ -146,39 +146,23 @@ def exp_integral_e1(x: float) -> float:
                 break
         return total
 
-    if x <= 8.0:
-        # t = (x - mid) / half is exact in each interval.
-        if x <= 2.0:
-            t, coeffs = 2.0 * x - 3.0, _G_ON_1_2
-        elif x <= 4.0:
-            t, coeffs = x - 3.0, _G_ON_2_4
-        else:
-            t, coeffs = 0.5 * x - 3.0, _G_ON_4_8
-        t2 = t + t
-        b1 = b2 = 0.0
-        for c in coeffs[:0:-1]:
-            b1, b2 = c + t2 * b1 - b2, b1
-        return math.exp(-x) / x * (coeffs[0] + t * b1 - b2)
-
     scale = math.exp(-x)
     if scale == 0.0:
         return 0.0
-    # E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...)))), evaluated
-    # bottom-up-free via the modified Lentz scheme.
-    b = x + 1.0
-    c = 1.0 / _CF_TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_ITERS + 1):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) <= _CF_EPS:
-            return h * scale
-    raise ConvergenceError(f"continued fraction for E1 stalled at x={x!r}")
+    # t = (x - mid) / half is exact on the three finite intervals.
+    if x <= 2.0:
+        t, coeffs = 2.0 * x - 3.0, _G_ON_1_2
+    elif x <= 4.0:
+        t, coeffs = x - 3.0, _G_ON_2_4
+    elif x <= 8.0:
+        t, coeffs = 0.5 * x - 3.0, _G_ON_4_8
+    else:
+        t, coeffs = 16.0 / x - 1.0, _G_ABOVE_8
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return scale / x * (coeffs[0] + t * b1 - b2)
 
 
 Direction = Literal["increasing", "decreasing"]

@@ -248,6 +248,26 @@ class TestValidateScenario:
         assert seen == {("a", "finite"), ("a", "unbounded"),
                         ("b", "finite"), ("b", "unbounded")}
 
+    def test_cutoffs_are_solved_once_per_rate_and_gain_pair(self, monkeypatch):
+        """Each relay policy is built on the cutoffs solved to size its
+        budget: two solves for each of the 12 rate and gain pairs, and the
+        same policies as solving each set's config from scratch."""
+        from tdbcsim import endnode_policy, scenario_cli
+        from tdbcsim.relay_policy import policies_from_config
+        solve = endnode_policy.solve_cutoff
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(endnode_policy, "solve_cutoff", counted)
+        monkeypatch.setattr(scenario_cli, "solve_cutoff", counted)
+        sets = validation_policies()
+        assert len(calls) == 24
+        monkeypatch.undo()
+        assert all(relay == policies_from_config(config)[2] for _, config, relay in sets)
+
     def test_rows_and_identities_pass(self):
         spec = ScenarioSpec(scenario="validate", grid=(0.0,), trials=50_000, seed=777)
         fieldnames, rows = scenario_validate(spec)
