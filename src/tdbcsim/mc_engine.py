@@ -5,15 +5,16 @@ writes no rule of the protocol itself: it draws the fading and counts each
 policy's outages as the states outside its served quadrant, whose corner is
 `relay_policy.served_corner` for an adaptive policy and
 `outage_analytics.fpa_corner` for the fixed-power baseline; average powers
-are the sums of `relay_policy.cycle_totals`.  Chunks run one after another
-on one set of buffers, and chunk i of a run always consumes fading substream
-(seed, i), so a report depends only on the policies, trials and seed.  The
-unit-mean draws of a chunk are shared by every policy, scaled to each pair of
-mean gains (common random numbers; inverse-CDF draws scale exactly, so each
-report equals a run of its policy alone).  Square corners (a == b) are
-counted on min(x, y) instead, or, where mean gains are equal, from sorted
-float32 keys of the uniforms (see `simulate`).  numpy is imported by
-`simulate`, not when this module loads.
+are the sums of `relay_policy.cycle_totals`.  Chunks run one after another on
+one set of buffers from a per-process free list (about 2.25 MB stays
+allocated after the first run), and chunk i of a run always consumes fading
+substream (seed, i), so a report depends only on the policies, trials and
+seed.  The unit-mean draws of a chunk are shared by every policy, scaled to
+each pair of mean gains (common random numbers; inverse-CDF draws scale
+exactly, so each report equals a run of its policy alone).  Square corners
+(a == b) are counted on min(x, y) instead, or, where mean gains are equal,
+from sorted float32 keys of the uniforms (see `simulate`).  numpy is imported
+by `simulate`, not when this module loads.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = [
 #: Trials per chunk.  Fixed: chunk i draws substream (seed, i), so every
 #: report depends on the chunk grid.
 CHUNK_TRIALS = 1 << 16
+
+#: Free CHUNK_TRIALS-sized sets of `simulate`'s (draw, gains, masks) buffers.
+_FREE_BUFFERS: list[tuple] = []
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,9 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     u >= c = 1 - exp(-a / omega): a key outside [c (1 - 2**-40),
     c (1 + 2**-40)] is on c's side if np.log1p is accurate to 2**-40
     relative, so the count is a `searchsorted` position (rounding is
-    monotone); else z is built and counted.
+    monotone); else z is built and counted.  The chunk buffers come from a
+    per-process free list, and about 2.25 MB stays allocated after the first
+    run; a set is made only when none is free (a first run, or runs overlap).
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -125,43 +131,47 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         plans.append((omega, opa, [j for j in rest if j not in square], square))
     u_c = -np.expm1(-np.array([policies[j][0][0] / policies[j][1][0] for j in u_square]))
     u_lo, u_hi = ((u_c * (1.0 + s * 2.0 ** -40)).astype(np.float32) for s in (-1, 1))
-    n = sizes[0]
-    draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
+    try:
+        draw, gains, masks = _FREE_BUFFERS.pop()
+    except IndexError:
+        n = CHUNK_TRIALS
+        draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
     outages = [0] * len(policies)
     sums: list[list] = [[] for _ in opa_policies]   # each OPA chunk's three power sums
-    for i, m in enumerate(sizes):
-        u = FadingSampler(seed, stream_index=i)._uniform_block(m, out=draw[:m])
-        x, y = gains[0, :m], gains[1, :m]
-        served, served_y = masks[0, :m], masks[1, :m]
-        counts = []
-        if u_square:
-            counts = _sorted_counts(np.minimum(u[:, 0], u[:, 1], out=x), y, u_lo, u_hi)
-        if plans or None in counts:
-            log_x, log_y = FadingSampler._log_step(u).T
-        for j, count in zip(u_square, counts):
-            if count is None:   # a key in the window: count on min(x, y) itself
-                np.maximum(log_x, log_y, out=x)
-                x *= -policies[j][1][0]
-                count = _count_below(x, policies[j][0][0], served)
-            outages[j] += count
-        for (omega_x, omega_y), opa, quadrant, square in plans:
-            np.multiply(log_x, -omega_x, out=x)
-            np.multiply(log_y, -omega_y, out=y)
-            if opa:
-                totals = cycle_totals([opa_policies[j] for j in opa], x, y)
-                for j, (count, *chunk_sums) in zip(opa, totals):
-                    outages[j] += count
-                    sums[j].append(chunk_sums)
-            for j in quadrant:
-                (a, b), _ = policies[j]
-                np.greater_equal(x, a, out=served)
-                np.greater_equal(y, b, out=served_y)
-                served &= served_y
-                outages[j] += m - int(np.count_nonzero(served))
-            if square:
-                np.minimum(x, y, out=x)
-            for j in square:
-                outages[j] += _count_below(x, policies[j][0][0], served)
+    try:
+        for i, m in enumerate(sizes):
+            u = FadingSampler(seed, stream_index=i)._uniform_block(m, out=draw[:m])
+            x, y = gains[0, :m], gains[1, :m]
+            served, served_y = masks[0, :m], masks[1, :m]
+            counts = _sorted_counts(u, y, u_lo, u_hi) if u_square else []
+            if plans or None in counts:
+                log_x, log_y = FadingSampler._log_step(u).T
+            for j, count in zip(u_square, counts):
+                if count is None:   # a key in the window: count on min(x, y) itself
+                    np.maximum(log_x, log_y, out=x)
+                    x *= -policies[j][1][0]
+                    count = _count_below(x, policies[j][0][0], served)
+                outages[j] += count
+            for (omega_x, omega_y), opa, quadrant, square in plans:
+                np.multiply(log_x, -omega_x, out=x)
+                np.multiply(log_y, -omega_y, out=y)
+                if opa:
+                    totals = cycle_totals([opa_policies[j] for j in opa], x, y)
+                    for j, (count, *chunk_sums) in zip(opa, totals):
+                        outages[j] += count
+                        sums[j].append(chunk_sums)
+                for j in quadrant:
+                    (a, b), _ = policies[j]
+                    np.greater_equal(x, a, out=served)
+                    np.greater_equal(y, b, out=served_y)
+                    served &= served_y
+                    outages[j] += m - int(np.count_nonzero(served))
+                if square:
+                    np.minimum(x, y, out=x)
+                for j in square:
+                    outages[j] += _count_below(x, policies[j][0][0], served)
+    finally:
+        _FREE_BUFFERS.append((draw, gains, masks))
     reports = []
     for j in range(n_opa):
         averages = ([math.fsum(column) / trials for column in zip(*sums[j])]
@@ -173,13 +183,13 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     return reports
 
 
-def _sorted_counts(z, free, lo, hi) -> list:
-    """Per float32 window [lo, hi], the number of z's float32 keys below it,
-    or None if one is in it; the keys of the uniforms z are sorted in the
-    buffer `free`."""
+def _sorted_counts(u, free, lo, hi) -> list:
+    """Per float32 window [lo, hi], the number of float32 keys of
+    min(u_x, u_y) below it, or None if one is in it; the keys of the
+    uniforms u are built and sorted in the buffer `free`."""
     import numpy as np
-    keys = free.view(np.float32)[:z.size]
-    keys[...] = z
+    keys = free.view(np.float32)[:len(u)]
+    np.minimum(u[:, 0], u[:, 1], out=keys)
     keys.sort()
     return [below if below == upto else None for below, upto in
             zip(np.searchsorted(keys, lo).tolist(), np.searchsorted(keys, hi, "right").tolist())]

@@ -178,9 +178,11 @@ def cycle_totals(policies: Sequence[RelayPolicy], x, y) -> list[tuple[int, float
 
     totals = []
     for policy, (served, demand) in zip(policies, _relay_pass(policies, x, y)):
+        with np.errstate(invalid="ignore"):     # nan: inf * False at an unserved zero gain
+            pr = float(np.multiply(demand, served).sum())
         totals.append((served.size - int(np.count_nonzero(served)),
                        node_sum(0, policy.delta1, policy.x0), node_sum(1, policy.delta2, policy.y0),
-                       float(np.where(served, demand, 0.0).sum())))
+                       pr if math.isfinite(pr) else float(np.where(served, demand, 0.0).sum())))
     return totals
 
 

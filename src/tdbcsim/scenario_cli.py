@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -476,6 +477,7 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache     # built on the first `main` call, then reused
 def _build_parser() -> _CliParser:
     parser = _CliParser(
         prog="tdbcsim",

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -477,6 +480,52 @@ def test_validate_run_allocates_no_new_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * 5_121_950
+
+
+def test_second_default_sweep_reuses_the_chunk_buffers():
+    """A second outage-only `simulate` of the default sweep at 1M trials
+    takes its chunk buffers from the free list: its traced peak is the
+    per-run bookkeeping, not the 2.25 MB set."""
+    relays, pairs = _default_sweep()
+    simulate(relays, pairs, 1_000_000, 20240915, powers=False)
+    tracemalloc.start()
+    try:
+        simulate(relays, pairs, 1_000_000, 20240915, powers=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256_000
+
+
+def test_concurrent_runs_use_their_own_buffers(monkeypatch):
+    """Two threads whose runs overlap (each waits for the other inside its
+    first chunk) draw into different buffer sets and get the reports of the
+    same runs made one after the other: an outage-only run at seed 1 and a
+    run with powers at seed 2."""
+    relays, pairs = _default_sweep()
+    trials = 2 * CHUNK_TRIALS + 123
+    runs = [(1, False), (2, True)]
+    serial = [simulate(relays, pairs, trials, seed, powers=powers) for seed, powers in runs]
+    barrier, buffers = threading.Barrier(2), {}
+    uniform_block = FadingSampler._uniform_block
+
+    def draw(self, n, out):
+        if self.stream_index == 0:
+            buffers[self.seed] = out.base
+            barrier.wait(timeout=60)
+        return uniform_block(self, n, out)
+
+    monkeypatch.setattr(FadingSampler, "_uniform_block", draw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(simulate, relays, pairs, trials, seed, powers=powers)
+                       for seed, powers in runs]
+            assert [future.result(timeout=120) for future in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert buffers[1] is not buffers[2]
 
 
 class TestSimReport:

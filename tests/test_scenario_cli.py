@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from scipy import optimize, special
 
+import tdbcsim
 from conftest import log_cutoff_oracle
 from tdbcsim.outage_analytics import min_outage
 from tdbcsim.scenario_cli import (
@@ -439,3 +444,30 @@ class TestCsvAndCli:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_reused_parser_carries_no_state(self, tmp_path, capsys):
+        """main calls in one process (a sweep on a grid, a sweep on the
+        default grid, an unknown flag, power-gains) share one parser; each
+        exits, errs and writes as the same command run alone in a fresh
+        interpreter."""
+        commands = [["sweep-total-power", "--grid", "0:4:2", "--trials", "20000", "--seed", "3"],
+                    ["sweep-total-power", "--trials", "20000", "--seed", "3"],
+                    ["sweep-total-power", "--no-such-flag"],
+                    ["power-gains"]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(pathlib.Path(tdbcsim.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        codes, errs = [], []
+        for k, argv in enumerate(commands):
+            here, alone = tmp_path / f"here{k}.csv", tmp_path / f"alone{k}.csv"
+            codes.append(main(argv + ["--out", str(here)]))
+            errs.append(capsys.readouterr().err)
+            child = subprocess.run([sys.executable, "-m", "tdbcsim", *argv, "--out", str(alone)],
+                                   capture_output=True, text=True, env=env, timeout=300)
+            assert (codes[-1], errs[-1]) == (child.returncode, child.stderr)
+            assert here.exists() == alone.exists()
+            if here.exists():
+                assert here.read_bytes() == alone.read_bytes()
+        assert codes == [0, 0, 1, 0]
+        assert errs[2] == "tdbcsim: error: unrecognized arguments: --no-such-flag\n"
+        rows = [len((tmp_path / f"here{k}.csv").read_text().splitlines()) - 1 for k in (0, 1)]
+        assert rows == [3, len(parse_grid("-10:30:2"))]
