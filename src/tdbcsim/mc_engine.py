@@ -11,10 +11,10 @@ allocated after the first run), and chunk i of a run always consumes fading
 substream (seed, i), so a report depends only on the policies, trials and
 seed.  The unit-mean draws of a chunk are shared by every policy, scaled to
 each pair of mean gains (common random numbers; inverse-CDF draws scale
-exactly, so each report equals a run of its policy alone).  Square corners
-(a == b) are counted on min(x, y) instead, or, where mean gains are equal,
-from sorted float32 keys of the uniforms (see `simulate`).  numpy is imported
-by `simulate`, not when this module loads.
+exactly, so each report equals a run of its policy alone).  Groups of equal
+mean gains and square corners (a == b) alone are counted from sorted float32
+keys of the uniforms instead (see `simulate`).  numpy is imported by
+`simulate`, not when this module loads.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class SimReport:
     over transmitting cycles only would read systematically high.  An OPA
     report of an outage-only run (`simulate(..., powers=False)`) holds None
     for its three average powers; an FPA report always holds its fixed
-    powers.
+    powers, which `FpaConfig` checked.  Rates are counts over the trials and
+    averages fsums of non-negative sums, so nothing is re-checked.
     """
 
     trials: int
@@ -60,14 +61,6 @@ class SimReport:
     avg_power_s1: float | None
     avg_power_s2: float | None
     avg_power_relay: float | None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.outage_rate <= 1.0:
-            raise ValueError(f"outage_rate must lie in [0, 1], got {self.outage_rate!r}")
-        for name in ("avg_power_s1", "avg_power_s2", "avg_power_relay"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise ValueError(f"{name} must be >= 0")
 
     @property
     def binomial_sigma(self) -> float:
@@ -89,16 +82,16 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     spends its fixed powers every cycle, which its report holds exactly.
     Each policy sees the shared unit-mean draws scaled by its mean gains.
     With `powers=False` only outages are counted: the OPA reports carry the
-    same outage rates and None for their three average powers.  Square
-    corners (a == b) are counted as z < a on z = min(x, y), as x, y >= a is
-    z >= a.  Groups of equal mean gains omega and only square corners share
-    one sort of the float32 keys of min(u_x, u_y) instead, as x >= a is
+    same outage rates and None for their three average powers.  Groups of
+    equal mean gains omega and only square corners (a == b) share one sort
+    of the float32 keys of min(u_x, u_y) instead, as x >= a is
     u >= c = 1 - exp(-a / omega): a key outside [c (1 - 2**-40),
     c (1 + 2**-40)] is on c's side if np.log1p is accurate to 2**-40
     relative, so the count is a `searchsorted` position (rounding is
-    monotone); else z is built and counted.  The chunk buffers come from a
-    per-process free list, and about 2.25 MB stays allocated after the first
-    run; a set is made only when none is free (a first run, or runs overlap).
+    monotone); else the gains are built and that corner takes the quadrant
+    test for the chunk.  The chunk buffers come from a per-process free list,
+    and about 2.25 MB stays allocated after the first run; a set is made only
+    when none is free (a first run, or runs overlap).
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -118,17 +111,17 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     groups: dict[tuple[float, float], list[int]] = {}
     for j, (_, omega) in enumerate(policies):
         groups.setdefault(omega, []).append(j)
-    # Per group: OPA policies for cycle_totals, quadrant tests, square corners;
-    # those of an equal-gain group with no other policy are counted on min(u).
+    # Per group: OPA policies for cycle_totals and quadrant tests; those of
+    # an equal-gain group of square corners alone are counted on min(u).
     plans, u_square = [], []
     for omega, members in groups.items():
         opa = [j for j in members if j < n_opa] if powers else []
         rest = members[len(opa):]
-        square = [j for j in rest if policies[j][0][0] == policies[j][0][1]]
-        if omega[0] == omega[1] and len(square) == len(members):
-            u_square += square
-            continue
-        plans.append((omega, opa, [j for j in rest if j not in square], square))
+        if not opa and omega[0] == omega[1] and all(
+                policies[j][0][0] == policies[j][0][1] for j in rest):
+            u_square += rest
+        else:
+            plans.append((omega, opa, rest))
     u_c = -np.expm1(-np.array([policies[j][0][0] / policies[j][1][0] for j in u_square]))
     u_lo, u_hi = ((u_c * (1.0 + s * 2.0 ** -40)).astype(np.float32) for s in (-1, 1))
     try:
@@ -142,34 +135,23 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         for i, m in enumerate(sizes):
             u = FadingSampler(seed, stream_index=i)._uniform_block(m, out=draw[:m])
             x, y = gains[0, :m], gains[1, :m]
-            served, served_y = masks[0, :m], masks[1, :m]
             counts = _sorted_counts(u, y, u_lo, u_hi) if u_square else []
             if plans or None in counts:
-                log_x, log_y = FadingSampler._log_step(u).T
+                logs = FadingSampler._log_step(u).T
             for j, count in zip(u_square, counts):
-                if count is None:   # a key in the window: count on min(x, y) itself
-                    np.maximum(log_x, log_y, out=x)
-                    x *= -policies[j][1][0]
-                    count = _count_below(x, policies[j][0][0], served)
+                if count is None:   # a key in the window: the quadrant test on the gains
+                    np.multiply(logs, -policies[j][1][0], out=gains[:, :m])
+                    count = _count_outside(x, y, *policies[j][0], masks[:, :m])
                 outages[j] += count
-            for (omega_x, omega_y), opa, quadrant, square in plans:
-                np.multiply(log_x, -omega_x, out=x)
-                np.multiply(log_y, -omega_y, out=y)
+            for (omega_x, omega_y), opa, quadrant in plans:
+                np.multiply(logs, [[-omega_x], [-omega_y]], out=gains[:, :m])
                 if opa:
                     totals = cycle_totals([opa_policies[j] for j in opa], x, y)
                     for j, (count, *chunk_sums) in zip(opa, totals):
                         outages[j] += count
                         sums[j].append(chunk_sums)
                 for j in quadrant:
-                    (a, b), _ = policies[j]
-                    np.greater_equal(x, a, out=served)
-                    np.greater_equal(y, b, out=served_y)
-                    served &= served_y
-                    outages[j] += m - int(np.count_nonzero(served))
-                if square:
-                    np.minimum(x, y, out=x)
-                for j in square:
-                    outages[j] += _count_below(x, policies[j][0][0], served)
+                    outages[j] += _count_outside(x, y, *policies[j][0], masks[:, :m])
     finally:
         _FREE_BUFFERS.append((draw, gains, masks))
     reports = []
@@ -195,11 +177,15 @@ def _sorted_counts(u, free, lo, hi) -> list:
             zip(np.searchsorted(keys, lo).tolist(), np.searchsorted(keys, hi, "right").tolist())]
 
 
-def _count_below(z, a: float, out) -> int:
-    """Exact count of z < a, the outages of a square corner a at
-    z = min(x, y), through the boolean buffer `out`."""
+def _count_outside(x, y, a: float, b: float, masks) -> int:
+    """Exact count of the states (x, y) outside the quadrant above the
+    corner (a, b), through the two boolean buffers `masks`."""
     import numpy as np
-    return int(np.count_nonzero(np.less(z, a, out=out)))
+    served, served_y = masks
+    np.greater_equal(x, a, out=served)
+    np.greater_equal(y, b, out=served_y)
+    served &= served_y
+    return len(x) - int(np.count_nonzero(served))
 
 
 def run_opa(policy: RelayPolicy, trials: int = 1_000_000, seed: int = 0) -> SimReport:

@@ -143,7 +143,12 @@ class ScenarioSpec:
         object.__setattr__(self, "output_path", path)
 
 
-_CONFIG_KEYS = ("rate_1", "rate_2", "omega_x", "omega_y", "grid", "trials", "seed", "out")
+#: Each config key but grid, in reading order, with the ScenarioSpec field it
+#: sets and the type of its text; unset fields keep the dataclass defaults.
+_CONFIG_FIELDS = (("rate_1", "rate_1", float), ("rate_2", "rate_2", float),
+                  ("omega_x", "omega_x", float), ("omega_y", "omega_y", float),
+                  ("trials", "trials", int), ("seed", "seed", int), ("out", "output_path", str))
+_CONFIG_KEYS = ("grid", *(key for key, _, _ in _CONFIG_FIELDS))
 
 
 def load_spec(scenario: str, config_path: str | None = None, *,
@@ -175,26 +180,15 @@ def load_spec(scenario: str, config_path: str | None = None, *,
         if value is not None:
             raw[key] = str(value)
 
-    def _as(key: str, kind: type, default):
-        if key not in raw:
-            return default
-        try:
-            return kind(raw[key])
-        except ValueError:
-            noun = "a number" if kind is float else "an integer"
-            raise ConfigError(f"field {key!r}: expected {noun}, got {raw[key]!r}") from None
-
-    return ScenarioSpec(
-        scenario=scenario,
-        grid=parse_grid(raw.get("grid", _SCENARIOS[scenario][0])),
-        rate_1=_as("rate_1", float, ONE_THIRD),
-        rate_2=_as("rate_2", float, ONE_THIRD),
-        omega_x=_as("omega_x", float, 1.0),
-        omega_y=_as("omega_y", float, 1.0),
-        trials=_as("trials", int, DEFAULT_TRIALS),
-        seed=_as("seed", int, DEFAULT_SEED),
-        output_path=raw.get("out", ""),
-    )
+    fields = {"grid": parse_grid(raw.get("grid", _SCENARIOS[scenario][0]))}
+    for key, field, kind in _CONFIG_FIELDS:
+        if key in raw:
+            try:
+                fields[field] = kind(raw[key])
+            except ValueError:
+                noun = "a number" if kind is float else "an integer"
+                raise ConfigError(f"field {key!r}: expected {noun}, got {raw[key]!r}") from None
+    return ScenarioSpec(scenario, **fields)
 
 
 def _fmt(value) -> str:

@@ -303,8 +303,8 @@ class TestSortedCorners:
     @pytest.mark.parametrize("powers", [False, True])
     def test_counts_at_a_drawn_min_and_its_neighbours_are_exact(self, monkeypatch, powers):
         """Square corners at a drawn min(x, y) z and at the doubles next to
-        it are counted exactly on z, with `_count_below`, as are 0.0,
-        5e-324, 3.5e38 (past float32's range) and inf.  One group has equal
+        it are counted exactly on the gains, with `_count_outside`, as are
+        0.0, 5e-324, 3.5e38 (past float32's range) and inf.  One group has equal
         mean gains and only square corners, whose corners near z share a
         float32 key window with a state; the other has unequal ones and a
         relay policy."""
@@ -326,9 +326,9 @@ class TestSortedCorners:
         monkeypatch.setattr(mc_engine, "fpa_corner",
                             lambda c, f: (corners[int(f.p_r_fix) - 1][1],) * 2)
         fallback = []
-        count_below = mc_engine._count_below
-        monkeypatch.setattr(mc_engine, "_count_below",
-                            lambda z, a, out: fallback.append(a) or count_below(z, a, out))
+        count_outside = mc_engine._count_outside
+        monkeypatch.setattr(mc_engine, "_count_outside", lambda x, y, a, b, masks: (
+            fallback.append(a) or count_outside(x, y, a, b, masks)))
         relays = [sets["set03"][1]]
         reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
         expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
@@ -347,7 +347,7 @@ def _trace_engine(monkeypatch):
     every `_sorted_counts` call, and of every exact count with its corner."""
     trace, chunk = {"log": [], "sorts": [], "exact": []}, [None]
     uniform_block, log_step = FadingSampler._uniform_block, FadingSampler._log_step
-    sorted_counts, count_below = mc_engine._sorted_counts, mc_engine._count_below
+    sorted_counts, count_outside = mc_engine._sorted_counts, mc_engine._count_outside
 
     def draw(self, n, out):
         chunk[0] = self.stream_index
@@ -358,8 +358,8 @@ def _trace_engine(monkeypatch):
         lambda u: trace["log"].append(chunk[0]) or log_step(u)))
     monkeypatch.setattr(mc_engine, "_sorted_counts", lambda z, free, lo, hi: (
         trace["sorts"].append(chunk[0]) or sorted_counts(z, free, lo, hi)))
-    monkeypatch.setattr(mc_engine, "_count_below", lambda z, a, out: (
-        trace["exact"].append((chunk[0], a)) or count_below(z, a, out)))
+    monkeypatch.setattr(mc_engine, "_count_outside", lambda x, y, a, b, masks: (
+        trace["exact"].append((chunk[0], a)) or count_outside(x, y, a, b, masks)))
     return trace
 
 
@@ -439,9 +439,9 @@ class TestUniformWindows:
 
 @pytest.mark.parametrize("omega", [1.0, 0.37, 3.0])
 def test_equal_gain_min_is_max_of_logs(omega):
-    """-omega * max(log_x, log_y) of the sampler's logs, the min(x, y) of an
-    exact count in a uniform window, is, byte for byte over a full chunk,
-    min(omega * x, omega * y) of its unit-mean draws."""
+    """-omega * max(log_x, log_y) of the sampler's logs, the min(x, y) of the
+    gains an exact count in a uniform window builds, is, byte for byte over
+    a full chunk, min(omega * x, omega * y) of its unit-mean draws."""
     sampler = FadingSampler(3, stream_index=1)
     log_x, log_y = sampler._log_step(sampler._uniform_block(CHUNK_TRIALS, None)).T
     x, y = FadingSampler(3, stream_index=1).sample_block(CHUNK_TRIALS)
@@ -531,14 +531,6 @@ def test_concurrent_runs_use_their_own_buffers(monkeypatch):
 class TestSimReport:
     def test_opa_powers_may_be_none(self):
         assert SimReport(10, 0.5, None, None, None).avg_power_relay is None
-
-    # A negative relay power in an adaptive report, a negative node power in
-    # a fixed-power one.
-    @pytest.mark.parametrize("powers", [(0.8, 1.2, -0.5), (-3.0, 5.0, 7.0)],
-                             ids=["OPA", "FPA"])
-    def test_rejects_negative_power(self, powers):
-        with pytest.raises(ValueError):
-            SimReport(10, 0.5, *powers)
 
 
 class TestOpaEstimates:

@@ -119,6 +119,17 @@ class TestLoadSpec:
         with pytest.raises(ConfigError, match="trials"):
             load_spec("validate", str(path))
 
+    def test_first_bad_field_in_reading_order_is_diagnosed(self, tmp_path):
+        """With several bad fields, the error names the first in the fixed
+        reading order (grid, rate_1, rate_2, omega_x, omega_y, trials, seed),
+        whatever their order in the file."""
+        path = tmp_path / "exp.ini"
+        path.write_text("[validate]\nseed = later\nomega_y = wide\nrate_2 = half\n")
+        with pytest.raises(ConfigError, match="^field 'rate_2': expected a number"):
+            load_spec("validate", str(path))
+        with pytest.raises(ConfigError, match="^grid"):
+            load_spec("validate", str(path), grid="0:1")
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_spec("validate", "/nonexistent/path.ini")
@@ -186,6 +197,18 @@ class TestTotalPowerSweep:
                      "--seed", "1", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "48911cb60c596db09a103c6f449c665c5cd97a32c809bf0c98662391dcc00dd6")
+
+    def test_equal_rate_asymmetric_gain_sweep_is_pinned(self, tmp_path):
+        """Mean gains (2, 0.5) on the default grid and trials at seed 1, byte
+        for byte as written when the square corners of an unequal-gain group
+        (33 per chunk here) were counted as z < a on z = min(x, y)."""
+        ini = tmp_path / "asym.ini"
+        ini.write_text("[sweep_total_power]\nomega_x = 2.0\nomega_y = 0.5\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-total-power", "--config", str(ini), "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "25d8cfa5983ac95a1eaf6362143bb23f5e4639552e9f971e6ef0663ddfa9953e")
 
     def test_vanishing_power_forces_outage(self):
         spec = ScenarioSpec(scenario="sweep_total_power", grid=(-30.0,), **SMALL)
