@@ -3,7 +3,7 @@
 The engine is the empirical oracle for every closed form in the package.  It
 writes no rule of the protocol itself: it draws the fading and counts each
 policy's outages as the states outside its served quadrant, whose corner is
-`relay_policy.served_corner` for an adaptive policy and
+a `RelayPolicy`'s (lambda1, lambda2) for an adaptive policy and
 `outage_analytics.fpa_corner` for the fixed-power baseline; average powers
 are the sums of `relay_policy.cycle_totals`.  Chunks run one after another on
 one set of buffers from a per-process free list (about 2.25 MB stays
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .outage_analytics import FpaConfig, fpa_corner
-from .relay_policy import RelayPolicy, cycle_totals, served_corner
+from .relay_policy import RelayPolicy, cycle_totals
 from .system_model import FadingSampler, SystemConfig
 
 __all__ = [
@@ -103,7 +103,7 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         raise MemoryError(f"out of memory planning the chunks of {trials} trials") from None
     n_opa = len(opa_policies)
     # Each policy's served corner and mean gains; OPA policies first.
-    policies = ([(served_corner(p), (p.omega_x, p.omega_y)) for p in opa_policies]
+    policies = ([((p.lambda1, p.lambda2), (p.omega_x, p.omega_y)) for p in opa_policies]
                 + [(fpa_corner(c, f), (c.omega_x, c.omega_y)) for c, f in fpa_pairs])
     if not policies:
         FadingSampler(seed)     # checks the seed

@@ -3,7 +3,7 @@
 A cycle succeeds only if both uplinks clear their cutoffs and the relay's
 capped broadcast can serve both directions; the outage probability is the
 fading measure of everything else.  Under the adaptive policies the served
-set is the quadrant above the truncation corners (lambda1, lambda2); the
+set is the quadrant above the relay policy's corners (lambda1, lambda2); the
 fixed-power baseline follows the same rule at constant powers, so its served
 set is the quadrant above the corners of the same rule.
 """
@@ -71,9 +71,10 @@ def outage_opa(policy: RelayPolicy) -> OutageReport:
 
     The relay serves a cycle exactly when it decodes (x >= x0, y >= y0) and
     its broadcast power max(delta1 / y, delta2 / x) fits under the cap,
-    i.e. when x >= max(x0, delta2 / rho) = lambda1 and
-    y >= max(y0, delta1 / rho) = lambda2.  The cap only moves the corner of
-    the served quadrant, so the outage is the measure outside it.
+    i.e. when x >= lambda1 and y >= lambda2, the policy's corners
+    (max(x0, delta2 / rho) and max(y0, delta1 / rho), made exact in floating
+    point).  The outage is the measure outside exactly the quadrant that
+    `cycle_powers` serves and the Monte Carlo engine counts.
     """
     return OutageReport(policy)
 

@@ -4,21 +4,20 @@ The relay decodes both uplink codewords only when both channel gains clear
 the end-node cutoffs (the decode region).  Inside that region the cheapest
 broadcast power serving both directions is max(delta1 / y, delta2 / x); the
 relay's own long-term budget then imposes a cap rho, above which the relay
-stays silent rather than overspend.  A RelayPolicy holds both thresholds,
-both end-node cutoffs and the cap, so `cycle_powers` evaluates what all three
-nodes send in a cycle from it alone.  `cycle_totals` counts the outages and
-sums the powers of many policies on the same gains; both
-read one relay pass, whose served set is the quadrant above `served_corner`:
-the decode region and the cap in one test per axis, exact in floating point.
-The cap is pinned by inverting the closed-form average broadcast power,
-which this module evaluates in terms of the effective truncation corners
+stays silent rather than overspend.  A RelayPolicy holds both end-node
+cutoffs, the cap and the corners (lambda1, lambda2) of the quadrant it
+serves, so `cycle_powers` evaluates what all three nodes send in a cycle
+from it alone.  `cycle_totals` counts the outages and sums the powers of
+many policies on the same gains; both read one relay pass, which tests the
+served quadrant once per axis.  The corners are the truncation corners
 
-    lambda1 = max(x0, delta2 / rho),    lambda2 = max(y0, delta1 / rho).
+    lambda1 = max(x0, delta2 / rho),    lambda2 = max(y0, delta1 / rho)
 
-With the cap in force the served region is exactly the quadrant x >= lambda1,
-y >= lambda2 split along the ray y = (delta1 / delta2) x, and the average
-power over each wedge reduces to E1 terms.  numpy is imported inside the
-functions that build arrays, so policy solves and closed forms run without it.
+made exact in floating point.  The quadrant is split along the ray
+y = (delta1 / delta2) x, and the average power over it reduces to three E1
+terms; the cap is pinned by inverting that closed form.  numpy is imported
+inside the functions that build arrays, so policy solves and closed forms
+run without it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "RhoValue",
     "cycle_powers",
     "cycle_totals",
-    "served_corner",
     "truncation_corners",
     "avg_relay_power",
     "avg_relay_power_max",
@@ -70,11 +68,24 @@ RhoValue = Union[float, _UnboundedRho]
 def truncation_corners(delta1: float, delta2: float, x0: float, y0: float,
                        rho: RhoValue) -> tuple[float, float]:
     """Corners (max(x0, delta2 / rho), max(y0, delta1 / rho)) of the quadrant
-    on which a relay that decodes from (x0, y0) on and broadcasts
-    max(delta1 / y, delta2 / x) under the cap rho serves a cycle."""
+    a relay decoding from (x0, y0) on serves under the cap rho, up to the
+    rounding of the quotients, which `RelayPolicy`'s corners remove."""
     if isinstance(rho, _UnboundedRho):
         return x0, y0
     return max(x0, delta2 / rho), max(y0, delta1 / rho)
+
+
+def _least_gain(delta: float, rho: float) -> float:
+    """Least double t > 0 with delta / t <= rho as rounded (inf if no finite
+    one), a step or two from its estimate: quotients round to rho up to the
+    midpoint of rho and the next double, far above rho if rho is subnormal."""
+    t = (delta / rho if rho >= sys.float_info.min
+         else 2.0 * (delta / (rho + math.nextafter(rho, 1.0))))
+    while t > math.ulp(0.0) and delta / math.nextafter(t, 0.0) <= rho:
+        t = math.nextafter(t, 0.0)
+    while t == 0.0 or delta / t > rho:      # delta / 0 is inf, which fails
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 @dataclass(frozen=True)
@@ -82,9 +93,13 @@ class RelayPolicy:
     """Complete relay transmission rule for one system configuration.
 
     x0 / y0 are the end-node cutoffs bounding the decode region; rho caps the
-    broadcast power (UNBOUNDED when the budget covers every decodable state);
-    lambda1 / lambda2 are the effective per-axis truncation corners derived
-    from rho, stored because every closed form is written in them.
+    broadcast power (UNBOUNDED when the budget covers every decodable state).
+    lambda1 / lambda2 are the corners of the served quadrant, derived from
+    rho: at finite gains x, y >= 0, x >= lambda1 and y >= lambda2 exactly
+    when x >= x0, y >= y0 and max(delta1 / y, delta2 / x) <= rho as rounded.
+    Rounded division is monotone, so delta / x <= rho holds from a least
+    double on, which replaces the quotient delta / rho of `truncation_corners`.
+    Every closed form and the Monte Carlo count read these corners.
     """
 
     delta1: float
@@ -100,37 +115,13 @@ class RelayPolicy:
     def __post_init__(self) -> None:
         for name in ("delta1", "delta2", "x0", "y0", "omega_x", "omega_y"):
             object.__setattr__(self, name, require_positive(getattr(self, name), name))
+        corners = (self.x0, self.y0)
         if not isinstance(self.rho, _UnboundedRho):
             object.__setattr__(self, "rho", require_positive(self.rho, "rho"))
-        corners = truncation_corners(self.delta1, self.delta2, self.x0, self.y0, self.rho)
+            corners = (max(self.x0, _least_gain(self.delta2, self.rho)),
+                       max(self.y0, _least_gain(self.delta1, self.rho)))
         for name, value in zip(("lambda1", "lambda2"), corners):
             object.__setattr__(self, name, require_positive(value, name))
-
-
-def served_corner(policy: RelayPolicy) -> tuple[float, float]:
-    """Corner (a, b) of the quadrant on which `cycle_powers` has the relay
-    serve, bit for bit: at finite gains x, y >= 0, x >= a and y >= b exactly
-    when x >= x0, y >= y0 and max(delta1 / y, delta2 / x) <= rho as rounded.
-    Rounded division is monotone, so delta / x <= rho holds from a least
-    double on; it replaces the quotient delta / rho of `truncation_corners`.
-    """
-    if isinstance(policy.rho, _UnboundedRho):
-        return policy.x0, policy.y0
-    return (max(policy.x0, _least_gain(policy.delta2, policy.rho)),
-            max(policy.y0, _least_gain(policy.delta1, policy.rho)))
-
-
-def _least_gain(delta: float, rho: float) -> float:
-    """Least double t > 0 with delta / t <= rho as rounded (inf if no finite
-    one), a step or two from its estimate: quotients round to rho up to the
-    midpoint of rho and the next double, far above rho if rho is subnormal."""
-    t = (delta / rho if rho >= sys.float_info.min
-         else 2.0 * (delta / (rho + math.nextafter(rho, 1.0))))
-    while t > math.ulp(0.0) and delta / math.nextafter(t, 0.0) <= rho:
-        t = math.nextafter(t, 0.0)
-    while t == 0.0 or delta / t > rho:      # delta / 0 is inf, which fails
-        t = math.nextafter(t, math.inf)
-    return t
 
 
 def _gains(values, name: str) -> np.ndarray:
@@ -189,7 +180,7 @@ def cycle_totals(policies: Sequence[RelayPolicy], x, y) -> list[tuple[int, float
 def _relay_pass(policies: Sequence[RelayPolicy], x: np.ndarray,
                 y: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(served, demand) of each policy at gains x, y: the relay serves on the
-    quadrant above `served_corner`, where it decoded both uplinks and its
+    quadrant above its corners, where it decoded both uplinks and its
     demand max(delta1 / y, delta2 / x) is within the cap.  Policies with
     equal delta1 and delta2 share one demand array, so a caller must not
     change it in place.
@@ -200,8 +191,7 @@ def _relay_pass(policies: Sequence[RelayPolicy], x: np.ndarray,
         demand = demands.get(key)
         if demand is None:
             demand = demands[key] = _demand(*key, x, y)
-        a, b = served_corner(policy)
-        yield (x >= a) & (y >= b), demand
+        yield (x >= policy.lambda1) & (y >= policy.lambda2), demand
 
 
 def _demand(delta1: float, delta2: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -227,47 +217,41 @@ def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wedge_power(delta1: float, delta2: float, x0: float,
-                 omega_x: float, omega_y: float, l1: float, l2: float) -> float:
-    """Average broadcast power for the geometry delta2 * y0 <= delta1 * x0.
+def _wedge_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
+                 l1: float, l2: float) -> float:
+    """Average broadcast power over the quadrant x >= l1, y >= l2 whose
+    corner lies on or below the ray y = (delta1 / delta2) x.
 
-    Wedge toward the second node: (delta1 / y) over {x >= a1,
-    l2 <= y <= (delta1 / delta2) x}; wedge toward the first:
-    (delta2 / x) over {y >= (delta1 / delta2) l1, l1 <= x <= (delta2 / delta1) y}.
-    a1 = max(x0, (delta2 / delta1) l2) keeps the first wedge's x range from
-    starting where the y interval would be empty, which happens once the cap
-    pushes the corner past x0.
+    Below the ray the relay sends delta1 / y, over {x >= l1,
+    l2 <= y <= (delta1 / delta2) x}: the inner y integral is
+    (delta1 / omega_y) [E1(l2 / omega_y) - E1(c x)] with
+    c = delta1 / (delta2 omega_y), and the x integral of E1(c x), by parts,
+    is e^(-l1 / omega_x) E1(c l1) - E1(k l1) with k = 1 / omega_x + c.  Above
+    it the relay sends delta2 / x, over {x >= l1, y >= (delta1 / delta2) x}:
+    (delta2 / omega_x) E1(k l1).  The two E1(k l1) terms sum to
+    delta2 k E1(k l1).
     """
-    a1 = max(x0, delta2 * l2 / delta1)
-    k = 1.0 / omega_x + delta1 / (delta2 * omega_y)
-    c1 = delta1 / omega_y
-    c2 = delta2 / omega_x
-    return (
-        c1 * math.exp(-a1 / omega_x)
-        * (exp_integral_e1(l2 / omega_y) - exp_integral_e1(delta1 * a1 / (delta2 * omega_y)))
-        + c1 * exp_integral_e1(k * a1)
-        + c2 * exp_integral_e1(k * l1)
-    )
+    c = delta1 / (delta2 * omega_y)
+    k = 1.0 / omega_x + c
+    return (delta1 / omega_y * math.exp(-l1 / omega_x)
+            * (exp_integral_e1(l2 / omega_y) - exp_integral_e1(c * l1))
+            + delta2 * k * exp_integral_e1(k * l1))
 
 
-def _avg_power(delta1: float, delta2: float, x0: float, y0: float,
-               omega_x: float, omega_y: float, rho: RhoValue) -> float:
-    l1, l2 = truncation_corners(delta1, delta2, x0, y0, rho)
-    if delta2 * y0 <= delta1 * x0:
-        return _wedge_power(delta1, delta2, x0, omega_x, omega_y, l1, l2)
-    # The other geometry is this one with the two end nodes swapped.
-    return _wedge_power(delta2, delta1, y0, omega_y, omega_x, l2, l1)
+def _avg_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
+               l1: float, l2: float) -> float:
+    if delta2 * l2 <= delta1 * l1:
+        return _wedge_power(delta1, delta2, omega_x, omega_y, l1, l2)
+    # The corner above the ray is the one below it with the end nodes swapped.
+    return _wedge_power(delta2, delta1, omega_y, omega_x, l2, l1)
 
 
 def avg_relay_power(policy: RelayPolicy) -> float:
     """Closed-form expectation of the relay power of cycle_powers over the
-    fading law.
-
-    The truncation corners are recomputed from the stored cap, so the value
-    reflects the cap even on hand-built policies.
-    """
-    return _avg_power(policy.delta1, policy.delta2, policy.x0, policy.y0,
-                      policy.omega_x, policy.omega_y, policy.rho)
+    fading law: the average of max(delta1 / y, delta2 / x) over the quadrant
+    above the policy's corners."""
+    return _avg_power(policy.delta1, policy.delta2, policy.omega_x, policy.omega_y,
+                      policy.lambda1, policy.lambda2)
 
 
 def avg_relay_power_max(delta1: float, delta2: float, x0: float, y0: float,
@@ -311,7 +295,9 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     rho_lo = k / math.log1p(min(k / p_avg, sys.float_info.max))
 
     def log_spend(rho: float) -> float:   # nearer linear in ln rho than the spend
-        spend = _avg_power(delta1, delta2, x0, y0, omega_x, omega_y, rho)
+        # The quotient corners: a policy's exact ones cost a walk per step.
+        spend = _avg_power(delta1, delta2, omega_x, omega_y,
+                           *truncation_corners(delta1, delta2, x0, y0, rho))
         return math.log(max(spend, sys.float_info.min))
 
     try:

@@ -254,13 +254,13 @@ def scenario_power_gains(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
         exponent = -0.5 * math.log1p(-target)   # x0/omega_x = y0/omega_y
         x0 = spec.omega_x * exponent
         y0 = spec.omega_y * exponent
-        pbar_s1 = (d1 / spec.omega_x) * exp_integral_e1(exponent)
+        if x0 == 0.0 or y0 == 0.0:
+            raise ConfigError(f"power_gains target {target!r} is too small: a cutoff rounds to 0")
+        # Fixed over adaptive powers, divided through by the exponent so that
+        # no quotient overflows; node 1's gain equals node 2's under this split.
+        gain_s = 1.0 / (exponent * exp_integral_e1(exponent))
         p_r_avg_max = avg_relay_power_max(d1, d2, x0, y0, spec.omega_x, spec.omega_y)
-        p_s1_fix = d1 / x0
-        p_s2_fix = d2 / y0
-        p_r_fix = max(d1 * p_s2_fix / d2, d2 * p_s1_fix / d1)
-        gain_s = p_s1_fix / pbar_s1     # equals p_s2_fix / pbar_s2 under this split
-        gain_r = p_r_fix / p_r_avg_max
+        gain_r = max(d1 / spec.omega_y, d2 / spec.omega_x) / (exponent * p_r_avg_max)
         rows.append({"op_target": float(target), "gain_s_dB": linear_to_db(gain_s),
                      "gain_r_dB": linear_to_db(gain_r)})
     return fieldnames, rows
@@ -371,9 +371,10 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
         dev = max(dev, abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
     rows.append(_row("saturation_identity", f"{len(_SATURATION_GRID)} pts", 0.0, dev, dev, 1e-12))
 
-    # A policy and its mirror (end nodes swapped) evaluate the two
-    # orientations of the wedge formula only on an exact tie; off it both
-    # evaluate the same expression, so a lost tie fails the row.
+    # A policy and its mirror (end nodes swapped) evaluate the two wedge
+    # orientations only where the corners tie, delta2 * lambda2 == delta1 *
+    # lambda1.  Every point ties its cutoffs (else the row fails); 28 of the
+    # 30 cases keep the tie under their cap, the other 2 compare one form.
     dev = 0.0
     for d1, d2, x0, ox, oy in _TIE_GRID:
         y0 = d1 * x0 / d2

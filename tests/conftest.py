@@ -5,7 +5,10 @@ adaptive quadrature; it shares no code with the series/Chebyshev
 implementation under test.
 """
 
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from scipy.integrate import quad
 from tdbcsim.system_model import FadingSampler
 
 EULER_GAMMA = 0.5772156649015329
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def e1_quadrature(x: float) -> float:
@@ -38,6 +42,18 @@ def scaled_gains(seed: int, omega_x: float, omega_y: float, n: int):
     engine scales them."""
     x, y = FadingSampler(seed).sample_block(n)
     return omega_x * x, omega_y * y
+
+
+def load_bench(name: str):
+    """bench/<name>.py as a module, loaded without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 @pytest.fixture(scope="session")

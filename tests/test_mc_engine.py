@@ -13,8 +13,7 @@ import pytest
 from tdbcsim import mc_engine
 from tdbcsim.mc_engine import CHUNK_TRIALS, SimReport, run_fpa, run_opa, simulate
 from tdbcsim.outage_analytics import FpaConfig, fpa_corner, min_outage, outage_fpa, outage_opa
-from tdbcsim.relay_policy import (UNBOUNDED, avg_relay_power, cycle_powers, policies_from_config,
-                                  served_corner)
+from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, cycle_powers, policies_from_config
 from tdbcsim.scenario_cli import (_FPA_VALIDATION_SETS, db_to_linear, load_spec,
                                   validation_policies)
 from tdbcsim.specfun import exp_integral_e1
@@ -244,7 +243,7 @@ class TestSortedCorners:
 
     def test_default_sweep_takes_the_sort(self):
         relays, pairs = _default_sweep()
-        corners = [served_corner(r) for r in relays] + [fpa_corner(c, f) for c, f in pairs]
+        corners = [(r.lambda1, r.lambda2) for r in relays] + [fpa_corner(c, f) for c, f in pairs]
         assert all(a == b for a, b in corners)
 
     @pytest.mark.parametrize("batches", [1, 2])

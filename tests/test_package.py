@@ -4,7 +4,6 @@ benchmark's tracer finds what it wraps."""
 
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import pathlib
@@ -13,10 +12,10 @@ import subprocess
 import sys
 
 import tdbcsim
+from conftest import load_bench
 from tdbcsim import scenario_cli
 
 SRC = pathlib.Path(tdbcsim.__file__).parent
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 def test_no_private_cross_module_imports():
     offenders = []
@@ -142,21 +141,10 @@ def test_fresh_interpreter_designs_without_numpy(tmp_path):
     assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
-def _load_bench(name: str):
-    """bench/<name>.py as a module, loaded without writing bytecode."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
 def test_traced_functions_resolve():
     """Every (layer, function) the traced benchmark run rebinds exists on
     tdbcsim.<layer>, as does the sampler method it wraps on its class."""
-    traced = _load_bench("tracing").TRACED_FUNCTIONS
+    traced = load_bench("tracing").TRACED_FUNCTIONS
     assert traced
     missing = [f"{layer}.{name}" for layer, name in traced
                if not callable(getattr(importlib.import_module(f"tdbcsim.{layer}"), name, None))]
@@ -169,8 +157,8 @@ def test_benchmark_design_operations_check(monkeypatch, tmp_path):
     through the library and pass its checks: the benchmark pins the shapes
     it reads (a 3-tuple from policies_from_config whose end-node policies
     have .cutoff, OutageReport.p_out, UNBOUNDED not being a float)."""
-    monkeypatch.setitem(sys.modules, "oracles", _load_bench("oracles"))
-    workloads = _load_bench("workloads")
+    monkeypatch.setitem(sys.modules, "oracles", load_bench("oracles"))
+    workloads = load_bench("workloads")
     rng = random.Random(0)
     params = []
     for capped in (True, False):
@@ -190,8 +178,8 @@ def test_benchmark_figures_operation_checks(monkeypatch, tmp_path):
     """One `figures` operation of the benchmark (the default sweep at 1M
     trials, then power-gains) passes the benchmark's own correctness check,
     so a counting change that would fail it fails here first."""
-    monkeypatch.setitem(sys.modules, "oracles", _load_bench("oracles"))
-    workloads = _load_bench("workloads")
+    monkeypatch.setitem(sys.modules, "oracles", load_bench("oracles"))
+    workloads = load_bench("workloads")
     workload = workloads.Workload(workloads.FIGURES, 5, str(tmp_path))
     codes, blobs = workload.collect(0, workload.run(0))
     assert workloads.check_figures(codes, blobs, workloads.sweep_reference()) == []

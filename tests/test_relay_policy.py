@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import scaled_gains
+from conftest import load_bench, scaled_gains
 from tdbcsim import endnode_policy, relay_policy
 from tdbcsim.endnode_policy import solve_cutoff
+from tdbcsim.outage_analytics import outage_opa
 from tdbcsim.relay_policy import (
     UNBOUNDED,
     RelayPolicy,
@@ -20,9 +21,9 @@ from tdbcsim.relay_policy import (
     cycle_powers,
     cycle_totals,
     policies_from_config,
-    served_corner,
     solve_rho,
 )
+from tdbcsim.scenario_cli import validation_policies
 from tdbcsim.specfun import BracketingError, exp_integral_e1
 from tdbcsim.system_model import SystemConfig
 
@@ -318,9 +319,9 @@ def _neighbours(values, steps=3):
     return np.unique(g[np.isfinite(g)])
 
 
-class TestServedCorner:
-    """The quadrant above served_corner is, bit for bit, the relay's rule
-    written out with numpy division."""
+class TestPolicyCorners:
+    """The quadrant above a policy's corners (lambda1, lambda2) is, bit for
+    bit, the relay's rule written out with numpy division."""
 
     @given(_DELTAS, _DELTAS, _CUTOFFS, _CUTOFFS, _CAPS)
     @settings(max_examples=300, deadline=None)
@@ -334,7 +335,7 @@ class TestServedCorner:
         # A policy's corners are finite: delta / rho must not overflow.
         assume(rho is UNBOUNDED or max(delta1, delta2) / rho < math.inf)
         policy = _policy(delta1, delta2, x0, y0, 1.0, 1.0, rho)
-        a, b = served_corner(policy)
+        a, b = policy.lambda1, policy.lambda2
         quotients = [] if rho is UNBOUNDED else [delta1 / rho, delta2 / rho]
         gains = _neighbours([0.0, 5e-324, 1e-310, 0.5, 1e300, x0, y0, *quotients])
         x, y = (g.ravel() for g in np.meshgrid(gains, gains))
@@ -344,9 +345,6 @@ class TestServedCorner:
         if rho is not UNBOUNDED:
             rule &= demand <= rho
         assert np.array_equal((x >= a) & (y >= b), rule)
-
-    def test_unbounded_corner_is_the_cutoffs(self):
-        assert served_corner(_policy(x0=5e-324, y0=0.3)) == (5e-324, 0.3)
 
 
 class TestPolicyConstruction:
@@ -414,6 +412,16 @@ class TestAveragePower:
                 b = avg_relay_power(_policy(d2, d1, y0, x0, oy, ox, cap))
                 assert a == pytest.approx(b, rel=1e-14)
 
+    @pytest.mark.parametrize("d1,d2,x0,y0,rho", [
+        (1.0, 1.0, 0.4, 0.2, UNBOUNDED),
+        (1.0, 1.0, 0.4, 0.2, 4.0),      # only the y-corner moved
+        (1.0, 3.0, 0.2, 0.4, 3.0),      # the corner above the ray
+    ], ids=["unbounded", "capped", "mirrored"])
+    def test_three_e1_calls_per_spend(self, count_e1, d1, d2, x0, y0, rho):
+        calls = count_e1(relay_policy)
+        avg_relay_power(_policy(d1, d2, x0, y0, 2.0, 0.5, rho))
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("d1,d2,x0,y0,ox,oy,rho", [
         # both wedge geometries, saturated / windowed / deeply truncated caps
         (1.0, 1.0, 0.4, 0.2, 1.0, 1.0, None),
@@ -438,6 +446,38 @@ class TestAveragePower:
         if rho is not None:
             power[power > rho] = 0.0
         assert float(power.mean()) == pytest.approx(analytic, rel=0.01)
+
+
+def _oracle_designs():
+    """(label, relay policy) of the default link from -10 to 33 dB, the
+    validation table, and the (1/3, 2/3; 2, 0.5) link from -10 to 30 dB."""
+    designs = []
+    for (r1, r2, ox, oy), top in (((1 / 3, 1 / 3, 1.0, 1.0), 33), ((1 / 3, 2 / 3, 2.0, 0.5), 30)):
+        for p_t_db in range(-10, top + 1):
+            share = 10.0 ** (p_t_db / 10.0) / 3.0
+            config = SystemConfig(r1, r2, ox, oy, share, share, share)
+            label = f"rates ({r1:.3g}, {r2:.3g}), omega ({ox}, {oy}) at {p_t_db} dB"
+            designs.append((label, policies_from_config(config)[2]))
+    return designs + [(label, relay) for label, _, relay in validation_policies()]
+
+
+class TestAgainstQuadrature:
+    def test_spend_and_outage_match_the_benchmark_oracles(self):
+        """avg_relay_power and outage_opa equal, to 1e-12 relative, the
+        scipy quadrature in ln x of the spend and the measure outside the
+        quadrant above (max(x0, delta2 / rho), max(y0, delta1 / rho))."""
+        oracles = load_bench("oracles")
+        failures = []
+        for label, relay in _oracle_designs():
+            d1, d2, ox, oy = relay.delta1, relay.delta2, relay.omega_x, relay.omega_y
+            l1, l2 = ((relay.x0, relay.y0) if relay.rho is UNBOUNDED else
+                      (max(relay.x0, d2 / relay.rho), max(relay.y0, d1 / relay.rho)))
+            for name, value, oracle in (
+                    ("spend", avg_relay_power(relay), oracles.relay_spend(d1, d2, ox, oy, l1, l2)),
+                    ("outage", outage_opa(relay).p_out, oracles.quadrant_outage(l1, l2, ox, oy))):
+                if oracles.rel_dev(value, oracle) > 1e-12:
+                    failures.append(f"{label}: {name} {value!r}, oracle {oracle!r}")
+        assert not failures, failures
 
 
 class TestSolveRho:
@@ -494,7 +534,7 @@ class TestSolveRho:
             assert solved == pytest.approx(rho_true, rel=1e-11), fraction
 
     def test_e1_calls_per_capped_solve(self, count_e1):
-        """A capped solve costs at most 60 E1 calls (4 per spend, and 4 for
+        """A capped solve costs at most 60 E1 calls (3 per spend, and 3 for
         the saturation spend) on the rate and mean-gain pairs of the
         validation table, from -10 to 20 dB and on the sweep's 30-33 dB
         cutoffs, at relay budgets from 1% to 90% of the saturation spend."""

@@ -256,6 +256,24 @@ class TestPowerGains:
             / ((d2 / spec.omega_y) * exp_integral_e1(exponent))
         assert rows[0]["gain_s_dB"] == pytest.approx(10 * math.log10(gain_2), rel=1e-12)
 
+    @pytest.mark.parametrize("target,rate", [(1e-310, 1 / 3), (1e-250, 100.0)])
+    def test_tiny_targets_give_finite_gains(self, target, rate):
+        """Where the fixed powers d / x0 overflow, the node gain is still
+        1 / (e E1(e)) at the exponent e = -log1p(-target) / 2."""
+        spec = ScenarioSpec(scenario="power_gains", grid=(target,), rate_1=rate,
+                            rate_2=rate, **SMALL)
+        _, [row] = scenario_power_gains(spec)
+        e = -0.5 * math.log1p(-target)
+        assert row["gain_s_dB"] == pytest.approx(-10.0 * math.log10(e * special.exp1(e)),
+                                                 rel=1e-12)
+        assert math.isfinite(row["gain_r_dB"])
+
+    def test_target_with_a_zero_cutoff_is_a_config_error(self, tmp_path, capsys):
+        assert main(["power-gains", "--grid", "5e-324:5e-324:1",
+                     "--out", str(tmp_path / "g.csv")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert "target 5e-324" in line
+
     def test_default_gains_are_pinned(self, tmp_path):
         """The default grid at seed 1, byte for byte as written before the
         relay rule and the fixed-power corner were each written once."""
@@ -309,15 +327,16 @@ class TestValidateScenario:
                 assert row["status"] == "PASS", row
 
     def test_validate_csv_is_pinned(self, tmp_path):
-        """100,000 trials at seed 1, byte for byte as written before the
-        relay rule and the fixed-power corner were each written once.  At
-        this trial count five Monte Carlo power rows miss their 1% tolerance,
-        so the run exits 2."""
+        """100,000 trials at seed 1, byte for byte as written once the relay
+        spend became three E1 terms on the served corners; that moved only
+        deviation digits (tie_avg_power, power_relay_mc set14).  At this
+        trial count five Monte Carlo power rows miss their 1% tolerance, so
+        the run exits 2."""
         out = tmp_path / "validate.csv"
         assert main(["validate", "--trials", "100000", "--seed", "1",
                      "--out", str(out)]) == 2
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f09d0fa342184d7cae3017c8b3fdfc65688db8b3430d3935db8905dadefc1520")
+            "476d8ff339ef1707c919d2416176aadc65f5879f35c3063548a00d2c3d333e72")
 
 
 class TestCsvAndCli:
