@@ -5,9 +5,9 @@ writes no rule of the protocol itself: it draws the fading and counts each
 policy's outages as the states outside its served quadrant, whose corner is
 a `RelayPolicy`'s (lambda1, lambda2) for an adaptive policy and
 `outage_analytics.fpa_corner` for the fixed-power baseline; average powers
-are the sums of `relay_policy.cycle_totals`.  Chunks run one after another on
-one set of buffers from a per-process free list (about 2.25 MB stays
-allocated after the first run), and chunk i of a run always consumes fading
+are the sums of `relay_policy.cycle_totals`.  Chunks run one after another,
+each in blocks of at most 8,192 trials on one 0.28 MB set of buffers that a
+per-process free list keeps, and chunk i of a run always consumes fading
 substream (seed, i), so a report depends only on the policies, trials and
 seed.  The unit-mean draws of a chunk are shared by every policy, scaled to
 each pair of mean gains (common random numbers; inverse-CDF draws scale
@@ -39,7 +39,11 @@ __all__ = [
 #: report depends on the chunk grid.
 CHUNK_TRIALS = 1 << 16
 
-#: Free CHUNK_TRIALS-sized sets of `simulate`'s (draw, gains, masks) buffers.
+#: Most trials per block: each float64 temporary of `cycle_totals` is then
+#: 64 KiB, below glibc's mmap threshold, so it is reused, not faulted in anew.
+_BLOCK_TRIALS = 1 << 13
+
+#: Free _BLOCK_TRIALS-sized sets of `simulate`'s (draw, gains, masks) buffers.
 _FREE_BUFFERS: list[tuple] = []
 
 
@@ -89,9 +93,9 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     c (1 + 2**-40)] is on c's side if np.log1p is accurate to 2**-40
     relative, so the count is a `searchsorted` position (rounding is
     monotone); else the gains are built and that corner takes the quadrant
-    test for the chunk.  The chunk buffers come from a per-process free list,
-    and about 2.25 MB stays allocated after the first run; a set is made only
-    when none is free (a first run, or runs overlap).
+    test for the block.  Chunks run in numpy's pairwise-summation blocks
+    (`_pairwise`); one 278,528-byte buffer set comes from a per-process
+    free list, made only when none is free (a first run, or runs overlap).
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -127,36 +131,45 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     try:
         draw, gains, masks = _FREE_BUFFERS.pop()
     except IndexError:
-        n = CHUNK_TRIALS
+        n = _BLOCK_TRIALS
         draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
-    outages = [0] * len(policies)
-    sums: list[list] = [[] for _ in opa_policies]   # each OPA chunk's three power sums
+    outages = np.zeros(len(policies), dtype=np.int64)
+    square = np.array(u_square, dtype=np.intp)
+    sums = []   # each chunk's (n_opa, 3) OPA power sums
+
+    def block(m: int):
+        """Draw, count and sum the next m trials of the chunk's sampler."""
+        u = sampler._uniform_block(m, out=draw[:m])
+        x, y = gains[0, :m], gains[1, :m]
+        below, hits = _sorted_counts(u, y, u_lo, u_hi) if u_square else (0, [])
+        if plans or hits:
+            logs = FadingSampler._log_step(u).T
+        for k in hits:   # a key in the window: the quadrant test on the gains
+            np.multiply(logs, -policies[u_square[k]][1][0], out=gains[:, :m])
+            below[k] = _count_outside(x, y, *policies[u_square[k]][0], masks[:, :m])
+        outages[square] += below
+        block_sums = np.zeros((n_opa, 3))
+        for (omega_x, omega_y), opa, quadrant in plans:
+            np.multiply(logs, [[-omega_x], [-omega_y]], out=gains[:, :m])
+            if opa:
+                totals = cycle_totals([opa_policies[j] for j in opa], x, y)
+                for j, (count, *opa_sums) in zip(opa, totals):
+                    outages[j] += count
+                    block_sums[j] = opa_sums
+            for j in quadrant:
+                outages[j] += _count_outside(x, y, *policies[j][0], masks[:, :m])
+        return block_sums
+
     try:
         for i, m in enumerate(sizes):
-            u = FadingSampler(seed, stream_index=i)._uniform_block(m, out=draw[:m])
-            x, y = gains[0, :m], gains[1, :m]
-            counts = _sorted_counts(u, y, u_lo, u_hi) if u_square else []
-            if plans or None in counts:
-                logs = FadingSampler._log_step(u).T
-            for j, count in zip(u_square, counts):
-                if count is None:   # a key in the window: the quadrant test on the gains
-                    np.multiply(logs, -policies[j][1][0], out=gains[:, :m])
-                    count = _count_outside(x, y, *policies[j][0], masks[:, :m])
-                outages[j] += count
-            for (omega_x, omega_y), opa, quadrant in plans:
-                np.multiply(logs, [[-omega_x], [-omega_y]], out=gains[:, :m])
-                if opa:
-                    totals = cycle_totals([opa_policies[j] for j in opa], x, y)
-                    for j, (count, *chunk_sums) in zip(opa, totals):
-                        outages[j] += count
-                        sums[j].append(chunk_sums)
-                for j in quadrant:
-                    outages[j] += _count_outside(x, y, *policies[j][0], masks[:, :m])
+            sampler = FadingSampler(seed, stream_index=i)
+            sums.append(_pairwise(m, block))
     finally:
         _FREE_BUFFERS.append((draw, gains, masks))
+    outages = outages.tolist()
     reports = []
     for j in range(n_opa):
-        averages = ([math.fsum(column) / trials for column in zip(*sums[j])]
+        averages = ([math.fsum(chunk[j, k] for chunk in sums) / trials for k in range(3)]
                     if powers else [None] * 3)
         reports.append(SimReport(trials, outages[j] / trials, *averages))
     for j, (_, fpa) in enumerate(fpa_pairs, start=n_opa):
@@ -165,16 +178,25 @@ def simulate(opa_policies: Sequence[RelayPolicy],
     return reports
 
 
-def _sorted_counts(u, free, lo, hi) -> list:
+def _pairwise(n: int, block):
+    """block(m) of each block of n trials in order, added up in numpy's
+    pairwise-summation tree cut at _BLOCK_TRIALS, as ndarray.sum() adds."""
+    if n <= _BLOCK_TRIALS:
+        return block(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, block) + _pairwise(n - half, block)
+
+
+def _sorted_counts(u, free, lo, hi) -> tuple:
     """Per float32 window [lo, hi], the number of float32 keys of
-    min(u_x, u_y) below it, or None if one is in it; the keys of the
-    uniforms u are built and sorted in the buffer `free`."""
+    min(u_x, u_y) below it, and the list of the windows that hold a key; the
+    keys of the uniforms u are built and sorted in the buffer `free`."""
     import numpy as np
     keys = free.view(np.float32)[:len(u)]
     np.minimum(u[:, 0], u[:, 1], out=keys)
     keys.sort()
-    return [below if below == upto else None for below, upto in
-            zip(np.searchsorted(keys, lo).tolist(), np.searchsorted(keys, hi, "right").tolist())]
+    below = keys.searchsorted(lo)
+    return below, (keys.searchsorted(hi, "right") != below).nonzero()[0].tolist()
 
 
 def _count_outside(x, y, a: float, b: float, masks) -> int:

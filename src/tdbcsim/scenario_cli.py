@@ -318,6 +318,18 @@ _TIE_GRID = tuple(
 )
 
 
+def _tie_cases():
+    """A policy and its mirror (end nodes swapped) per point of _TIE_GRID,
+    whose cutoffs tie, and per cap: unbounded, and the largest powers of two
+    at or below 0.7 and 0.2 of saturation, on which each corner delta / cap
+    and so the tie are exact."""
+    for d1, d2, x0, ox, oy in _TIE_GRID:
+        y0 = d1 * x0 / d2
+        saturation = max(d1 / y0, d2 / x0)
+        for cap in (UNBOUNDED, *(2.0 ** math.floor(math.log2(f * saturation)) for f in (0.7, 0.2))):
+            yield RelayPolicy(d1, d2, x0, y0, ox, oy, cap), RelayPolicy(d2, d1, y0, x0, oy, ox, cap)
+
+
 def _row(check: str, params: str, analytic: float, empirical: float,
          deviation: float, tolerance: float) -> dict:
     status = "PASS" if deviation <= tolerance else "FAIL"
@@ -371,21 +383,12 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
         dev = max(dev, abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
     rows.append(_row("saturation_identity", f"{len(_SATURATION_GRID)} pts", 0.0, dev, dev, 1e-12))
 
-    # A policy and its mirror (end nodes swapped) evaluate the two wedge
-    # orientations only where the corners tie, delta2 * lambda2 == delta1 *
-    # lambda1.  Every point ties its cutoffs (else the row fails); 28 of the
-    # 30 cases keep the tie under their cap, the other 2 compare one form.
-    dev = 0.0
-    for d1, d2, x0, ox, oy in _TIE_GRID:
-        y0 = d1 * x0 / d2
-        if d2 * y0 != d1 * x0:
-            dev = math.inf
-            continue
-        saturation = max(d1 / y0, d2 / x0)
-        for cap in (UNBOUNDED, 0.7 * saturation, 0.2 * saturation):
-            policy = RelayPolicy(d1, d2, x0, y0, ox, oy, cap)
-            mirror = RelayPolicy(d2, d1, y0, x0, oy, ox, cap)
-            dev = max(dev, _rel_dev(avg_relay_power(policy), avg_relay_power(mirror)))
+    # A policy and its mirror evaluate the two wedge orientations only where
+    # the corners tie, delta2 * lambda2 == delta1 * lambda1: a case that
+    # misses the tie fails the row.
+    dev = max(_rel_dev(avg_relay_power(policy), avg_relay_power(mirror))
+              if policy.delta2 * policy.lambda2 == policy.delta1 * policy.lambda1 else math.inf
+              for policy, mirror in _tie_cases())
     rows.append(_row("tie_avg_power", f"{len(_TIE_GRID)} pts x 3 caps", 0.0, dev, dev, 1e-10))
 
     margin = -math.inf

@@ -234,7 +234,7 @@ class TestChunkedCounts:
 
 
 class TestSortedCorners:
-    """Square corners (a == b) counted from one sort of min(x, y) per chunk
+    """Square corners (a == b) counted from one sort of min(x, y) per block
     give the counts of the relay's rule."""
 
     TRIALS = 2 * CHUNK_TRIALS + 123
@@ -342,24 +342,31 @@ class TestSortedCorners:
 
 
 def _trace_engine(monkeypatch):
-    """Record, for the runs that follow, the chunk of every log step, of
-    every `_sorted_counts` call, and of every exact count with its corner."""
-    trace, chunk = {"log": [], "sorts": [], "exact": []}, [None]
+    """Record, for the runs that follow, the size of every block drawn, and
+    the block of every log step, of every `_sorted_counts` call and of every
+    exact count with its corner; blocks are numbered in the order drawn."""
+    trace, block = {"drawn": [], "log": [], "sorts": [], "exact": []}, [-1]
     uniform_block, log_step = FadingSampler._uniform_block, FadingSampler._log_step
     sorted_counts, count_outside = mc_engine._sorted_counts, mc_engine._count_outside
 
     def draw(self, n, out):
-        chunk[0] = self.stream_index
+        block[0] += 1
+        trace["drawn"].append(n)
         return uniform_block(self, n, out)
 
     monkeypatch.setattr(FadingSampler, "_uniform_block", draw)
     monkeypatch.setattr(FadingSampler, "_log_step", staticmethod(
-        lambda u: trace["log"].append(chunk[0]) or log_step(u)))
+        lambda u: trace["log"].append(block[0]) or log_step(u)))
     monkeypatch.setattr(mc_engine, "_sorted_counts", lambda z, free, lo, hi: (
-        trace["sorts"].append(chunk[0]) or sorted_counts(z, free, lo, hi)))
+        trace["sorts"].append(block[0]) or sorted_counts(z, free, lo, hi)))
     monkeypatch.setattr(mc_engine, "_count_outside", lambda x, y, a, b, masks: (
-        trace["exact"].append((chunk[0], a)) or count_outside(x, y, a, b, masks)))
+        trace["exact"].append((block[0], a)) or count_outside(x, y, a, b, masks)))
     return trace
+
+
+def _block_plan(sizes):
+    """The sizes of the blocks `simulate` draws for chunks of `sizes` trials."""
+    return [m for n in sizes for m in mc_engine._pairwise(n, lambda m: [m])]
 
 
 def _corner_at(v, omega):
@@ -386,8 +393,8 @@ class TestUniformWindows:
         """Corners whose c equals a drawn min(u), and the doubles next to
         them, reach the exact count; 0.0, 5e-324 (a / omega underflows),
         1e308 at omega 1e-10 (it overflows) and inf are counted as well.
-        Three groups share one sort per chunk and take the log step only in
-        chunks where a window holds a state."""
+        Three groups share one sort per block and take the log step only in
+        blocks where a window holds a state."""
         assert 5e-324 / 3.0 == 0.0 and 1e308 / 1e-10 == math.inf
         u = FadingSampler(self.SEED, stream_index=0)._uniform_block(CHUNK_TRIALS, None)
         near, corners = [], []
@@ -407,7 +414,8 @@ class TestUniformWindows:
         reports = simulate([], pairs, self.TRIALS, self.SEED)
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         assert set(near) <= {a for _, a in trace["exact"]}
-        assert trace["sorts"] == [0, 1, 2]
+        assert trace["drawn"] == _block_plan(self.SIZES)
+        assert trace["sorts"] == list(range(len(trace["drawn"])))
         assert trace["log"] == sorted({i for i, _ in trace["exact"]})
         for group in (expected[:7], expected[7:14]):
             at, below, above, zero, tiny, _, infinite = group
@@ -416,12 +424,31 @@ class TestUniformWindows:
 
     def test_outage_only_sweep_skips_the_log_step(self, monkeypatch):
         """The outage-only default sweep at 100k trials, seed 1, takes the
-        log step only in chunks where a window holds a state."""
+        log step only in blocks where a window holds a state."""
         relays, pairs = _default_sweep()
         trace = _trace_engine(monkeypatch)
         simulate(relays, pairs, 100_000, 1, powers=False)
-        assert trace["sorts"] == [0, 1]
+        assert trace["drawn"] == _block_plan([CHUNK_TRIALS, 100_000 - CHUNK_TRIALS])
+        assert trace["sorts"] == list(range(len(trace["drawn"])))
         assert trace["log"] == sorted({i for i, _ in trace["exact"]})
+
+    def test_window_in_a_later_block_is_counted_exactly(self, monkeypatch):
+        """A corner whose c is the min(u) of trial 3 * 8192 + 700 of chunk
+        0 holds a key in that chunk's fourth block, which takes the exact
+        count, and the count is the relay's rule."""
+        u = FadingSampler(self.SEED, stream_index=0)._uniform_block(CHUNK_TRIALS, None)
+        corners = [_corner_at(float(u[3 * 8192 + 700].min()), 1.0), 0.5]
+        pairs = [(SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 1.0, 1.0),
+                  FpaConfig(1.0, 1.0, j + 1.0)) for j in range(len(corners))]
+        monkeypatch.setattr(mc_engine, "fpa_corner",
+                            lambda c, f: (corners[int(f.p_r_fix) - 1],) * 2)
+        expected = [_demand_rule_outages(1.0, 1.0, 1.0, 1.0, a, a, UNBOUNDED,
+                                         self.SIZES, self.SEED) for a in corners]
+        trace = _trace_engine(monkeypatch)
+        reports = simulate([], pairs, self.TRIALS, self.SEED)
+        assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
+        assert trace["drawn"][:4] == [8192] * 4
+        assert trace["exact"] == [(3, corners[0])] and trace["log"] == [3]
 
     @pytest.mark.parametrize("seed", [0, 6])
     def test_fallback_seeds_match_the_powers_run(self, monkeypatch, seed):
@@ -448,25 +475,45 @@ def test_equal_gain_min_is_max_of_logs(omega):
         == np.minimum(omega * x, omega * y).tobytes()
 
 
-def test_default_sweep_allocates_no_new_buffer():
+@pytest.mark.parametrize("trials", [65_536, 16_960, 34_464, 8_193, 123])
+def test_block_plan_sums_like_ndarray_sum(trials):
+    """Each block's sum, added up in the block plan's tree, is ndarray.sum()
+    of the whole chunk bit for bit, and no block exceeds 8,192 trials."""
+    values = 1.0 / np.random.default_rng(trials).exponential(size=trials)
+    blocks = []
+
+    def block(m):
+        start = sum(blocks)
+        blocks.append(m)
+        return values[start:start + m].sum()
+
+    assert mc_engine._pairwise(trials, block) == values.sum()
+    assert sum(blocks) == trials and max(blocks) <= 8192
+
+
+def test_default_sweep_allocates_no_new_buffer(monkeypatch):
     """Traced peak of an outage-only `simulate` of the default sweep at 1M
-    trials, bounded 5% above the 2,259,484 bytes (the run's one draw, gains
-    and masks) it took before the sort came in."""
+    trials on an empty free list, bounded 5% above the 363,192 bytes it
+    took: the one 278,528-byte set of draw, gains and masks it keeps, plus
+    the run's bookkeeping."""
     relays, pairs = _default_sweep()
-    simulate(relays, pairs, 1_000_000, 20240915, powers=False)
+    simulate(relays, pairs, 1_000, 20240915, powers=False)    # imports numpy
+    monkeypatch.setattr(mc_engine, "_FREE_BUFFERS", [])
     tracemalloc.start()
     try:
         simulate(relays, pairs, 1_000_000, 20240915, powers=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * 2_259_484
+    assert [sum(a.nbytes for a in buffers) for buffers in mc_engine._FREE_BUFFERS] == [278_528]
+    assert peak <= 1.05 * 363_192
 
 
 def test_validate_run_allocates_no_new_buffer():
     """Traced peak of a `simulate` with powers of the 24 validate policies
     and its four fixed-power pairs over three chunks, bounded 5% above the
-    5,121,950 bytes it took when the engine could run chunks on threads."""
+    429,844 bytes it took once chunks ran in blocks of 8,192 trials
+    (5,121,950 when the engine could run chunks on threads)."""
     relays = [relay for _, _, relay in validation_policies()]
     pairs = [(SystemConfig(*links, 1.0, 1.0, 1.0), FpaConfig(*powers))
              for _, links, powers in _FPA_VALIDATION_SETS]
@@ -478,13 +525,13 @@ def test_validate_run_allocates_no_new_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * 5_121_950
+    assert peak <= 1.05 * 429_844
 
 
 def test_second_default_sweep_reuses_the_chunk_buffers():
     """A second outage-only `simulate` of the default sweep at 1M trials
-    takes its chunk buffers from the free list: its traced peak is the
-    per-run bookkeeping, not the 2.25 MB set."""
+    takes its block buffers from the free list: its traced peak is the
+    per-run bookkeeping, not the 0.28 MB set."""
     relays, pairs = _default_sweep()
     simulate(relays, pairs, 1_000_000, 20240915, powers=False)
     tracemalloc.start()

@@ -12,9 +12,11 @@ import pytest
 from scipy import optimize, special
 
 import tdbcsim
-from conftest import log_cutoff_oracle
+from conftest import load_bench, log_cutoff_oracle
 from tdbcsim.outage_analytics import min_outage
+from tdbcsim.relay_policy import UNBOUNDED
 from tdbcsim.scenario_cli import (
+    MIN_TRIALS,
     ConfigError,
     ScenarioSpec,
     load_spec,
@@ -24,6 +26,7 @@ from tdbcsim.scenario_cli import (
     scenario_total_power,
     scenario_validate,
     validation_policies,
+    _tie_cases,
     write_csv,
 )
 
@@ -285,7 +288,6 @@ class TestPowerGains:
 
 class TestValidateScenario:
     def test_parameter_table_spans_regimes(self):
-        from tdbcsim.relay_policy import UNBOUNDED
         seen = set()
         for _, _, relay in validation_policies():
             seen.add(("a" if relay.delta2 * relay.y0 <= relay.delta1 * relay.x0 else "b",
@@ -326,6 +328,19 @@ class TestValidateScenario:
             if row["check"] in identity_checks:
                 assert row["status"] == "PASS", row
 
+    def test_tie_row_compares_both_orientations_in_all_30_cases(self):
+        """Each case of the tie_avg_power row is a policy and its mirror
+        whose corners tie, delta2 * lambda2 == delta1 * lambda1, so the two
+        take the two wedge orientations; each finite cap moves both corners
+        off the cutoffs."""
+        cases = list(_tie_cases())
+        ties = sum(p.delta2 * p.lambda2 == p.delta1 * p.lambda1 for p, _ in cases)
+        assert len(cases) == 30 and ties == 30
+        for p, m in cases:
+            assert (m.delta1, m.delta2, m.x0, m.y0, m.omega_x, m.omega_y, m.rho) \
+                == (p.delta2, p.delta1, p.y0, p.x0, p.omega_y, p.omega_x, p.rho)
+            assert (p.lambda1 > p.x0 and p.lambda2 > p.y0) == (p.rho is not UNBOUNDED)
+
     def test_validate_csv_is_pinned(self, tmp_path):
         """100,000 trials at seed 1, byte for byte as written once the relay
         spend became three E1 terms on the served corners; that moved only
@@ -337,6 +352,33 @@ class TestValidateScenario:
                      "--out", str(out)]) == 2
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "476d8ff339ef1707c919d2416176aadc65f5879f35c3063548a00d2c3d333e72")
+
+
+class TestPrintedClosedForms:
+    def test_closed_form_columns_match_the_benchmark_oracles(self):
+        """On their default grids at MIN_TRIALS, the sweep's op_opa_analytic
+        and op_fpa_analytic equal bench/oracles.design_outage and fpa_outage,
+        and power-gains' gain_s_dB is -10 log10(e E1(e)) with scipy's exp1,
+        e = -log1p(-target) / 2, each to 1e-12 relative."""
+        oracles = load_bench("oracles")
+        spec = load_spec("sweep_total_power", trials=MIN_TRIALS)
+        d1, d2 = (2.0 ** (3.0 * rate) - 1.0 for rate in (spec.rate_1, spec.rate_2))
+        failures = []
+        for row in scenario_total_power(spec)[1]:
+            share = 10.0 ** (row["P_T_dB"] / 10.0) / 3.0
+            design = (d1, d2, spec.omega_x, spec.omega_y, share, share, share)
+            for column, oracle in (("op_opa_analytic", oracles.design_outage(*design)),
+                                   ("op_fpa_analytic", oracles.fpa_outage(*design))):
+                if oracles.rel_dev(row[column], oracle) > 1e-12:
+                    failures.append(f"P_T_dB {row['P_T_dB']}: {column} {row[column]!r}, "
+                                    f"oracle {oracle!r}")
+        for row in scenario_power_gains(load_spec("power_gains", trials=MIN_TRIALS))[1]:
+            e = -0.5 * math.log1p(-row["op_target"])
+            oracle = -10.0 * math.log10(e * float(special.exp1(e)))
+            if oracles.rel_dev(row["gain_s_dB"], oracle) > 1e-12:
+                failures.append(f"op_target {row['op_target']}: gain_s_dB {row['gain_s_dB']!r}, "
+                                f"oracle {oracle!r}")
+        assert not failures, failures
 
 
 class TestCsvAndCli:
