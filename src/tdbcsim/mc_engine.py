@@ -3,9 +3,9 @@
 The engine is the empirical oracle for every closed form in the package.  It
 writes no rule of the protocol itself: it draws the fading and counts each
 policy's outages as the states outside its served quadrant, whose corner is
-a `RelayPolicy`'s (lambda1, lambda2) for an adaptive policy and
-`outage_analytics.fpa_corner` for the fixed-power baseline; average powers
-are the sums of `relay_policy.cycle_totals`.  Chunks run one after another,
+its `RelayPolicy`'s (lambda1, lambda2), the fixed-power baseline's
+(`outage_analytics.fpa_policy`) included; average powers are the sums of
+`relay_policy.cycle_totals`.  Chunks run one after another,
 each in blocks of at most 8,192 trials on one 0.28 MB set of buffers that a
 per-process free list keeps, and chunk i of a run always consumes fading
 substream (seed, i), so a report depends only on the policies, trials and
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .outage_analytics import FpaConfig, fpa_corner
+from .outage_analytics import FpaConfig, fpa_policy
 from .relay_policy import RelayPolicy, cycle_totals
 from .system_model import FadingSampler, SystemConfig
 
@@ -53,11 +53,10 @@ class SimReport:
 
     Average powers are taken over ALL trials, silent cycles contributing
     zero: that is the quantity the long-term budgets constrain.  Averaging
-    over transmitting cycles only would read systematically high.  An OPA
-    report of an outage-only run (`simulate(..., powers=False)`) holds None
-    for its three average powers; an FPA report always holds its fixed
-    powers, which `FpaConfig` checked.  Rates are counts over the trials and
-    averages fsums of non-negative sums, so nothing is re-checked.
+    over transmitting cycles only would read systematically high.  The
+    report of a policy `simulate` runs outage-only holds None for its three
+    average powers.  Rates are counts over the trials and averages fsums of
+    non-negative sums, so nothing is re-checked.
     """
 
     trials: int
@@ -73,21 +72,18 @@ class SimReport:
         return math.sqrt(rate * (1.0 - rate) / self.trials)
 
 
-def simulate(opa_policies: Sequence[RelayPolicy],
-             fpa_pairs: Sequence[tuple[SystemConfig, FpaConfig]],
-             trials: int, seed: int, *,
-             powers: bool = True) -> list[SimReport]:
-    """Simulate every policy on one shared fading stream: one report per OPA
-    policy, then one per FPA pair, in the order given.
+def simulate(policies: Sequence[RelayPolicy], outage_only: Sequence[RelayPolicy],
+             trials: int, seed: int) -> list[SimReport]:
+    """Simulate every policy on one shared fading stream: one report per
+    policy, those of `policies` first, in the order given.
 
-    An OPA policy (a relay policy, which also fixes both end-node cutoffs)
-    sends the powers of `cycle_powers`; a cycle is an outage exactly when
-    the relay does not serve it.  An FPA pair (configuration, fixed powers)
-    spends its fixed powers every cycle, which its report holds exactly.
-    Each policy sees the shared unit-mean draws scaled by its mean gains.
-    With `powers=False` only outages are counted: the OPA reports carry the
-    same outage rates and None for their three average powers.  Groups of
-    equal mean gains omega and only square corners (a == b) share one sort
+    A policy sends the powers of `cycle_powers`; a cycle is an outage exactly
+    when the relay does not serve it.  Each policy sees the shared unit-mean
+    draws scaled by its mean gains.  Of `outage_only` only the outages are
+    counted, so its reports hold None for their three average powers, and
+    the engine reads only the corners lambda1, lambda2 and the mean gains
+    omega_x, omega_y of its policies.  Groups of equal mean gains omega with
+    no policy of `policies` and only square corners (a == b) share one sort
     of the float32 keys of min(u_x, u_y) instead, as x >= a is
     u >= c = 1 - exp(-a / omega): a key outside [c (1 - 2**-40),
     c (1 + 2**-40)] is on c's side if np.log1p is accurate to 2**-40
@@ -105,37 +101,36 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         sizes = [CHUNK_TRIALS] * n_full + ([rest] if rest else [])
     except MemoryError:
         raise MemoryError(f"out of memory planning the chunks of {trials} trials") from None
-    n_opa = len(opa_policies)
-    # Each policy's served corner and mean gains; OPA policies first.
-    policies = ([((p.lambda1, p.lambda2), (p.omega_x, p.omega_y)) for p in opa_policies]
-                + [(fpa_corner(c, f), (c.omega_x, c.omega_y)) for c, f in fpa_pairs])
-    if not policies:
+    n_powered = len(policies)
+    every = [*policies, *outage_only]
+    if not every:
         FadingSampler(seed)     # checks the seed
         return []
+    corners = [(p.lambda1, p.lambda2) for p in every]
     groups: dict[tuple[float, float], list[int]] = {}
-    for j, (_, omega) in enumerate(policies):
-        groups.setdefault(omega, []).append(j)
-    # Per group: OPA policies for cycle_totals and quadrant tests; those of
-    # an equal-gain group of square corners alone are counted on min(u).
+    for j, p in enumerate(every):
+        groups.setdefault((p.omega_x, p.omega_y), []).append(j)
+    # Per group: policies for cycle_totals and quadrant tests; those of an
+    # outage-only equal-gain group of square corners alone are counted on min(u).
     plans, u_square = [], []
     for omega, members in groups.items():
-        opa = [j for j in members if j < n_opa] if powers else []
-        rest = members[len(opa):]
-        if not opa and omega[0] == omega[1] and all(
-                policies[j][0][0] == policies[j][0][1] for j in rest):
+        powered = [j for j in members if j < n_powered]
+        rest = members[len(powered):]
+        if not powered and omega[0] == omega[1] and all(
+                corners[j][0] == corners[j][1] for j in rest):
             u_square += rest
         else:
-            plans.append((omega, opa, rest))
-    u_c = -np.expm1(-np.array([policies[j][0][0] / policies[j][1][0] for j in u_square]))
+            plans.append((omega, powered, rest))
+    u_c = -np.expm1(-np.array([corners[j][0] / every[j].omega_x for j in u_square]))
     u_lo, u_hi = ((u_c * (1.0 + s * 2.0 ** -40)).astype(np.float32) for s in (-1, 1))
     try:
         draw, gains, masks = _FREE_BUFFERS.pop()
     except IndexError:
         n = _BLOCK_TRIALS
         draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
-    outages = np.zeros(len(policies), dtype=np.int64)
+    outages = np.zeros(len(every), dtype=np.int64)
     square = np.array(u_square, dtype=np.intp)
-    sums = []   # each chunk's (n_opa, 3) OPA power sums
+    sums = []   # each chunk's (n_powered, 3) power sums
 
     def block(m: int):
         """Draw, count and sum the next m trials of the chunk's sampler."""
@@ -145,19 +140,19 @@ def simulate(opa_policies: Sequence[RelayPolicy],
         if plans or hits:
             logs = FadingSampler._log_step(u).T
         for k in hits:   # a key in the window: the quadrant test on the gains
-            np.multiply(logs, -policies[u_square[k]][1][0], out=gains[:, :m])
-            below[k] = _count_outside(x, y, *policies[u_square[k]][0], masks[:, :m])
+            np.multiply(logs, -every[u_square[k]].omega_x, out=gains[:, :m])
+            below[k] = _count_outside(x, y, *corners[u_square[k]], masks[:, :m])
         outages[square] += below
-        block_sums = np.zeros((n_opa, 3))
-        for (omega_x, omega_y), opa, quadrant in plans:
+        block_sums = np.zeros((n_powered, 3))
+        for (omega_x, omega_y), powered, quadrant in plans:
             np.multiply(logs, [[-omega_x], [-omega_y]], out=gains[:, :m])
-            if opa:
-                totals = cycle_totals([opa_policies[j] for j in opa], x, y)
-                for j, (count, *opa_sums) in zip(opa, totals):
+            if powered:
+                totals = cycle_totals([policies[j] for j in powered], x, y)
+                for j, (count, *power_sums) in zip(powered, totals):
                     outages[j] += count
-                    block_sums[j] = opa_sums
+                    block_sums[j] = power_sums
             for j in quadrant:
-                outages[j] += _count_outside(x, y, *policies[j][0], masks[:, :m])
+                outages[j] += _count_outside(x, y, *corners[j], masks[:, :m])
         return block_sums
 
     try:
@@ -166,16 +161,11 @@ def simulate(opa_policies: Sequence[RelayPolicy],
             sums.append(_pairwise(m, block))
     finally:
         _FREE_BUFFERS.append((draw, gains, masks))
-    outages = outages.tolist()
-    reports = []
-    for j in range(n_opa):
-        averages = ([math.fsum(chunk[j, k] for chunk in sums) / trials for k in range(3)]
-                    if powers else [None] * 3)
-        reports.append(SimReport(trials, outages[j] / trials, *averages))
-    for j, (_, fpa) in enumerate(fpa_pairs, start=n_opa):
-        reports.append(SimReport(trials, outages[j] / trials,
-                                 fpa.p_s1_fix, fpa.p_s2_fix, fpa.p_r_fix))
-    return reports
+    rates = [count / trials for count in outages.tolist()]
+    return ([SimReport(trials, rates[j],
+                       *(math.fsum(chunk[j, k] for chunk in sums) / trials for k in range(3)))
+             for j in range(n_powered)]
+            + [SimReport(trials, rate, None, None, None) for rate in rates[n_powered:]])
 
 
 def _pairwise(n: int, block):
@@ -217,5 +207,5 @@ def run_opa(policy: RelayPolicy, trials: int = 1_000_000, seed: int = 0) -> SimR
 
 def run_fpa(config: SystemConfig, fpa: FpaConfig, trials: int = 1_000_000,
             seed: int = 0) -> SimReport:
-    """`simulate` of one fixed-power baseline."""
-    return simulate([], [(config, fpa)], trials, seed)[0]
+    """`simulate` of one fixed-power baseline, outage only."""
+    return simulate([], [fpa_policy(config, fpa)], trials, seed)[0]

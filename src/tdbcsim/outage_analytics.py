@@ -4,8 +4,8 @@ A cycle succeeds only if both uplinks clear their cutoffs and the relay's
 capped broadcast can serve both directions; the outage probability is the
 fading measure of everything else.  Under the adaptive policies the served
 set is the quadrant above the relay policy's corners (lambda1, lambda2); the
-fixed-power baseline follows the same rule at constant powers, so its served
-set is the quadrant above the corners of the same rule.
+fixed-power baseline is the same rule at constant powers, a relay policy
+itself (`fpa_policy`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .relay_policy import RelayPolicy, truncation_corners
+from .relay_policy import RelayPolicy
 from .specfun import require_positive
 from .system_model import SystemConfig
 
@@ -22,7 +22,7 @@ __all__ = [
     "FpaConfig",
     "min_outage",
     "outage_opa",
-    "fpa_corner",
+    "fpa_policy",
     "outage_fpa",
 ]
 
@@ -79,16 +79,16 @@ def outage_opa(policy: RelayPolicy) -> OutageReport:
     return OutageReport(policy)
 
 
-def fpa_corner(config: SystemConfig, fpa: FpaConfig) -> tuple[float, float]:
-    """Corner (x_floor, y_floor) of the quadrant on which the fixed-power
-    baseline serves a cycle.  It follows the relay's rule at constant
-    powers: the uplinks clear cutoffs delta1 / p1 and delta2 / p2, and the
-    relay's cap is its fixed power p_r."""
+def fpa_policy(config: SystemConfig, fpa: FpaConfig) -> RelayPolicy:
+    """The fixed-power baseline as a relay policy: the relay's rule with
+    cutoffs delta1 / p1, delta2 / p2 and the cap p_r, at constant powers.
+    Raises ValueError if a cutoff rounds to 0."""
     d1, d2 = config.delta1, config.delta2
-    return truncation_corners(d1, d2, d1 / fpa.p_s1_fix, d2 / fpa.p_s2_fix, fpa.p_r_fix)
+    return RelayPolicy(d1, d2, d1 / fpa.p_s1_fix, d2 / fpa.p_s2_fix,
+                       config.omega_x, config.omega_y, fpa.p_r_fix)
 
 
 def outage_fpa(config: SystemConfig, fpa: FpaConfig) -> float:
-    """Outage probability of the fixed-power baseline: the measure outside
-    the quadrant above `fpa_corner`."""
-    return min_outage(*fpa_corner(config, fpa), config.omega_x, config.omega_y)
+    """Outage probability of the fixed-power baseline, read as `outage_opa`
+    reads it from `fpa_policy`."""
+    return outage_opa(fpa_policy(config, fpa)).p_out

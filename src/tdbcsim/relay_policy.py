@@ -9,7 +9,7 @@ cutoffs, the cap and the corners (lambda1, lambda2) of the quadrant it
 serves, so `cycle_powers` evaluates what all three nodes send in a cycle
 from it alone.  `cycle_totals` counts the outages and sums the powers of
 many policies on the same gains; both read one relay pass, which tests the
-served quadrant once per axis.  The corners are the truncation corners
+served quadrant once per axis.  The corners are
 
     lambda1 = max(x0, delta2 / rho),    lambda2 = max(y0, delta1 / rho)
 
@@ -41,7 +41,6 @@ __all__ = [
     "RhoValue",
     "cycle_powers",
     "cycle_totals",
-    "truncation_corners",
     "avg_relay_power",
     "avg_relay_power_max",
     "solve_rho",
@@ -63,16 +62,6 @@ class _UnboundedRho:
 UNBOUNDED = _UnboundedRho()
 
 RhoValue = Union[float, _UnboundedRho]
-
-
-def truncation_corners(delta1: float, delta2: float, x0: float, y0: float,
-                       rho: RhoValue) -> tuple[float, float]:
-    """Corners (max(x0, delta2 / rho), max(y0, delta1 / rho)) of the quadrant
-    a relay decoding from (x0, y0) on serves under the cap rho, up to the
-    rounding of the quotients, which `RelayPolicy`'s corners remove."""
-    if isinstance(rho, _UnboundedRho):
-        return x0, y0
-    return max(x0, delta2 / rho), max(y0, delta1 / rho)
 
 
 def _least_gain(delta: float, rho: float) -> float:
@@ -98,8 +87,9 @@ class RelayPolicy:
     rho: at finite gains x, y >= 0, x >= lambda1 and y >= lambda2 exactly
     when x >= x0, y >= y0 and max(delta1 / y, delta2 / x) <= rho as rounded.
     Rounded division is monotone, so delta / x <= rho holds from a least
-    double on, which replaces the quotient delta / rho of `truncation_corners`.
-    Every closed form and the Monte Carlo count read these corners.
+    double on, which replaces the quotient delta / rho.  Every closed form
+    and the Monte Carlo count read these corners, the fixed-power baseline's
+    too (`outage_analytics.fpa_policy`).
     """
 
     delta1: float
@@ -297,7 +287,7 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     def log_spend(rho: float) -> float:   # nearer linear in ln rho than the spend
         # The quotient corners: a policy's exact ones cost a walk per step.
         spend = _avg_power(delta1, delta2, omega_x, omega_y,
-                           *truncation_corners(delta1, delta2, x0, y0, rho))
+                           max(x0, delta2 / rho), max(y0, delta1 / rho))
         return math.log(max(spend, sys.float_info.min))
 
     try:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .endnode_policy import solve_cutoff
 from .mc_engine import simulate
-from .outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
+from .outage_analytics import FpaConfig, fpa_policy, min_outage, outage_fpa, outage_opa
 from .relay_policy import (
     UNBOUNDED,
     RelayPolicy,
@@ -221,9 +221,9 @@ def scenario_total_power(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
                               share, share, share)
         points.append((float(p_t_db), config, policies_from_config(config)[2],
                        FpaConfig(share, share, share)))
-    reports = simulate([relay for _, _, relay, _ in points],
-                       [(config, fpa) for _, config, _, fpa in points],
-                       spec.trials, spec.seed, powers=False)
+    reports = simulate([], [relay for _, _, relay, _ in points]
+                       + [fpa_policy(config, fpa) for _, config, _, fpa in points],
+                       spec.trials, spec.seed)
     rows = []
     for k, (p_t_db, config, relay, fpa) in enumerate(points):
         rows.append({
@@ -347,7 +347,7 @@ def _mc_consistency_rows(spec: ScenarioSpec) -> list[dict]:
                  FpaConfig(*powers))
                 for label, (rate_1, rate_2, omega_x, omega_y), powers in _FPA_VALIDATION_SETS]
     reports = simulate([relay for _, _, relay in opa_sets],
-                       [(config, fpa) for _, config, fpa in fpa_sets],
+                       [fpa_policy(config, fpa) for _, config, fpa in fpa_sets],
                        spec.trials, spec.seed)
     rows = []
     for (label, config, relay), report in zip(opa_sets, reports):

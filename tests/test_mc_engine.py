@@ -6,13 +6,14 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tdbcsim import mc_engine
 from tdbcsim.mc_engine import CHUNK_TRIALS, SimReport, run_fpa, run_opa, simulate
-from tdbcsim.outage_analytics import FpaConfig, fpa_corner, min_outage, outage_fpa, outage_opa
+from tdbcsim.outage_analytics import FpaConfig, fpa_policy, min_outage, outage_fpa, outage_opa
 from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, cycle_powers, policies_from_config
 from tdbcsim.scenario_cli import (_FPA_VALIDATION_SETS, db_to_linear, load_spec,
                                   validation_policies)
@@ -76,30 +77,46 @@ class TestPinnedReports:
 
 
 def _default_sweep():
-    """The relay policies and fixed-power pairs of the default
+    """The relay policies and fixed-power baselines of the default
     `sweep-total-power` grid, as the CLI builds them."""
     spec = load_spec("sweep_total_power")
-    relays, pairs = [], []
+    relays, baselines = [], []
     for p_t_db in spec.grid:
         share = db_to_linear(p_t_db) / 3.0
         config = SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
                               share, share, share)
         relays.append(policies_from_config(config)[2])
-        pairs.append((config, FpaConfig(share, share, share)))
-    return relays, pairs
+        baselines.append(fpa_policy(config, FpaConfig(share, share, share)))
+    return relays, baselines
 
 
-def _simulate_in_batches(relays, pairs, batches, trials, seed, powers=True):
-    """`simulate` of the relays and pairs split into `batches` consecutive
-    runs, with the reports put back in the order one run returns them."""
-    relay_reports, pair_reports = [], []
+def _simulate_in_batches(relays, baselines, batches, trials, seed):
+    """Outage-only `simulate` of the relays and baselines split into
+    `batches` consecutive runs, with the reports put back in the order one
+    run of `relays + baselines` returns them."""
+    relay_reports, baseline_reports = [], []
     for k in range(batches):
         some_relays = relays[k * len(relays) // batches:(k + 1) * len(relays) // batches]
-        some_pairs = pairs[k * len(pairs) // batches:(k + 1) * len(pairs) // batches]
-        reports = simulate(some_relays, some_pairs, trials, seed, powers=powers)
+        some = baselines[k * len(baselines) // batches:(k + 1) * len(baselines) // batches]
+        reports = simulate([], some_relays + some, trials, seed)
         relay_reports += reports[:len(some_relays)]
-        pair_reports += reports[len(some_relays):]
-    return relay_reports + pair_reports
+        baseline_reports += reports[len(some_relays):]
+    return relay_reports + baseline_reports
+
+
+def _stand_ins(corners):
+    """Outage-only stand-ins for policies: the corner (a, b) and the mean
+    gains (omega_x, omega_y) of each (omega_x, omega_y, a, b), which is all
+    `simulate` reads of an outage-only policy, so corners no `RelayPolicy`
+    takes (0.0, 5e-324, inf) can be counted."""
+    return [SimpleNamespace(omega_x=ox, omega_y=oy, lambda1=a, lambda2=b)
+            for ox, oy, a, b in corners]
+
+
+def _rule_outages(p, sizes, seed):
+    """`_demand_rule_outages` of the relay policy p."""
+    return _demand_rule_outages(p.omega_x, p.omega_y, p.delta1, p.delta2, p.x0, p.y0, p.rho,
+                                sizes, seed)
 
 
 class TestSimulate:
@@ -110,7 +127,7 @@ class TestSimulate:
         relays = [sets[label][1] for label in ("set03", "set01", "set06", "set04")]
         pairs = [(sets["set05"][0], FpaConfig(2.0, 4.0, 0.5)),
                  (sets["set02"][0], FpaConfig(5.0, 8.0, 3.0))]
-        reports = simulate(relays, pairs, 70_000, 11)
+        reports = simulate(relays, [fpa_policy(c, f) for c, f in pairs], 70_000, 11)
         assert reports == ([run_opa(r, 70_000, 11) for r in relays]
                            + [run_fpa(c, f, 70_000, 11) for c, f in pairs])
 
@@ -128,7 +145,7 @@ class TestSimulate:
 
     def test_fpa_unequal_means_are_pinned(self):
         config = _validation_sets()["set03"][0]
-        report = simulate([], [(config, FpaConfig(5.0, 8.0, 3.0))], 300_001, 7)[0]
+        report = simulate([], [fpa_policy(config, FpaConfig(5.0, 8.0, 3.0))], 300_001, 7)[0]
         assert report.outage_rate == 169859 / 300_001
 
     def test_nothing_to_simulate(self):
@@ -150,13 +167,13 @@ class TestOutageOnly:
     @pytest.mark.parametrize("batches", [1, 2, 8])
     def test_outage_rates_match_full_runs(self, batches):
         """The 21 default-sweep policies and the 24 validate policies (mixed
-        mean gains and rates, capped and unbounded) with the sweep's FPA
-        pairs: an outage-only run is the full run with the OPA powers None,
-        however the policies are split across runs."""
-        relays, pairs = _default_sweep()
+        mean gains and rates, capped and unbounded) with the sweep's
+        baselines: an outage-only run is the full run with the relays' powers
+        None, however the policies are split across runs."""
+        relays, baselines = _default_sweep()
         relays += [relay for _, _, relay in validation_policies()]
-        full = simulate(relays, pairs, 200_001, 9)
-        quick = _simulate_in_batches(relays, pairs, batches, 200_001, 9, powers=False)
+        full = simulate(relays, baselines, 200_001, 9)
+        quick = _simulate_in_batches(relays, baselines, batches, 200_001, 9)
         blank = dict(avg_power_s1=None, avg_power_s2=None, avg_power_relay=None)
         assert quick == ([dataclasses.replace(r, **blank) for r in full[:len(relays)]]
                          + full[len(relays):])
@@ -180,7 +197,7 @@ def _demand_rule_outages(omega_x, omega_y, d1, d2, x0, y0, cap, sizes, seed):
 
 class TestChunkedCounts:
     """Three chunks, the last one short, two mean-gain groups, capped and
-    unbounded OPA policies and FPA pairs in one run."""
+    unbounded relay policies and fixed-power baselines in one run."""
 
     TRIALS = 2 * CHUNK_TRIALS + 123
     SEED = 31
@@ -189,37 +206,35 @@ class TestChunkedCounts:
     def _policies():
         sets = _validation_sets()
         relays = [sets[label][1] for label in ("set01", "set02", "set03", "set04")]
-        pairs = [(sets["set01"][0], FpaConfig(3.0, 3.0, 3.0)),
-                 (sets["set03"][0], FpaConfig(5.0, 8.0, 3.0))]
-        return relays, pairs
+        baselines = [fpa_policy(sets["set01"][0], FpaConfig(3.0, 3.0, 3.0)),
+                     fpa_policy(sets["set03"][0], FpaConfig(5.0, 8.0, 3.0))]
+        return relays, baselines
 
     def test_policies_span_both_groups_and_caps(self):
-        relays, pairs = self._policies()
+        relays, baselines = self._policies()
         assert {(r.omega_x, r.omega_y) for r in relays} == {(1.0, 1.0), (2.0, 0.5)}
         assert {r.rho is UNBOUNDED for r in relays} == {True, False}
-        assert {(c.omega_x, c.omega_y) for c, _ in pairs} == {(1.0, 1.0), (2.0, 0.5)}
+        assert {(b.omega_x, b.omega_y) for b in baselines} == {(1.0, 1.0), (2.0, 0.5)}
 
     def test_outage_rates_do_not_depend_on_powers(self):
-        relays, pairs = self._policies()
-        full = simulate(relays, pairs, self.TRIALS, self.SEED)
-        quick = simulate(relays, pairs, self.TRIALS, self.SEED, powers=False)
+        relays, baselines = self._policies()
+        full = simulate(relays, baselines, self.TRIALS, self.SEED)
+        quick = simulate([], relays + baselines, self.TRIALS, self.SEED)
         assert [r.outage_rate for r in full] == [r.outage_rate for r in quick]
-        assert all(r.avg_power_relay is None for r in quick[:len(relays)])
+        assert all(r.avg_power_relay is None for r in full[len(relays):] + quick)
 
     @pytest.mark.parametrize("powers", [True, False])
     def test_counts_are_the_demand_rule(self, powers):
-        """OPA outages equal the rule bit for bit.  The FPA rule is the same
-        at constant powers: uplink cutoffs d / p and the cap p_r.  With
-        powers, each OPA average power is, bit for bit, the fsum over the
-        chunks of that chunk's cycle_powers sum, divided by trials."""
-        relays, pairs = self._policies()
+        """Outages equal the rule bit for bit, the baselines' too: theirs is
+        the same rule at constant powers, uplink cutoffs d / p and the cap
+        p_r.  With powers, each relay's average power is, bit for bit, the
+        fsum over the chunks of that chunk's cycle_powers sum, divided by
+        trials."""
+        relays, baselines = self._policies()
         sizes = [CHUNK_TRIALS, CHUNK_TRIALS, 123]
-        expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
-                                         r.x0, r.y0, r.rho, sizes, self.SEED) for r in relays]
-        expected += [_demand_rule_outages(c.omega_x, c.omega_y, c.delta1, c.delta2,
-                                          c.delta1 / f.p_s1_fix, c.delta2 / f.p_s2_fix,
-                                          f.p_r_fix, sizes, self.SEED) for c, f in pairs]
-        reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
+        expected = [_rule_outages(p, sizes, self.SEED) for p in relays + baselines]
+        reports = (simulate(relays, baselines, self.TRIALS, self.SEED) if powers
+                   else simulate([], relays + baselines, self.TRIALS, self.SEED))
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         assert 0 < min(expected) and max(expected) < self.TRIALS
         if powers:
@@ -242,37 +257,33 @@ class TestSortedCorners:
     SEED = 17
 
     def test_default_sweep_takes_the_sort(self):
-        relays, pairs = _default_sweep()
-        corners = [(r.lambda1, r.lambda2) for r in relays] + [fpa_corner(c, f) for c, f in pairs]
-        assert all(a == b for a, b in corners)
+        relays, baselines = _default_sweep()
+        assert all(p.lambda1 == p.lambda2 for p in relays + baselines)
 
     @pytest.mark.parametrize("batches", [1, 2])
     def test_default_sweep_counts_agree(self, batches):
-        """The OPA outage rates from the sort (outage only, in one run or in
+        """The outage rates from the sort (outage only, in one run or in
         `batches` runs of fewer square corners) equal those of cycle_totals'
-        relay pass (with powers, in one run)."""
-        relays, pairs = _default_sweep()
-        reports = {False: _simulate_in_batches(relays, pairs, batches, self.TRIALS, self.SEED,
-                                               powers=False),
-                   True: simulate(relays, pairs, self.TRIALS, self.SEED)}
+        relay pass (the relays with powers, in one run)."""
+        relays, baselines = _default_sweep()
+        reports = {False: _simulate_in_batches(relays, baselines, batches, self.TRIALS,
+                                               self.SEED),
+                   True: simulate(relays, baselines, self.TRIALS, self.SEED)}
         assert [r.outage_rate for r in reports[False]] \
             == [r.outage_rate for r in reports[True]]
 
     def test_default_sweep_counts_are_the_demand_rule(self):
-        relays, pairs = _default_sweep()
-        expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
-                                         r.x0, r.y0, r.rho, self.SIZES, self.SEED) for r in relays]
-        expected += [_demand_rule_outages(c.omega_x, c.omega_y, c.delta1, c.delta2,
-                                          c.delta1 / f.p_s1_fix, c.delta2 / f.p_s2_fix,
-                                          f.p_r_fix, self.SIZES, self.SEED) for c, f in pairs]
-        reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=False)
+        relays, baselines = _default_sweep()
+        expected = [_rule_outages(p, self.SIZES, self.SEED) for p in relays + baselines]
+        reports = simulate([], relays + baselines, self.TRIALS, self.SEED)
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
 
     @pytest.mark.parametrize("powers", [False, True])
-    def test_mixed_groups_and_edge_corners(self, monkeypatch, powers):
-        """Two mean-gain groups, each with square and non-square corners; the
-        square ones include a drawn min(x, y) itself (a tie, served), the
-        next double above it, 0.0 and inf."""
+    def test_mixed_groups_and_edge_corners(self, powers):
+        """Two mean-gain groups, each with a relay policy (with powers or
+        outage only) and outage-only stand-ins of square and non-square
+        corners; the square ones include a drawn min(x, y) itself (a tie,
+        served), the next double above it, 0.0 and inf."""
         sets = _validation_sets()
         groups = [sets["set01"][0], sets["set03"][0]]
         assert {(c.omega_x, c.omega_y) for c in groups} == {(1.0, 1.0), (2.0, 0.5)}
@@ -280,19 +291,16 @@ class TestSortedCorners:
         for k, config in enumerate(groups):
             unit_x, unit_y = FadingSampler(self.SEED, stream_index=k).sample_block(CHUNK_TRIALS)
             tie = float(min(config.omega_x * unit_x[1000], config.omega_y * unit_y[1000]))
-            corners += [(config, corner) for corner in
+            corners += [(config.omega_x, config.omega_y, *corner) for corner in
                         [(tie, tie), (math.nextafter(tie, math.inf),) * 2, (0.0, 0.0),
                          (math.inf, math.inf), (0.5, 0.5), (0.3, 0.7), (0.9, 0.2)]]
-        # Pair j has relay power j + 1, which picks its corner.
-        pairs = [(config, FpaConfig(1.0, 1.0, j + 1.0)) for j, (config, _) in enumerate(corners)]
-        monkeypatch.setattr(mc_engine, "fpa_corner", lambda c, f: corners[int(f.p_r_fix) - 1][1])
         relays = [sets[label][1] for label in ("set01", "set03")]
-        reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
-        expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
-                                         r.x0, r.y0, r.rho, self.SIZES, self.SEED) for r in relays]
-        expected += [_demand_rule_outages(c.omega_x, c.omega_y, c.delta1, c.delta2, a, b,
-                                          UNBOUNDED, self.SIZES, self.SEED)
-                     for c, (a, b) in corners]
+        stand_ins = _stand_ins(corners)
+        reports = (simulate(relays, stand_ins, self.TRIALS, self.SEED) if powers
+                   else simulate([], relays + stand_ins, self.TRIALS, self.SEED))
+        expected = [_rule_outages(r, self.SIZES, self.SEED) for r in relays]
+        expected += [_demand_rule_outages(ox, oy, 1.0, 1.0, a, b, UNBOUNDED, self.SIZES, self.SEED)
+                     for ox, oy, a, b in corners]
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         expected = expected[len(relays):]
         for group in (expected[:7], expected[7:]):
@@ -301,12 +309,13 @@ class TestSortedCorners:
 
     @pytest.mark.parametrize("powers", [False, True])
     def test_counts_at_a_drawn_min_and_its_neighbours_are_exact(self, monkeypatch, powers):
-        """Square corners at a drawn min(x, y) z and at the doubles next to
-        it are counted exactly on the gains, with `_count_outside`, as are
-        0.0, 5e-324, 3.5e38 (past float32's range) and inf.  One group has equal
-        mean gains and only square corners, whose corners near z share a
-        float32 key window with a state; the other has unequal ones and a
-        relay policy."""
+        """Square corners of outage-only stand-ins at a drawn min(x, y) z and
+        at the doubles next to it are counted exactly on the gains, with
+        `_count_outside`, as are 0.0, 5e-324, 3.5e38 (past float32's range)
+        and inf.  One group has equal mean gains and only square corners,
+        whose corners near z share a float32 key window with a state; the
+        other has unequal ones and a relay policy (with powers or outage
+        only)."""
         sets = _validation_sets()
         groups = [sets["set01"][0], sets["set03"][0]]
         assert [(c.omega_x, c.omega_y) for c in groups] == [(1.0, 1.0), (2.0, 0.5)]
@@ -317,23 +326,21 @@ class TestSortedCorners:
             beside = [math.nextafter(z, -math.inf), math.nextafter(z, math.inf)]
             assert np.float32(beside[0]) == np.float32(z) == np.float32(beside[1])
             near += beside
-            corners += [(config, a) for a in [z, *beside, 0.0, 5e-324, 0.5, 3.5e38, math.inf]]
+            corners += [(config.omega_x, config.omega_y, a, a)
+                        for a in [z, *beside, 0.0, 5e-324, 0.5, 3.5e38, math.inf]]
         with np.errstate(over="ignore"):
             assert np.float32(3.5e38) == np.inf
-        # Pair j has relay power j + 1, which picks its corner.
-        pairs = [(config, FpaConfig(1.0, 1.0, j + 1.0)) for j, (config, _) in enumerate(corners)]
-        monkeypatch.setattr(mc_engine, "fpa_corner",
-                            lambda c, f: (corners[int(f.p_r_fix) - 1][1],) * 2)
         fallback = []
         count_outside = mc_engine._count_outside
         monkeypatch.setattr(mc_engine, "_count_outside", lambda x, y, a, b, masks: (
             fallback.append(a) or count_outside(x, y, a, b, masks)))
         relays = [sets["set03"][1]]
-        reports = simulate(relays, pairs, self.TRIALS, self.SEED, powers=powers)
-        expected = [_demand_rule_outages(r.omega_x, r.omega_y, r.delta1, r.delta2,
-                                         r.x0, r.y0, r.rho, self.SIZES, self.SEED) for r in relays]
-        expected += [_demand_rule_outages(c.omega_x, c.omega_y, c.delta1, c.delta2, a, a,
-                                          UNBOUNDED, self.SIZES, self.SEED) for c, a in corners]
+        stand_ins = _stand_ins(corners)
+        reports = (simulate(relays, stand_ins, self.TRIALS, self.SEED) if powers
+                   else simulate([], relays + stand_ins, self.TRIALS, self.SEED))
+        expected = [_rule_outages(r, self.SIZES, self.SEED) for r in relays]
+        expected += [_demand_rule_outages(ox, oy, 1.0, 1.0, a, a, UNBOUNDED, self.SIZES, self.SEED)
+                     for ox, oy, a, _ in corners]
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         assert set(near) <= set(fallback)
         for group in (expected[1:9], expected[9:]):
@@ -403,15 +410,11 @@ class TestUniformWindows:
             near += [a, math.nextafter(a, -math.inf), math.nextafter(a, math.inf)]
             corners += [(omega, c) for c in [*near[-3:], 0.0, 5e-324, 0.5, math.inf]]
         corners += [(1e-10, c) for c in [0.0, 1e308, math.inf]]
-        # Pair j has relay power j + 1, which picks its corner.
-        pairs = [(SystemConfig(1 / 3, 1 / 3, omega, omega, 1.0, 1.0, 1.0),
-                  FpaConfig(1.0, 1.0, j + 1.0)) for j, (omega, _) in enumerate(corners)]
-        monkeypatch.setattr(mc_engine, "fpa_corner",
-                            lambda c, f: (corners[int(f.p_r_fix) - 1][1],) * 2)
         expected = [_demand_rule_outages(omega, omega, 1.0, 1.0, a, a, UNBOUNDED,
                                          self.SIZES, self.SEED) for omega, a in corners]
         trace = _trace_engine(monkeypatch)
-        reports = simulate([], pairs, self.TRIALS, self.SEED)
+        reports = simulate([], _stand_ins((omega, omega, a, a) for omega, a in corners),
+                           self.TRIALS, self.SEED)
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         assert set(near) <= {a for _, a in trace["exact"]}
         assert trace["drawn"] == _block_plan(self.SIZES)
@@ -425,9 +428,9 @@ class TestUniformWindows:
     def test_outage_only_sweep_skips_the_log_step(self, monkeypatch):
         """The outage-only default sweep at 100k trials, seed 1, takes the
         log step only in blocks where a window holds a state."""
-        relays, pairs = _default_sweep()
+        relays, baselines = _default_sweep()
         trace = _trace_engine(monkeypatch)
-        simulate(relays, pairs, 100_000, 1, powers=False)
+        simulate([], relays + baselines, 100_000, 1)
         assert trace["drawn"] == _block_plan([CHUNK_TRIALS, 100_000 - CHUNK_TRIALS])
         assert trace["sorts"] == list(range(len(trace["drawn"])))
         assert trace["log"] == sorted({i for i, _ in trace["exact"]})
@@ -438,14 +441,11 @@ class TestUniformWindows:
         count, and the count is the relay's rule."""
         u = FadingSampler(self.SEED, stream_index=0)._uniform_block(CHUNK_TRIALS, None)
         corners = [_corner_at(float(u[3 * 8192 + 700].min()), 1.0), 0.5]
-        pairs = [(SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 1.0, 1.0),
-                  FpaConfig(1.0, 1.0, j + 1.0)) for j in range(len(corners))]
-        monkeypatch.setattr(mc_engine, "fpa_corner",
-                            lambda c, f: (corners[int(f.p_r_fix) - 1],) * 2)
         expected = [_demand_rule_outages(1.0, 1.0, 1.0, 1.0, a, a, UNBOUNDED,
                                          self.SIZES, self.SEED) for a in corners]
         trace = _trace_engine(monkeypatch)
-        reports = simulate([], pairs, self.TRIALS, self.SEED)
+        reports = simulate([], _stand_ins((1.0, 1.0, a, a) for a in corners),
+                           self.TRIALS, self.SEED)
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         assert trace["drawn"][:4] == [8192] * 4
         assert trace["exact"] == [(3, corners[0])] and trace["log"] == [3]
@@ -455,10 +455,10 @@ class TestUniformWindows:
         """At seeds where a window holds a state, the outage-only default
         sweep at 1M trials has the outage rates of the run with powers,
         whose relay policies take cycle_totals' relay pass."""
-        relays, pairs = _default_sweep()
-        full = simulate(relays, pairs, 1_000_000, seed)
+        relays, baselines = _default_sweep()
+        full = simulate(relays, baselines, 1_000_000, seed)
         trace = _trace_engine(monkeypatch)
-        quick = simulate(relays, pairs, 1_000_000, seed, powers=False)
+        quick = simulate([], relays + baselines, 1_000_000, seed)
         assert [r.outage_rate for r in quick] == [r.outage_rate for r in full]
         assert trace["exact"] and trace["log"] == sorted({i for i, _ in trace["exact"]})
 
@@ -496,12 +496,13 @@ def test_default_sweep_allocates_no_new_buffer(monkeypatch):
     trials on an empty free list, bounded 5% above the 363,192 bytes it
     took: the one 278,528-byte set of draw, gains and masks it keeps, plus
     the run's bookkeeping."""
-    relays, pairs = _default_sweep()
-    simulate(relays, pairs, 1_000, 20240915, powers=False)    # imports numpy
+    relays, baselines = _default_sweep()
+    policies = relays + baselines
+    simulate([], policies, 1_000, 20240915)    # imports numpy
     monkeypatch.setattr(mc_engine, "_FREE_BUFFERS", [])
     tracemalloc.start()
     try:
-        simulate(relays, pairs, 1_000_000, 20240915, powers=False)
+        simulate([], policies, 1_000_000, 20240915)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,17 +512,17 @@ def test_default_sweep_allocates_no_new_buffer(monkeypatch):
 
 def test_validate_run_allocates_no_new_buffer():
     """Traced peak of a `simulate` with powers of the 24 validate policies
-    and its four fixed-power pairs over three chunks, bounded 5% above the
+    and its four fixed-power baselines over three chunks, bounded 5% above the
     429,844 bytes it took once chunks ran in blocks of 8,192 trials
     (5,121,950 when the engine could run chunks on threads)."""
     relays = [relay for _, _, relay in validation_policies()]
-    pairs = [(SystemConfig(*links, 1.0, 1.0, 1.0), FpaConfig(*powers))
-             for _, links, powers in _FPA_VALIDATION_SETS]
+    baselines = [fpa_policy(SystemConfig(*links, 1.0, 1.0, 1.0), FpaConfig(*powers))
+                 for _, links, powers in _FPA_VALIDATION_SETS]
     trials = 2 * CHUNK_TRIALS + 123
-    simulate(relays, pairs, trials, 20240915)
+    simulate(relays, baselines, trials, 20240915)
     tracemalloc.start()
     try:
-        simulate(relays, pairs, trials, 20240915)
+        simulate(relays, baselines, trials, 20240915)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -532,11 +533,12 @@ def test_second_default_sweep_reuses_the_chunk_buffers():
     """A second outage-only `simulate` of the default sweep at 1M trials
     takes its block buffers from the free list: its traced peak is the
     per-run bookkeeping, not the 0.28 MB set."""
-    relays, pairs = _default_sweep()
-    simulate(relays, pairs, 1_000_000, 20240915, powers=False)
+    relays, baselines = _default_sweep()
+    policies = relays + baselines
+    simulate([], policies, 1_000_000, 20240915)
     tracemalloc.start()
     try:
-        simulate(relays, pairs, 1_000_000, 20240915, powers=False)
+        simulate([], policies, 1_000_000, 20240915)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -548,10 +550,10 @@ def test_concurrent_runs_use_their_own_buffers(monkeypatch):
     first chunk) draw into different buffer sets and get the reports of the
     same runs made one after the other: an outage-only run at seed 1 and a
     run with powers at seed 2."""
-    relays, pairs = _default_sweep()
+    relays, baselines = _default_sweep()
     trials = 2 * CHUNK_TRIALS + 123
-    runs = [(1, False), (2, True)]
-    serial = [simulate(relays, pairs, trials, seed, powers=powers) for seed, powers in runs]
+    runs = [([], relays + baselines, trials, 1), (relays, baselines, trials, 2)]
+    serial = [simulate(*run) for run in runs]
     barrier, buffers = threading.Barrier(2), {}
     uniform_block = FadingSampler._uniform_block
 
@@ -566,8 +568,7 @@ def test_concurrent_runs_use_their_own_buffers(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(simulate, relays, pairs, trials, seed, powers=powers)
-                       for seed, powers in runs]
+            futures = [pool.submit(simulate, *run) for run in runs]
             assert [future.result(timeout=120) for future in futures] == serial
     finally:
         sys.setswitchinterval(interval)
@@ -651,13 +652,15 @@ class TestFpaEstimates:
         sigma = math.sqrt(expected * (1.0 - expected) / report.trials)
         assert abs(report.outage_rate - expected) <= 4.0 * sigma
 
-    def test_average_powers_are_exactly_fixed(self):
+    def test_report_is_the_outage_only_policy_report(self):
+        """A baseline's report is the outage-only report of its relay
+        policy, whose powers are None."""
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 1.0, 1.0)
         fpa = FpaConfig(3.0, 5.0, 7.0)
         report = run_fpa(config, fpa, trials=10_000, seed=41)
-        assert report.avg_power_s1 == 3.0
-        assert report.avg_power_s2 == 5.0
-        assert report.avg_power_relay == 7.0
+        assert report == simulate([], [fpa_policy(config, fpa)], 10_000, 41)[0]
+        assert (report.avg_power_s1, report.avg_power_s2, report.avg_power_relay) \
+            == (None, None, None)
 
     def test_huge_relay_power_leaves_uplink_limit(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 1.0, 1.0)

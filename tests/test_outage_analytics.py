@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import scaled_gains
 from tdbcsim.outage_analytics import (
     FpaConfig,
-    fpa_corner,
+    fpa_policy,
     min_outage,
     outage_fpa,
     outage_opa,
@@ -197,12 +197,30 @@ class TestOutageFpa:
            *[st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e)] * 3)
     @settings(max_examples=300, deadline=None)
     def test_corner_clears_uplink_and_broadcast_thresholds(self, rate_1, rate_2, p1, p2, pr):
-        """Bit for bit, the corner is each axis's larger threshold: uplink
-        inversion at p1 (p2), broadcast to the other end node at pr."""
+        """The baseline is the relay policy with cutoffs d1 / p1, d2 / p2 and
+        cap pr, and its corner is each axis's least double that clears both
+        thresholds as rounded: uplink inversion at p1 (p2), broadcast to the
+        other end node at pr.  It is the quotient corner up to one ulp."""
         config = self._config(rate_1, rate_2)
         d1, d2 = config.delta1, config.delta2
-        assert fpa_corner(config, FpaConfig(p1, p2, pr)) == (max(d1 / p1, d2 / pr),
-                                                              max(d2 / p2, d1 / pr))
+        policy = fpa_policy(config, FpaConfig(p1, p2, pr))
+        assert policy == RelayPolicy(d1, d2, d1 / p1, d2 / p2, 1.0, 1.0, pr)
+        for corner, cutoff, delta in ((policy.lambda1, d1 / p1, d2),
+                                      (policy.lambda2, d2 / p2, d1)):
+            assert corner >= cutoff and delta / corner <= pr
+            below = math.nextafter(corner, 0.0)
+            assert below < cutoff or delta / below > pr
+            assert corner == pytest.approx(max(cutoff, delta / pr), rel=2.0 ** -52, abs=0.0)
+
+    def test_cutoff_that_rounds_to_zero_is_rejected(self):
+        """At the smallest threshold, 2**-52 (rate 1e-16), a fixed power of
+        2**1023 or more puts the cutoff d1 / p1 at 0.0, which a relay policy
+        rejects with a one-line ValueError, not an outage from the other
+        threshold alone."""
+        config = self._config(1e-16)
+        assert config.delta1 == 2.0 ** -52 and config.delta1 / 1e308 == 0.0
+        with pytest.raises(ValueError, match=r"^x0 must be finite and > 0, got 0\.0$"):
+            outage_fpa(config, FpaConfig(1e308, 1.0, 1.0))
 
     def test_rejects_non_positive_powers(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,45 @@ def test_no_private_cross_module_imports():
     assert all(hasattr(tdbcsim, name) for name in tdbcsim.__all__)
 
 
+def _private_sibling_reads(source: str, siblings: set[str]) -> list[str]:
+    """The `_`-prefixed names of a sibling module that `source` reaches:
+    imported from it (relatively or as tdbcsim.<module>), or read as an
+    attribute of a sibling module it binds to a name."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            relative = ["tdbcsim"] if node.level == 1 else []
+            package = ".".join(relative + ([node.module] if node.module else []))
+            if package.split(".")[0] != "tdbcsim":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{package}.{alias.name}")
+                if package == "tdbcsim" and alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("tdbcsim."))
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    return found
+
+
+def test_cli_reaches_no_private_sibling_name():
+    """The CLI reads its sibling modules through their public names only."""
+    siblings = {path.stem for path in SRC.glob("*.py")}
+    assert _private_sibling_reads("from .relay_policy import _least_gain", siblings)
+    assert _private_sibling_reads("from tdbcsim.specfun import _G_ABOVE_8", siblings)
+    assert _private_sibling_reads("from . import mc_engine\ndef f():\n    mc_engine._pairwise",
+                                  siblings)
+    assert _private_sibling_reads("import tdbcsim.mc_engine as m\nm._FREE_BUFFERS", siblings)
+    assert not _private_sibling_reads("from .mc_engine import simulate\nx._y", siblings)
+    source = (SRC / "scenario_cli.py").read_text(encoding="utf-8")
+    assert _private_sibling_reads(source, siblings) == []
+
+
 def test_module_exports_resolve():
     """Every name in each tdbcsim.<module>.__all__ exists on that module."""
     missing = []
@@ -84,6 +123,7 @@ _PROBE = """
 import dataclasses
 
 import tdbcsim
+from tdbcsim.outage_analytics import fpa_policy
 
 CONFIGS = [tdbcsim.SystemConfig(1 / 3, 2 / 3, 2.0, 0.5, 1.0, 1.5, p_avg_relay)
            for p_avg_relay in (0.05, 100.0)]
@@ -101,7 +141,8 @@ def design_calls():
 
 def array_calls():
     relays = [tdbcsim.policies_from_config(config)[2] for config in CONFIGS]
-    reports = tdbcsim.simulate(relays, [(config, FPA) for config in CONFIGS], 2_000, seed=7)
+    reports = tdbcsim.simulate(relays, [fpa_policy(config, FPA) for config in CONFIGS],
+                               2_000, seed=7)
     return {
         "cycle_powers": [float(p) for p in tdbcsim.cycle_powers(relays[0], 0.7, 1.3)],
         "sample_block": [c.tolist() for c in tdbcsim.FadingSampler(1, 0).sample_block(4)],

@@ -1,6 +1,7 @@
 """CLI front end: grid/config parsing, sweeps, validation, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import math
 import os
@@ -328,6 +329,27 @@ class TestValidateScenario:
             if row["check"] in identity_checks:
                 assert row["status"] == "PASS", row
 
+    def test_outage_rows_catch_swapped_mean_gains(self, monkeypatch):
+        """With `min_outage`, as outage_analytics reads it, swapping omega_x
+        and omega_y, fpa_outage_mc reads FAIL on fpa02 and fpa03 and
+        outage_mc on the unequal-gain sets set06 and set24; on equal gains
+        the swap changes nothing and the rows pass.  The closed forms and the
+        count read the same policy corners, so these rows catch a fault in
+        the closed form or in the count, not one in the corners."""
+        from tdbcsim import outage_analytics
+        min_outage = outage_analytics.min_outage
+        monkeypatch.setattr(outage_analytics, "min_outage",
+                            lambda x0, y0, omega_x, omega_y: min_outage(x0, y0, omega_y, omega_x))
+        spec = ScenarioSpec(scenario="validate", grid=(0.0,), **SMALL)
+        status = {(row["check"], row["params"]): row["status"]
+                  for row in scenario_validate(spec)[1]}
+        assert [status["fpa_outage_mc", f"fpa0{k}"] for k in range(1, 5)] \
+            == ["PASS", "FAIL", "FAIL", "PASS"]
+        assert status["outage_mc", "set06"] == status["outage_mc", "set24"] == "FAIL"
+        assert all(status["outage_mc", label] == "PASS"
+                   for label, config, _ in validation_policies()
+                   if config.omega_x == config.omega_y)
+
     def test_tie_row_compares_both_orientations_in_all_30_cases(self):
         """Each case of the tie_avg_power row is a policy and its mirror
         whose corners tie, delta2 * lambda2 == delta1 * lambda1, so the two
@@ -358,8 +380,13 @@ class TestPrintedClosedForms:
     def test_closed_form_columns_match_the_benchmark_oracles(self):
         """On their default grids at MIN_TRIALS, the sweep's op_opa_analytic
         and op_fpa_analytic equal bench/oracles.design_outage and fpa_outage,
-        and power-gains' gain_s_dB is -10 log10(e E1(e)) with scipy's exp1,
-        e = -log1p(-target) / 2, each to 1e-12 relative."""
+        and, with e = -log1p(-target) / 2, power-gains' gain_s_dB is
+        -10 log10(e E1(e)) with scipy's exp1 and its gain_r_dB is 10 log10 of
+        the fixed relay power max(d1 / (omega_y e), d2 / (omega_x e)) over
+        the quadrature spend bench/oracles.relay_spend above the corner
+        (omega_x e, omega_y e), each to 1e-12 relative.  power-gains also
+        runs on rates (1/3, 2/3) and omega (2, 0.5), where a swap of the end
+        nodes would show."""
         oracles = load_bench("oracles")
         spec = load_spec("sweep_total_power", trials=MIN_TRIALS)
         d1, d2 = (2.0 ** (3.0 * rate) - 1.0 for rate in (spec.rate_1, spec.rate_2))
@@ -372,12 +399,21 @@ class TestPrintedClosedForms:
                 if oracles.rel_dev(row[column], oracle) > 1e-12:
                     failures.append(f"P_T_dB {row['P_T_dB']}: {column} {row[column]!r}, "
                                     f"oracle {oracle!r}")
-        for row in scenario_power_gains(load_spec("power_gains", trials=MIN_TRIALS))[1]:
-            e = -0.5 * math.log1p(-row["op_target"])
-            oracle = -10.0 * math.log10(e * float(special.exp1(e)))
-            if oracles.rel_dev(row["gain_s_dB"], oracle) > 1e-12:
-                failures.append(f"op_target {row['op_target']}: gain_s_dB {row['gain_s_dB']!r}, "
-                                f"oracle {oracle!r}")
+        spec = load_spec("power_gains", trials=MIN_TRIALS)
+        for spec in (spec, dataclasses.replace(spec, rate_2=2 * spec.rate_1,
+                                               omega_x=2.0, omega_y=0.5)):
+            d1, d2 = (2.0 ** (3.0 * rate) - 1.0 for rate in (spec.rate_1, spec.rate_2))
+            ox, oy = spec.omega_x, spec.omega_y
+            for row in scenario_power_gains(spec)[1]:
+                e = -0.5 * math.log1p(-row["op_target"])
+                fixed_relay = max(d1 / (oy * e), d2 / (ox * e))
+                for column, oracle in (
+                        ("gain_s_dB", -10.0 * math.log10(e * float(special.exp1(e)))),
+                        ("gain_r_dB", 10.0 * math.log10(
+                            fixed_relay / oracles.relay_spend(d1, d2, ox, oy, ox * e, oy * e)))):
+                    if oracles.rel_dev(row[column], oracle) > 1e-12:
+                        failures.append(f"{spec.rate_2, ox, oy} op_target {row['op_target']}: "
+                                        f"{column} {row[column]!r}, oracle {oracle!r}")
         assert not failures, failures
 
 
