@@ -8,11 +8,14 @@ positive domain (every threshold is a positive gain or cap), worked in log
 coordinates.  Both are pure functions and safe to call from any number of
 threads.
 
-E1 is evaluated in two regimes: a power series on (0, 1], and above 1
-Chebyshev series of x * exp(x) * E1(x) on (1, 2], (2, 4] and (4, 8] and in
-16 / x on (8, inf).  Against 50-digit mpmath they reach 7.7e-16 and 4.3e-16
-relative.  Neither iterates beyond its series; a call above 1 costs about
-1.5 us under CPython 3.11.
+E1 is one Chebyshev series summed by Clenshaw's recurrence, from one of
+six tables: of E1(x) + gamma + ln(x) on (0, 0.5], and of x * exp(x) * E1(x)
+on (0.5, 1], (1, 2], (2, 4] and (4, 8] and in 16 / x on (8, inf).  Nothing
+iterates beyond its table.  Against 40-digit mpmath the worst relative
+errors found on random points are 3.4e-16 on (0, 0.5], 4.8e-16 on (0.5, 1],
+4.3e-16 on (1, 8] and 3.8e-16 on (8, 700].  A call costs about 1.4 us on
+(0, 0.5] and 1.7-1.9 us above (timeit minima under CPython 3.11.7 on a
+2-core Xeon host, whose speed drifts by up to 1.6x between runs).
 """
 
 from __future__ import annotations
@@ -44,16 +47,34 @@ BRACKET_GROWTH = 4.0
 #: Brent step cap; reaching it means the function was not monotone as declared.
 MAX_ITERATIONS = 200
 
-_SERIES_MAX_TERMS = 120
-
-# Chebyshev coefficients c_0..c_21 of g(x) = x * exp(x) * E1(x), in
-# t = (x - mid) / half on (1, 2], (2, 4] and (4, 8] and in t = 16 / x - 1 on
-# (8, inf): the interpolant of g at the 22 Chebyshev points of the first kind,
-# t_j = cos(pi (j + 1/2) / 22), computed with mpmath at 50 digits, c_0 halved,
-# each rounded to the nearest double.  `g_chebyshev_table` in
-# tests/test_specfun.py is that recipe and checks these literals bit for bit.
-# g is analytic except on x <= 0 and at x = inf: off t <= -3 on the finite
-# intervals, off t <= -1 in 16 / x.  c_21 is below 2e-18 of c_0 in each table.
+# Chebyshev coefficients c_0..c_{n-1}, in t = (x - mid) / half on a finite
+# interval and in t = 16 / x - 1 on (8, inf), of two functions:
+# f(x) = E1(x) + gamma + ln(x), which is entire, on (0, 0.5] (12 terms), and
+# g(x) = x * exp(x) * E1(x) on (0.5, 1] (19 terms), (1, 2], (2, 4], (4, 8]
+# and (8, inf) (22 terms each).  Each table interpolates its function at the
+# n Chebyshev points of the first kind, t_j = cos(pi (j + 1/2) / n), computed
+# with mpmath at 50 digits, c_0 halved, each rounded to the nearest double.
+# `chebyshev_table` in tests/test_specfun.py is that recipe and checks these
+# literals bit for bit.  g is analytic except on x <= 0 and at x = inf: off
+# t <= -3 on the finite intervals, off t <= -1 in 16 / x.  Each last
+# coefficient is below 2e-18 of c_0, except on (0.5, 1], nearest g's
+# singularity, where 19 terms end at 1.3e-16 of c_0 and the interpolant is
+# within 8.6e-17 of g: the fewest terms that keep E1 within 5e-16 there.
+_F_ON_0_HALF = (
+    0.2285666652589697, 0.22174041832582478, -0.006641447904770752,
+    0.00018053841266890865, -4.17636654597237e-06, 8.279861517962127e-08,
+    -1.4284823341958152e-09, 2.1761664974895462e-11, -2.9643222053483917e-13,
+    3.648912385028606e-15, -4.095156431480371e-17, 4.2216944984635466e-19,
+)
+_G_ON_HALF_1 = (
+    0.5346999937595923, 0.0668751370863519, -0.0057365072125155365,
+    0.0005635985855123549, -6.124381068186773e-05, 7.170488969798669e-06,
+    -8.878210896082313e-07, 1.1473259000369946e-07, -1.533138972147247e-08,
+    2.1041735103684324e-09, -2.9513860986493845e-10, 4.2148925464418905e-11,
+    -6.1109850419078605e-12, 8.974708516003311e-13, -1.3327058542019426e-13,
+    1.998128864314833e-14, -3.021116361392116e-15, 4.599481930001304e-16,
+    -6.888159614201934e-17,
+)
 _G_ON_1_2 = (
     0.6660290478589338, 0.06242528843863769, -0.006439971522584476,
     0.0007188104965299417, -8.537148991010124e-05, 1.0648380975570468e-05,
@@ -119,38 +140,31 @@ def require_positive(value: float, name: str) -> float:
 def exp_integral_e1(x: float) -> float:
     """E1(x): the integral of exp(-t)/t from t = x to infinity, for x > 0.
 
-    Two regimes, each measured against mpmath at 50 digits:
+    One Chebyshev series, summed by Clenshaw's recurrence, on each of six
+    intervals, with the worst relative error found against 40-digit mpmath:
 
-    * x <= 1: the alternating power series around the log singularity,
-      within 7.7e-16 relative;
-    * x > 1: exp(-x) / x * g(x), with g(x) = x exp(x) E1(x) summed by
-      Clenshaw's recurrence from a 22-term Chebyshev series on (1, 2],
-      (2, 4] or (4, 8], or in 16 / x on (8, inf), within 4.3e-16 relative
-      up to 700 (beyond about 708 the result is subnormal and loses bits).
+    * x <= 0.5: -gamma - ln(x) + f(x), with f(x) = E1(x) + gamma + ln(x)
+      entire, from 12 terms in t = 4x - 1, within 3.4e-16 (-gamma - ln(x)
+      is positive there, so the sum does not cancel);
+    * x > 0.5: exp(-x) / x * g(x), with g(x) = x exp(x) E1(x), from 19 terms
+      on (0.5, 1], within 4.8e-16, from 22 on (1, 2], (2, 4] or (4, 8],
+      within 4.3e-16, or from 22 in 16 / x on (8, inf), within 3.8e-16 up
+      to 700 (beyond about 708 the result is subnormal and loses bits).
 
     Once exp(-x) underflows (x beyond ~745.13) the result is exactly 0.0.
 
     Raises ValueError unless x is a positive finite real.
     """
     x = require_positive(x, "x")
-
-    if x <= 1.0:
-        # E1(x) = -gamma - ln(x) + sum_{k>=1} (-1)^(k+1) x^k / (k * k!)
-        total = -EULER_GAMMA - math.log(x)
-        term = x
-        total += term
-        for k in range(2, _SERIES_MAX_TERMS):
-            term *= -x * (k - 1) / (k * k)
-            total += term
-            if abs(term) <= 1e-17 * abs(total):
-                break
-        return total
-
+    if x <= 0.5:
+        return -EULER_GAMMA - math.log(x) + _clenshaw(4.0 * x - 1.0, _F_ON_0_HALF)
     scale = math.exp(-x)
     if scale == 0.0:
         return 0.0
-    # t = (x - mid) / half is exact on the three finite intervals.
-    if x <= 2.0:
+    # t = (x - mid) / half is exact on the four finite intervals above 0.5.
+    if x <= 1.0:
+        t, coeffs = 4.0 * x - 3.0, _G_ON_HALF_1
+    elif x <= 2.0:
         t, coeffs = 2.0 * x - 3.0, _G_ON_1_2
     elif x <= 4.0:
         t, coeffs = x - 3.0, _G_ON_2_4
@@ -158,11 +172,16 @@ def exp_integral_e1(x: float) -> float:
         t, coeffs = 0.5 * x - 3.0, _G_ON_4_8
     else:
         t, coeffs = 16.0 / x - 1.0, _G_ABOVE_8
+    return scale / x * _clenshaw(t, coeffs)
+
+
+def _clenshaw(t: float, coeffs: tuple[float, ...]) -> float:
+    """The Chebyshev series sum of coeffs[k] * T_k(t), by Clenshaw's recurrence."""
     t2 = t + t
     b1 = b2 = 0.0
     for c in coeffs[:0:-1]:
         b1, b2 = c + t2 * b1 - b2, b1
-    return scale / x * (coeffs[0] + t * b1 - b2)
+    return coeffs[0] + t * b1 - b2
 
 
 Direction = Literal["increasing", "decreasing"]

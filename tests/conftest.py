@@ -1,7 +1,7 @@
 """Shared test oracles.
 
 The quadrature oracle evaluates the defining integral of E1 directly with
-adaptive quadrature; it shares no code with the series/Chebyshev
+adaptive quadrature; it shares no code with the Chebyshev-table
 implementation under test.
 """
 

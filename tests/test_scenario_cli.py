@@ -9,13 +9,14 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy import optimize, special
 
 import tdbcsim
 from conftest import load_bench, log_cutoff_oracle
-from tdbcsim.outage_analytics import min_outage
-from tdbcsim.relay_policy import UNBOUNDED
+from tdbcsim.outage_analytics import min_outage, outage_opa
+from tdbcsim.relay_policy import UNBOUNDED, policies_from_config
 from tdbcsim.scenario_cli import (
     MIN_TRIALS,
     ConfigError,
@@ -27,11 +28,15 @@ from tdbcsim.scenario_cli import (
     scenario_total_power,
     scenario_validate,
     validation_policies,
+    _FPA_VALIDATION_SETS,
     _tie_cases,
     write_csv,
 )
 
 SMALL = dict(trials=20_000, seed=777)
+
+#: A point of the e1_bracket row's grid, 200 log-spaced points of [1e-6, 50].
+E1_BRACKET_FAULT_AT = float(np.logspace(-6, math.log10(50.0), 200)[100])
 
 
 class TestParseGrid:
@@ -350,6 +355,27 @@ class TestValidateScenario:
                    for label, config, _ in validation_policies()
                    if config.omega_x == config.omega_y)
 
+    @pytest.mark.parametrize("name, faulty, row", [
+        ("exp_integral_e1",
+         lambda e1: lambda x: math.exp(-x) / x * 1.001 if x == E1_BRACKET_FAULT_AT else e1(x),
+         "e1_bracket"),
+        ("solve_monotone", lambda solve: lambda *args: solve(*args) * (1.0 + 1e-8),
+         "e1_solver_roundtrip"),
+        ("solve_cutoff", lambda solve: lambda *args: solve(*args) * (1.0 + 1e-8),
+         "cutoff_roundtrip"),
+        ("solve_rho", lambda solve: lambda *args: solve(*args) * (1.0 + 1e-5),
+         "rho_roundtrip"),
+    ])
+    def test_identity_rows_fail_on_the_fault_they_name(self, monkeypatch, name, faulty, row):
+        """With one fault in what scenario_cli calls, exactly the row that
+        guards it reads FAIL: E1 above exp(-x) / x at one point of the
+        bracket grid, or the E1 solver, the cutoff solve or the cap solve
+        off by ten times its row's tolerance."""
+        from tdbcsim import scenario_cli
+        monkeypatch.setattr(scenario_cli, name, faulty(getattr(scenario_cli, name)))
+        rows = scenario_cli._identity_rows(ScenarioSpec(scenario="validate", grid=(0.0,), **SMALL))
+        assert [r["check"] for r in rows if r["status"] == "FAIL"] == [row]
+
     def test_tie_row_compares_both_orientations_in_all_30_cases(self):
         """Each case of the tie_avg_power row is a policy and its mirror
         whose corners tie, delta2 * lambda2 == delta1 * lambda1, so the two
@@ -364,16 +390,17 @@ class TestValidateScenario:
             assert (p.lambda1 > p.x0 and p.lambda2 > p.y0) == (p.rho is not UNBOUNDED)
 
     def test_validate_csv_is_pinned(self, tmp_path):
-        """100,000 trials at seed 1, byte for byte as written once the relay
-        spend became three E1 terms on the served corners; that moved only
-        deviation digits (tie_avg_power, power_relay_mc set14).  At this
-        trial count five Monte Carlo power rows miss their 1% tolerance, so
-        the run exits 2."""
+        """100,000 trials at seed 1, byte for byte as written once E1 became
+        Chebyshev tables on (0, 1] too; that moved only the last digits of
+        e1_solver_roundtrip's empirical value and of five deviations
+        (e1_solver_roundtrip, outage_mc set01, set04 and set21,
+        power_relay_mc set14).  At this trial count five Monte Carlo power
+        rows miss their 1% tolerance, so the run exits 2."""
         out = tmp_path / "validate.csv"
         assert main(["validate", "--trials", "100000", "--seed", "1",
                      "--out", str(out)]) == 2
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "476d8ff339ef1707c919d2416176aadc65f5879f35c3063548a00d2c3d333e72")
+            "6237483ad428b23647ebdfe298794d2857ee0e0b0fc715500f114586a954490e")
 
 
 class TestPrintedClosedForms:
@@ -414,6 +441,46 @@ class TestPrintedClosedForms:
                     if oracles.rel_dev(row[column], oracle) > 1e-12:
                         failures.append(f"{spec.rate_2, ox, oy} op_target {row['op_target']}: "
                                         f"{column} {row[column]!r}, oracle {oracle!r}")
+        assert not failures, failures
+
+    def test_validate_analytic_column_matches_the_benchmark_oracles(self):
+        """At MIN_TRIALS, validate's analytic outage of each relay set equals
+        bench/oracles.design_outage on the set's config, its analytic relay
+        power equals relay_spend at the oracle's cutoffs, or the budget
+        where the cap binds, and its fixed-power outage equals fpa_outage,
+        each to 1e-12 relative.  The policies of the default link at 31, 32
+        and 33 dB, past the sweep's default grid, give design_outage too."""
+        oracles = load_bench("oracles")
+        analytic = {(row["check"], row["params"]): row["analytic"]
+                    for row in scenario_validate(load_spec("validate", trials=MIN_TRIALS))[1]}
+        failures = []
+
+        def check(label, got, oracle):
+            if oracles.rel_dev(got, oracle) > 1e-12:
+                failures.append(f"{label}: {got!r}, oracle {oracle!r}")
+
+        for label, c, _ in validation_policies():
+            design = (c.delta1, c.delta2, c.omega_x, c.omega_y, c.pbar_s1, c.pbar_s2, c.p_avg_relay)
+            check(f"outage_mc {label} analytic", analytic["outage_mc", label],
+                  oracles.design_outage(*design))
+            x0 = c.omega_x * math.exp(oracles.log_cutoff(c.delta1, c.omega_x, c.pbar_s1))
+            y0 = c.omega_y * math.exp(oracles.log_cutoff(c.delta2, c.omega_y, c.pbar_s2))
+            spend = oracles.relay_spend(c.delta1, c.delta2, c.omega_x, c.omega_y, x0, y0)
+            check(f"power_relay_mc {label} analytic", analytic["power_relay_mc", label],
+                  min(spend, c.p_avg_relay))
+        for label, (rate_1, rate_2, ox, oy), powers in _FPA_VALIDATION_SETS:
+            d1, d2 = (2.0 ** (3.0 * rate) - 1.0 for rate in (rate_1, rate_2))
+            check(f"fpa_outage_mc {label} analytic", analytic["fpa_outage_mc", label],
+                  oracles.fpa_outage(d1, d2, ox, oy, *powers))
+        spec = load_spec("sweep_total_power")
+        d1, d2 = (2.0 ** (3.0 * rate) - 1.0 for rate in (spec.rate_1, spec.rate_2))
+        for p_t_db in (31, 32, 33):
+            share = 10.0 ** (p_t_db / 10.0) / 3.0
+            config = tdbcsim.SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
+                                          share, share, share)
+            check(f"policies_from_config at {p_t_db} dB outage",
+                  outage_opa(policies_from_config(config)[2]).p_out,
+                  oracles.design_outage(d1, d2, spec.omega_x, spec.omega_y, share, share, share))
         assert not failures, failures
 
 

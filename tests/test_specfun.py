@@ -23,14 +23,36 @@ E1_AT_ONE = 0.2193839343955202
 CHEBYSHEV_BOUNDS = (1.0, 2.0, 4.0, 8.0)
 
 
-def g_chebyshev_table(lo: float, hi: float, count: int = 22, digits: int = 50) -> tuple:
+def f_entire(mp, x):
+    """f(x) = E1(x) + gamma + ln(x), an entire function."""
+    return mp.e1(x) + mp.euler + mp.log(x)
+
+
+def g_scaled(mp, x):
+    """g(x) = x exp(x) E1(x)."""
+    return x * mp.exp(x) * mp.e1(x)
+
+
+# Each table of specfun by its interval: its name, function and term count.
+CHEBYSHEV_TABLES = {
+    (0, 0.5): ("_F_ON_0_HALF", f_entire, 12),
+    (0.5, 1): ("_G_ON_HALF_1", g_scaled, 19),
+    (1, 2): ("_G_ON_1_2", g_scaled, 22),
+    (2, 4): ("_G_ON_2_4", g_scaled, 22),
+    (4, 8): ("_G_ON_4_8", g_scaled, 22),
+    (8, math.inf): ("_G_ABOVE_8", g_scaled, 22),
+}
+
+
+def chebyshev_table(func, lo: float, hi: float, count: int, digits: int = 50) -> tuple:
     """The recipe of specfun's tables: the Chebyshev coefficients of
-    g(x) = x exp(x) E1(x) on [lo, hi], in t = (x - mid) / half, or for
-    hi = inf in t = 2 lo / x - 1, from its values at the `count` Chebyshev
-    points of the first kind in mpmath at `digits` digits, c_0 halved, each
-    rounded to the nearest double.
-    print(g_chebyshev_table(1, 2)) reprints the literals of _G_ON_1_2, and
-    print(g_chebyshev_table(8, math.inf)) those of _G_ABOVE_8."""
+    func(mp, x) on [lo, hi], in t = (x - mid) / half, or for hi = inf in
+    t = 2 lo / x - 1, from its values at the `count` Chebyshev points of the
+    first kind in mpmath at `digits` digits, c_0 halved, each rounded to the
+    nearest double.
+    print(chebyshev_table(f_entire, 0, 0.5, 12)) reprints the literals of
+    _F_ON_0_HALF, and print(chebyshev_table(g_scaled, 8, math.inf, 22))
+    those of _G_ABOVE_8."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(digits):
         if hi == math.inf:
@@ -42,8 +64,8 @@ def g_chebyshev_table(lo: float, hi: float, count: int = 22, digits: int = 50) -
             def to_x(t):
                 return mid + half * t
         angles = [mp.pi * (j + mp.mpf(1) / 2) / count for j in range(count)]
-        g = [x * mp.exp(x) * mp.e1(x) for x in (to_x(mp.cos(a)) for a in angles)]
-        coeffs = [2 * mp.fsum(gj * mp.cos(k * a) for gj, a in zip(g, angles)) / count
+        values = [func(mp, to_x(mp.cos(a))) for a in angles]
+        coeffs = [2 * mp.fsum(v * mp.cos(k * a) for v, a in zip(values, angles)) / count
                   for k in range(count)]
         coeffs[0] /= 2
         return tuple(float(c) for c in coeffs)
@@ -92,7 +114,7 @@ class TestExpIntegralE1:
         above = exp_integral_e1(1.0 + 1e-12)
         assert below == pytest.approx(above, rel=1e-10)
 
-    @pytest.mark.parametrize("bound", CHEBYSHEV_BOUNDS[1:])
+    @pytest.mark.parametrize("bound", (0.5, *CHEBYSHEV_BOUNDS[1:]))
     def test_chebyshev_boundaries_are_smooth(self, bound):
         below = exp_integral_e1(bound * (1.0 - 1e-12))
         above = exp_integral_e1(bound * (1.0 + 1e-12))
@@ -133,10 +155,27 @@ class TestExpIntegralE1:
             assert worst(x for x in self._chebyshev_regime_points() if x <= 8.0) <= 6e-16
             assert worst(above_8) <= 5e-16
 
-    @pytest.mark.parametrize("lo, hi", [(1, 2), (2, 4), (4, 8), (8, math.inf)])
+    def test_tables_below_one_match_mpmath(self):
+        """E1 is within 5e-16 relative of mpmath at 40 digits on (0, 1]:
+        1,000 log-uniform points of [1e-300, 1e-6], 2,000 uniform points of
+        (0, 1], 0.5 and 1 and the doubles on both sides of each, and
+        0.5430821786640345, where the alternating power series of
+        Abramowitz & Stegun 5.1.11, summed in doubles, is off by 1.02e-15.
+        The worst of 450,000 random points is 4.8e-16, on (0.5, 1]."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20240915)
+        xs = np.concatenate([np.exp(rng.uniform(math.log(1e-300), math.log(1e-6), 1000)),
+                             rng.uniform(0.0, 1.0, 2000), [0.5, 1.0, 0.5430821786640345],
+                             np.nextafter([0.5, 1.0], 0.0), np.nextafter([0.5, 1.0], 2.0)])
+        with mp.workdps(40):
+            worst = max(abs(exp_integral_e1(x) - mp.e1(x)) / mp.e1(x)
+                        for x in map(float, xs) if x > 0.0)
+        assert worst <= 5e-16
+
+    @pytest.mark.parametrize("lo, hi", CHEBYSHEV_TABLES)
     def test_chebyshev_tables_regenerate_bit_for_bit(self, lo, hi):
-        name = f"_G_ON_{lo}_{hi}" if hi < math.inf else f"_G_ABOVE_{lo}"
-        assert g_chebyshev_table(lo, hi) == getattr(specfun, name)
+        name, func, count = CHEBYSHEV_TABLES[lo, hi]
+        assert chebyshev_table(func, lo, hi, count) == getattr(specfun, name)
 
     def test_underflow_returns_zero(self):
         assert exp_integral_e1(800.0) == 0.0
