@@ -67,7 +67,10 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(power_db: float) -> float:
-    return 10.0 ** (power_db / 10.0)
+    try:
+        return 10.0 ** (power_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"power {power_db!r} dB overflows a double") from None
 
 
 def linear_to_db(power: float) -> float:

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from scipy import optimize, special
 
 import tdbcsim
 from conftest import load_bench, log_cutoff_oracle
-from tdbcsim.outage_analytics import min_outage, outage_opa
-from tdbcsim.relay_policy import UNBOUNDED, policies_from_config
+from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
+from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config
 from tdbcsim.scenario_cli import (
     MIN_TRIALS,
     ConfigError,
@@ -37,6 +38,9 @@ SMALL = dict(trials=20_000, seed=777)
 
 #: A point of the e1_bracket row's grid, 200 log-spaced points of [1e-6, 50].
 E1_BRACKET_FAULT_AT = float(np.logspace(-6, math.log10(50.0), 200)[100])
+
+#: sha256 of the designs of test_validation_designs_are_pinned_bit_for_bit.
+DESIGN_PIN = "97bd0898275fe27b86c50424f7541c9cb06e03db6c094fcc21ef8f81bac89de2"
 
 
 class TestParseGrid:
@@ -365,12 +369,24 @@ class TestValidateScenario:
          "cutoff_roundtrip"),
         ("solve_rho", lambda solve: lambda *args: solve(*args) * (1.0 + 1e-5),
          "rho_roundtrip"),
+        ("outage_opa",
+         lambda opa: lambda p: types.SimpleNamespace(p_out=opa(p).p_out + 1e-11)
+         if p.rho is UNBOUNDED else opa(p),
+         "saturation_identity"),
+        ("avg_relay_power",
+         lambda avg: lambda p: avg(p) - 1e-9 if p.rho is not UNBOUNDED and p.rho > 15.0
+         else avg(p),
+         "avg_power_monotone_in_cap"),
     ])
     def test_identity_rows_fail_on_the_fault_they_name(self, monkeypatch, name, faulty, row):
         """With one fault in what scenario_cli calls, exactly the row that
         guards it reads FAIL: E1 above exp(-x) / x at one point of the
         bracket grid, or the E1 solver, the cutoff solve or the cap solve
-        off by ten times its row's tolerance."""
+        off by ten times its row's tolerance, or the outage of every uncapped
+        policy off by 1e-11, or the relay spend 1e-9 lower at caps above 15.
+        Only the third geometry of the monotonicity row reaches such caps, in
+        its saturated range (from 12.5), where the true spend is flat; the
+        caps of the tie and cap round-trip rows stay below 8."""
         from tdbcsim import scenario_cli
         monkeypatch.setattr(scenario_cli, name, faulty(getattr(scenario_cli, name)))
         rows = scenario_cli._identity_rows(ScenarioSpec(scenario="validate", grid=(0.0,), **SMALL))
@@ -388,6 +404,21 @@ class TestValidateScenario:
             assert (m.delta1, m.delta2, m.x0, m.y0, m.omega_x, m.omega_y, m.rho) \
                 == (p.delta2, p.delta1, p.y0, p.x0, p.omega_y, p.omega_x, p.rho)
             assert (p.lambda1 > p.x0 and p.lambda2 > p.y0) == (p.rho is not UNBOUNDED)
+
+    def test_validation_designs_are_pinned_bit_for_bit(self):
+        """On the 24 validation sets, the cutoffs, rho, the served corners,
+        outage_opa, avg_relay_power and outage_fpa at fixed powers equal to
+        the budgets, hashed by float.hex: a change that moves any last bit
+        of a design fails here, which the CSVs' 12 printed digits cannot
+        show."""
+        lines = []
+        for label, config, relay in validation_policies():
+            fpa = FpaConfig(config.pbar_s1, config.pbar_s2, config.p_avg_relay)
+            rho = "unbounded" if relay.rho is UNBOUNDED else relay.rho.hex()
+            values = (relay.x0, relay.y0, relay.lambda1, relay.lambda2,
+                      outage_opa(relay).p_out, avg_relay_power(relay), outage_fpa(config, fpa))
+            lines.append(" ".join([label, rho, *(v.hex() for v in values)]))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DESIGN_PIN
 
     def test_validate_csv_is_pinned(self, tmp_path):
         """100,000 trials at seed 1, byte for byte as written once E1 became
@@ -553,8 +584,11 @@ class TestCsvAndCli:
          f"out of memory planning the chunks of {10 ** 23} trials"),
         (["validate", "--trials", str(10 ** 23)], None,
          f"out of memory planning the chunks of {10 ** 23} trials"),
+        # 10**310 overflows a double
+        (["sweep-total-power", "--grid", "3100:3100:1", "--trials", "1000"], None,
+         "power 3100.0 dB"),
     ], ids=["cutoff-underflow", "rate-overflow", "trials-memory",
-            "validate-trials-memory"])
+            "validate-trials-memory", "db-overflow"])
     def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini, names):
         argv = argv + ["--out", str(tmp_path / "s.csv")]
         if ini is not None:

@@ -1,5 +1,6 @@
 """Exponential integral and monotone solver against independent oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from tdbcsim.specfun import (
 E1_AT_ONE = 0.2193839343955202
 
 CHEBYSHEV_BOUNDS = (1.0, 2.0, 4.0, 8.0)
+
+#: sha256 of E1's float.hex on the grid of test_e1_is_pinned_bit_for_bit.
+E1_PIN = "a4ab7bf197034a7a79afcb42374bed4d4a7bf1771662ab226f13b9ef868849b6"
 
 
 def f_entire(mp, x):
@@ -177,6 +181,24 @@ class TestExpIntegralE1:
         name, func, count = CHEBYSHEV_TABLES[lo, hi]
         assert chebyshev_table(func, lo, hi, count) == getattr(specfun, name)
 
+    def test_e1_is_pinned_bit_for_bit(self):
+        """E1 on 20,001 points about log-spaced from 1.1e-300 to 742 (2**s
+        for s from -996.5 to 9.45, its mantissa linear between powers of two,
+        so every point is an exact float step and an ldexp) and at each
+        interval edge and its two neighbours, hashed by float.hex: a change
+        that moves any last bit of E1 fails here, which the CSVs' 12 printed
+        digits cannot show."""
+        lo, hi, count = -996.5, 9.45, 20_000
+        xs = []
+        for k in range(count + 1):
+            s = lo + (hi - lo) * k / count
+            exponent = math.floor(s)
+            xs.append(math.ldexp(1.0 + (s - exponent), exponent))
+        for edge in (0.5, *CHEBYSHEV_BOUNDS):
+            xs += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        text = "\n".join(exp_integral_e1(x).hex() for x in xs)
+        assert hashlib.sha256(text.encode()).hexdigest() == E1_PIN
+
     def test_underflow_returns_zero(self):
         assert exp_integral_e1(800.0) == 0.0
 
@@ -197,12 +219,35 @@ class TestExpIntegralE1:
             exp_integral_e1("1.0")
 
 
+class FloatSubclass(float):
+    pass
+
+
 class TestRequirePositive:
     def test_passes_through(self):
         assert require_positive(2, "v") == 2.0
 
-    @pytest.mark.parametrize("bad", [0, -3, math.nan, math.inf, None, "x", True])
+    @pytest.mark.parametrize("value", [5e-324, 0.3, 1.7976931348623157e308])
+    def test_positive_float_is_returned_as_is(self, value):
+        assert require_positive(value, "v") is value
+
+    @pytest.mark.parametrize("value", [np.float64(2.0), FloatSubclass(2.0), 2],
+                             ids=["numpy", "subclass", "int"])
+    def test_other_reals_come_back_as_plain_float(self, value):
+        got = require_positive(value, "v")
+        assert type(got) is float and got == 2.0
+
+    @pytest.mark.parametrize("bad", [0, -3, math.nan, math.inf, None, "x", True,
+                                     0.0, -0.0, -math.inf, False, -5e-324])
     def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            require_positive(bad, "v")
+
+    @pytest.mark.parametrize("bad", [np.float64(math.nan), np.float64(-1.0),
+                                     FloatSubclass(math.inf), FloatSubclass(-1.0)],
+                             ids=["numpy-nan", "numpy-negative", "subclass-inf",
+                                  "subclass-negative"])
+    def test_rejects_other_reals(self, bad):
         with pytest.raises(ValueError):
             require_positive(bad, "v")
 
