@@ -26,7 +26,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 
 from .endnode_policy import EndNodePolicy
 from .specfun import BracketingError, exp_integral_e1, require_positive, solve_monotone
@@ -208,7 +208,7 @@ def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray) -> np.ndarray:
 
 
 def _wedge_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
-                 l1: float, l2: float) -> float:
+                 l1: float, l2: float, e1: Callable[[float], float]) -> float:
     """Average broadcast power over the quadrant x >= l1, y >= l2 whose
     corner lies on or below the ray y = (delta1 / delta2) x.
 
@@ -219,21 +219,21 @@ def _wedge_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
     is e^(-l1 / omega_x) E1(c l1) - E1(k l1) with k = 1 / omega_x + c.  Above
     it the relay sends delta2 / x, over {x >= l1, y >= (delta1 / delta2) x}:
     (delta2 / omega_x) E1(k l1).  The two E1(k l1) terms sum to
-    delta2 k E1(k l1).
+    delta2 k E1(k l1).  `e1` evaluates E1.
     """
     c = delta1 / (delta2 * omega_y)
     k = 1.0 / omega_x + c
     return (delta1 / omega_y * math.exp(-l1 / omega_x)
-            * (exp_integral_e1(l2 / omega_y) - exp_integral_e1(c * l1))
-            + delta2 * k * exp_integral_e1(k * l1))
+            * (e1(l2 / omega_y) - e1(c * l1))
+            + delta2 * k * e1(k * l1))
 
 
 def _avg_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
-               l1: float, l2: float) -> float:
+               l1: float, l2: float, e1: Callable[[float], float]) -> float:
     if delta2 * l2 <= delta1 * l1:
-        return _wedge_power(delta1, delta2, omega_x, omega_y, l1, l2)
+        return _wedge_power(delta1, delta2, omega_x, omega_y, l1, l2, e1)
     # The corner above the ray is the one below it with the end nodes swapped.
-    return _wedge_power(delta2, delta1, omega_y, omega_x, l2, l1)
+    return _wedge_power(delta2, delta1, omega_y, omega_x, l2, l1, e1)
 
 
 def avg_relay_power(policy: RelayPolicy) -> float:
@@ -241,7 +241,7 @@ def avg_relay_power(policy: RelayPolicy) -> float:
     fading law: the average of max(delta1 / y, delta2 / x) over the quadrant
     above the policy's corners."""
     return _avg_power(policy.delta1, policy.delta2, policy.omega_x, policy.omega_y,
-                      policy.lambda1, policy.lambda2)
+                      policy.lambda1, policy.lambda2, exp_integral_e1)
 
 
 def avg_relay_power_max(delta1: float, delta2: float, x0: float, y0: float,
@@ -263,8 +263,11 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     `p_avg`, so the solver's expansion only mends an end rounding misplaced.
     """
     p_avg = require_positive(p_avg, "p_avg")
-    # avg_relay_power_max validates the other six parameters.
-    p_max = avg_relay_power_max(delta1, delta2, x0, y0, omega_x, omega_y)
+    delta1, delta2, x0, y0, omega_x, omega_y = map(
+        require_positive, (delta1, delta2, x0, y0, omega_x, omega_y),
+        ("delta1", "delta2", "x0", "y0", "omega_x", "omega_y"))
+    e1 = functools.cache(exp_integral_e1)     # a corner on its cutoff keeps its E1 terms
+    p_max = _avg_power(delta1, delta2, omega_x, omega_y, x0, y0, e1)
     if p_avg >= p_max:
         return UNBOUNDED
 
@@ -287,7 +290,7 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     def log_spend(rho: float) -> float:   # nearer linear in ln rho than the spend
         # The quotient corners: a policy's exact ones cost a walk per step.
         spend = _avg_power(delta1, delta2, omega_x, omega_y,
-                           max(x0, delta2 / rho), max(y0, delta1 / rho))
+                           max(x0, delta2 / rho), max(y0, delta1 / rho), e1)
         return math.log(max(spend, sys.float_info.min))
 
     try:
@@ -299,8 +302,8 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
 
 def policies_from_config(config: SystemConfig) -> tuple[EndNodePolicy, EndNodePolicy, RelayPolicy]:
     """Solve all three node policies for one problem instance."""
-    solve = functools.cache(EndNodePolicy)     # equal end nodes solve once
-    node1 = solve(config.delta1, config.omega_x, config.pbar_s1)
-    node2 = solve(config.delta2, config.omega_y, config.pbar_s2)
+    node1 = EndNodePolicy(config.delta1, config.omega_x, config.pbar_s1)
+    end2 = (config.delta2, config.omega_y, config.pbar_s2)     # equal end nodes solve once
+    node2 = node1 if end2 == (node1.delta, node1.omega, node1.pbar) else EndNodePolicy(*end2)
     args = (node1.delta, node2.delta, node1.cutoff, node2.cutoff, node1.omega, node2.omega)
     return node1, node2, RelayPolicy(*args, solve_rho(*args, config.p_avg_relay))

@@ -220,15 +220,19 @@ def scenario_total_power(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
     points = []
     for p_t_db in spec.grid:
         share = db_to_linear(p_t_db) / 3.0
-        config = SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
-                              share, share, share)
-        points.append((float(p_t_db), config, policies_from_config(config)[2],
-                       FpaConfig(share, share, share)))
-    reports = simulate([], [relay for _, _, relay, _ in points]
-                       + [fpa_policy(config, fpa) for _, config, _, fpa in points],
-                       spec.trials, spec.seed)
+        try:
+            config = SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
+                                  share, share, share)
+            fpa = FpaConfig(share, share, share)
+            points.append((float(p_t_db), config, fpa, policies_from_config(config)[2],
+                           fpa_policy(config, fpa)))
+        except (ValueError, ArithmeticError, ConvergenceError) as exc:
+            exc.args = (f"at P_T {p_t_db!r} dB: {exc}",)     # same type, one line
+            raise
+    reports = simulate([], [relay for *_, relay, _ in points]
+                       + [baseline for *_, baseline in points], spec.trials, spec.seed)
     rows = []
-    for k, (p_t_db, config, relay, fpa) in enumerate(points):
+    for k, (p_t_db, config, fpa, relay, _) in enumerate(points):
         rows.append({
             "P_T_dB": p_t_db,
             "op_opa_analytic": outage_opa(relay).p_out,

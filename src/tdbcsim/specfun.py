@@ -21,6 +21,7 @@ under CPython 3.11.7 on a 2-core Xeon host, whose speed drifts between runs).
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Literal
 
 __all__ = [
@@ -131,7 +132,7 @@ def require_positive(value: float, name: str) -> float:
     as a float.  Raises ValueError otherwise."""
     if type(value) is float and 0.0 < value < math.inf:     # the common case
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     v = float(value)
     if not math.isfinite(v) or v <= 0.0:

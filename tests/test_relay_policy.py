@@ -601,14 +601,18 @@ class TestPoliciesFromConfig:
         policies_from_config(config)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("config", [
-        SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.7, 0.7, 0.6),     # equal end nodes
-        SystemConfig(1 / 3, 2 / 3, 2.0, 0.5, 0.8, 1.2, 0.6),     # unequal, capped
-        SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.8, 1.2, 50.0),    # unequal, unbounded
+    CAPPED = SystemConfig(1 / 3, 2 / 3, 2.0, 0.5, 0.8, 1.2, 0.6)     # unequal end nodes
+
+    @pytest.mark.parametrize("config,count", [
+        (SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.7, 0.7, 0.6), 23),     # equal end nodes
+        (CAPPED, 28),
+        (SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.8, 1.2, 50.0), 19),    # unequal, unbounded
     ], ids=["equal", "capped", "unbounded"])
-    def test_e1_calls_are_the_solves_alone(self, count_e1, config):
+    def test_e1_calls_are_the_solves_alone(self, count_e1, config, count):
         """policies_from_config evaluates E1 only in one cutoff solve per
-        distinct end node and in the cap solve: nothing re-checks a cutoff."""
+        distinct end node and in the cap solve: nothing re-checks a cutoff.
+        The counts were 32, 43 and 19 while the cap solve re-evaluated the
+        E1 terms of a corner sitting on its cutoff at every step."""
         node_calls, relay_calls = count_e1(endnode_policy), count_e1(relay_policy)
         node1, node2, relay = policies_from_config(config)
         made = len(node_calls) + len(relay_calls)
@@ -618,7 +622,17 @@ class TestPoliciesFromConfig:
             solve_cutoff(node.delta, node.omega, node.pbar)
         solve_rho(relay.delta1, relay.delta2, relay.x0, relay.y0, relay.omega_x,
                   relay.omega_y, config.p_avg_relay)
-        assert made == len(node_calls) + len(relay_calls) > 0
+        assert made == len(node_calls) + len(relay_calls) == count
+
+    def test_cap_solve_evaluates_each_e1_argument_once(self, count_e1):
+        """A capped solve evaluates E1 once per distinct argument: the
+        saturation spend and every step share their terms."""
+        node1, node2, _ = policies_from_config(self.CAPPED)
+        calls = count_e1(relay_policy)
+        rho = solve_rho(node1.delta, node2.delta, node1.cutoff, node2.cutoff, node1.omega,
+                        node2.omega, self.CAPPED.p_avg_relay)
+        assert isinstance(rho, float)
+        assert calls and len(set(calls)) == len(calls)
 
     def test_equal_failing_end_nodes_raise_as_before(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 730.0, 730.0, 730.0)

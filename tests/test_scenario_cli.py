@@ -392,6 +392,28 @@ class TestValidateScenario:
         rows = scenario_cli._identity_rows(ScenarioSpec(scenario="validate", grid=(0.0,), **SMALL))
         assert [r["check"] for r in rows if r["status"] == "FAIL"] == [row]
 
+    @pytest.mark.parametrize("name, faulty, checks", [
+        ("solve_cutoff", lambda solve: lambda *args: solve(*args) * 1.05,
+         {"power_s1_mc", "power_s2_mc"}),
+        ("avg_relay_power", lambda avg: lambda p: avg(p) * 1.05, {"power_relay_mc"}),
+        ("solve_rho", lambda solve: lambda *args: solve(*args[:-1], args[-1] * 1.05),
+         {"relay_budget"}),
+    ], ids=["cutoff", "spend", "cap"])
+    def test_power_rows_fail_on_the_fault_they_name(self, monkeypatch, name, faulty, checks):
+        """At validate's default trials and seed, where every Monte Carlo row
+        passes, one fault in what scenario_cli calls fails exactly the rows
+        that guard it: end-node cutoffs 5% high underspend the end-node
+        budgets, a relay spend closed form 5% high misses the relay's Monte
+        Carlo spend, and caps solved for budgets 5% high overspend the relay
+        budget on the capped sets.  The closed forms and the count read the
+        same corners, so no outage row moves."""
+        from tdbcsim import scenario_cli
+        spec = ScenarioSpec(scenario="validate", grid=(0.0,))
+        assert all(r["status"] == "PASS" for r in scenario_cli._mc_consistency_rows(spec))
+        monkeypatch.setattr(scenario_cli, name, faulty(getattr(scenario_cli, name)))
+        rows = scenario_cli._mc_consistency_rows(spec)
+        assert {r["check"] for r in rows if r["status"] == "FAIL"} == checks
+
     def test_tie_row_compares_both_orientations_in_all_30_cases(self):
         """Each case of the tie_avg_power row is a policy and its mirror
         whose corners tie, delta2 * lambda2 == delta1 * lambda1, so the two
@@ -587,8 +609,14 @@ class TestCsvAndCli:
         # 10**310 overflows a double
         (["sweep-total-power", "--grid", "3100:3100:1", "--trials", "1000"], None,
          "power 3100.0 dB"),
+        # 10**-400 underflows to 0.0, which is no budget
+        (["sweep-total-power", "--grid=-4000:-4000:1", "--trials", "1000"], None,
+         "at P_T -4000.0 dB: pbar_s1 must be finite and > 0"),
+        # the fixed-power cutoff delta / (10**-320 / 3) overflows to inf
+        (["sweep-total-power", "--grid=-3200:-3200:1", "--trials", "1000"], None,
+         "at P_T -3200.0 dB: x0 must be finite and > 0"),
     ], ids=["cutoff-underflow", "rate-overflow", "trials-memory",
-            "validate-trials-memory", "db-overflow"])
+            "validate-trials-memory", "db-overflow", "db-underflow", "fpa-cutoff-overflow"])
     def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini, names):
         argv = argv + ["--out", str(tmp_path / "s.csv")]
         if ini is not None:

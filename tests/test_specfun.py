@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,14 +232,16 @@ class TestRequirePositive:
     def test_positive_float_is_returned_as_is(self, value):
         assert require_positive(value, "v") is value
 
-    @pytest.mark.parametrize("value", [np.float64(2.0), FloatSubclass(2.0), 2],
-                             ids=["numpy", "subclass", "int"])
-    def test_other_reals_come_back_as_plain_float(self, value):
+    @pytest.mark.parametrize("value,expected", [
+        (np.float64(2.0), 2.0), (FloatSubclass(2.0), 2.0), (2, 2.0), (np.int64(2), 2.0),
+        (Fraction(1, 3), 1 / 3),
+    ], ids=["numpy", "subclass", "int", "numpy-int", "fraction"])
+    def test_other_reals_come_back_as_plain_float(self, value, expected):
         got = require_positive(value, "v")
-        assert type(got) is float and got == 2.0
+        assert type(got) is float and got == expected
 
     @pytest.mark.parametrize("bad", [0, -3, math.nan, math.inf, None, "x", True,
-                                     0.0, -0.0, -math.inf, False, -5e-324])
+                                     0.0, -0.0, -math.inf, False, -5e-324, np.bool_(True)])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             require_positive(bad, "v")
