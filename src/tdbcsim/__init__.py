@@ -18,10 +18,8 @@ from .outage_analytics import (
     outage_opa,
 )
 from .relay_policy import (
-    UNBOUNDED,
     RelayPolicy,
     avg_relay_power,
-    avg_relay_power_max,
     cycle_powers,
     policies_from_config,
     solve_rho,
@@ -43,9 +41,7 @@ __all__ = [
     "RelayPolicy",
     "SimReport",
     "SystemConfig",
-    "UNBOUNDED",
     "avg_relay_power",
-    "avg_relay_power_max",
     "cycle_powers",
     "delta_of_rate",
     "exp_integral_e1",

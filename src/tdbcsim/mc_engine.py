@@ -65,12 +65,6 @@ class SimReport:
     avg_power_s2: float | None
     avg_power_relay: float | None
 
-    @property
-    def binomial_sigma(self) -> float:
-        """Standard error of outage_rate as a binomial proportion."""
-        rate = self.outage_rate
-        return math.sqrt(rate * (1.0 - rate) / self.trials)
-
 
 def simulate(policies: Sequence[RelayPolicy], outage_only: Sequence[RelayPolicy],
              trials: int, seed: int) -> list[SimReport]:

@@ -26,7 +26,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .endnode_policy import EndNodePolicy
 from .specfun import BracketingError, exp_integral_e1, require_positive, solve_monotone
@@ -36,32 +36,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "UNBOUNDED",
     "RelayPolicy",
-    "RhoValue",
     "cycle_powers",
     "cycle_totals",
     "avg_relay_power",
-    "avg_relay_power_max",
     "solve_rho",
     "policies_from_config",
 ]
-
-
-class _UnboundedRho:
-    """Cap value for a relay budget that covers peak demand: the relay
-    serves every decodable state and the cap never binds."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-#: The distinguished no-truncation cap.  Compare with `is`.
-UNBOUNDED = _UnboundedRho()
-
-RhoValue = Union[float, _UnboundedRho]
 
 
 def _least_gain(delta: float, rho: float) -> float:
@@ -82,7 +63,8 @@ class RelayPolicy:
     """Complete relay transmission rule for one system configuration.
 
     x0 / y0 are the end-node cutoffs bounding the decode region; rho caps the
-    broadcast power (UNBOUNDED when the budget covers every decodable state).
+    broadcast power (None when the budget covers every decodable state, so
+    that the relay is uncapped).
     lambda1 / lambda2 are the corners of the served quadrant, derived from
     rho: at finite gains x, y >= 0, x >= lambda1 and y >= lambda2 exactly
     when x >= x0, y >= y0 and max(delta1 / y, delta2 / x) <= rho as rounded.
@@ -98,7 +80,7 @@ class RelayPolicy:
     y0: float
     omega_x: float
     omega_y: float
-    rho: RhoValue
+    rho: float | None
     lambda1: float = field(init=False)
     lambda2: float = field(init=False)
 
@@ -106,7 +88,7 @@ class RelayPolicy:
         for name in ("delta1", "delta2", "x0", "y0", "omega_x", "omega_y"):
             object.__setattr__(self, name, require_positive(getattr(self, name), name))
         corners = (self.x0, self.y0)
-        if not isinstance(self.rho, _UnboundedRho):
+        if self.rho is not None:
             object.__setattr__(self, "rho", require_positive(self.rho, "rho"))
             corners = (max(self.x0, _least_gain(self.delta2, self.rho)),
                        max(self.y0, _least_gain(self.delta1, self.rho)))
@@ -244,21 +226,14 @@ def avg_relay_power(policy: RelayPolicy) -> float:
                       policy.lambda1, policy.lambda2, exp_integral_e1)
 
 
-def avg_relay_power_max(delta1: float, delta2: float, x0: float, y0: float,
-                        omega_x: float, omega_y: float) -> float:
-    """Saturation value of the average broadcast power: the spend with no cap
-    at all, reached once rho clears max(delta1 / y0, delta2 / x0)."""
-    return avg_relay_power(RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, UNBOUNDED))
-
-
 def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
-              omega_x: float, omega_y: float, p_avg: float) -> RhoValue:
+              omega_x: float, omega_y: float, p_avg: float) -> float | None:
     """Cap that makes the average broadcast power spend exactly `p_avg`.
 
     The average is continuous and nondecreasing in the cap, vanishing as the
-    cap shrinks (the served region empties) and saturating at
-    avg_relay_power_max once the cap clears max(delta1 / y0, delta2 / x0).
-    Budgets at or above the saturation value return UNBOUNDED.  Below it the
+    cap shrinks (the served region empties) and saturating at the uncapped
+    spend once the cap clears max(delta1 / y0, delta2 / x0).  Budgets at or
+    above the saturation value return None: no cap.  Below it the
     cap is solved on a bracket whose ends provably spend at most and at least
     `p_avg`, so the solver's expansion only mends an end rounding misplaced.
     """
@@ -269,7 +244,7 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     e1 = functools.cache(exp_integral_e1)     # a corner on its cutoff keeps its E1 terms
     p_max = _avg_power(delta1, delta2, omega_x, omega_y, x0, y0, e1)
     if p_avg >= p_max:
-        return UNBOUNDED
+        return None
 
     # d spend / d ln rho is P, the probability of the served quadrant, times
     # delta2 / omega_x while delta2 / rho > x0 plus delta1 / omega_y while

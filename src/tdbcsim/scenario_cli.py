@@ -28,14 +28,7 @@ from dataclasses import dataclass
 from .endnode_policy import solve_cutoff
 from .mc_engine import simulate
 from .outage_analytics import FpaConfig, fpa_policy, min_outage, outage_fpa, outage_opa
-from .relay_policy import (
-    UNBOUNDED,
-    RelayPolicy,
-    avg_relay_power,
-    avg_relay_power_max,
-    policies_from_config,
-    solve_rho,
-)
+from .relay_policy import RelayPolicy, avg_relay_power, policies_from_config, solve_rho
 from .specfun import ConvergenceError, exp_integral_e1, require_positive, solve_monotone
 from .system_model import SystemConfig, delta_of_rate
 
@@ -75,6 +68,15 @@ def db_to_linear(power_db: float) -> float:
 
 def linear_to_db(power: float) -> float:
     return 10.0 * math.log10(power)
+
+
+def _gain_db(numerator: float, exponent: float, spend: float) -> float:
+    """numerator / (exponent * spend) in dB.  Where that product is not a
+    normal double or the quotient overflows, the dB is a sum of logs."""
+    product = exponent * spend
+    if product >= sys.float_info.min and numerator / product < math.inf:
+        return linear_to_db(numerator / product)
+    return linear_to_db(numerator) - linear_to_db(exponent) - linear_to_db(spend)
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -256,6 +258,9 @@ def scenario_power_gains(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
     fieldnames = ["op_target", "gain_s_dB", "gain_r_dB"]
     d1 = delta_of_rate(spec.rate_1)
     d2 = delta_of_rate(spec.rate_2)
+    peak = max(d1 / spec.omega_y, d2 / spec.omega_x)   # both relay powers scale with it
+    if peak == math.inf:
+        raise ConfigError("power_gains: delta / omega overflows a double")
     rows = []
     for target in spec.grid:
         exponent = -0.5 * math.log1p(-target)   # x0/omega_x = y0/omega_y
@@ -265,11 +270,10 @@ def scenario_power_gains(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
             raise ConfigError(f"power_gains target {target!r} is too small: a cutoff rounds to 0")
         # Fixed over adaptive powers, divided through by the exponent so that
         # no quotient overflows; node 1's gain equals node 2's under this split.
-        gain_s = 1.0 / (exponent * exp_integral_e1(exponent))
-        p_r_avg_max = avg_relay_power_max(d1, d2, x0, y0, spec.omega_x, spec.omega_y)
-        gain_r = max(d1 / spec.omega_y, d2 / spec.omega_x) / (exponent * p_r_avg_max)
-        rows.append({"op_target": float(target), "gain_s_dB": linear_to_db(gain_s),
-                     "gain_r_dB": linear_to_db(gain_r)})
+        p_r_avg_max = avg_relay_power(RelayPolicy(d1, d2, x0, y0, spec.omega_x, spec.omega_y, None))
+        rows.append({"op_target": float(target),
+                     "gain_s_dB": _gain_db(1.0, exponent, exp_integral_e1(exponent)),
+                     "gain_r_dB": _gain_db(peak, exponent, p_r_avg_max)})
     return fieldnames, rows
 
 
@@ -295,7 +299,7 @@ def validation_policies() -> list[tuple[str, SystemConfig, RelayPolicy]]:
             x0 = solve_cutoff(d1, omega_x, pbar_s1)
             y0 = solve_cutoff(d2, omega_y, pbar_s2)
             args = (d1, d2, x0, y0, omega_x, omega_y)
-            p_max = avg_relay_power_max(*args)
+            p_max = avg_relay_power(RelayPolicy(*args, None))
             for fraction in budget_fractions:
                 config = SystemConfig(rate_1, rate_2, omega_x, omega_y,
                                       pbar_s1, pbar_s2, fraction * p_max)
@@ -333,7 +337,7 @@ def _tie_cases():
     for d1, d2, x0, ox, oy in _TIE_GRID:
         y0 = d1 * x0 / d2
         saturation = max(d1 / y0, d2 / x0)
-        for cap in (UNBOUNDED, *(2.0 ** math.floor(math.log2(f * saturation)) for f in (0.7, 0.2))):
+        for cap in (None, *(2.0 ** math.floor(math.log2(f * saturation)) for f in (0.7, 0.2))):
             yield RelayPolicy(d1, d2, x0, y0, ox, oy, cap), RelayPolicy(d2, d1, y0, x0, oy, ox, cap)
 
 
@@ -386,7 +390,7 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
 
     dev = 0.0
     for d1, d2, x0, y0, ox, oy in _SATURATION_GRID:
-        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, UNBOUNDED)
+        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, None)
         dev = max(dev, abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
     rows.append(_row("saturation_identity", f"{len(_SATURATION_GRID)} pts", 0.0, dev, dev, 1e-12))
 

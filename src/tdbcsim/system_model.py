@@ -9,6 +9,7 @@ imported inside the sampler's methods, not when this module loads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,15 +33,17 @@ def delta_of_rate(rate: float) -> float:
     """SNR threshold 2**(TDBC_PHASES * rate) - 1 needed to sustain `rate`.
 
     The 1/TDBC_PHASES pre-log of the cycle is what puts the phase count in
-    the exponent.  Raises ValueError for rate <= 0, or for
+    the exponent.  Below an exponent of 1 the difference is taken by expm1,
+    as 2**x - 1 cancels there.  Raises ValueError for rate <= 0, or for
     TDBC_PHASES * rate >= 1024, where the threshold overflows a double.
     """
     rate = require_positive(rate, "rate")
-    if TDBC_PHASES * rate >= 1024.0:
+    exponent = TDBC_PHASES * rate
+    if exponent >= 1024.0:
         raise ValueError(
             f"rate {rate!r} too large: 2**({TDBC_PHASES} * rate) overflows a double"
         )
-    return 2.0 ** (TDBC_PHASES * rate) - 1.0
+    return math.expm1(exponent * math.log(2.0)) if exponent < 1.0 else 2.0 ** exponent - 1.0
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from tdbcsim.endnode_policy import solve_cutoff
 from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
 from tdbcsim.mc_engine import run_opa
 from tdbcsim.relay_policy import (
-    UNBOUNDED,
     RelayPolicy,
     avg_relay_power,
     policies_from_config,
@@ -100,7 +99,7 @@ def test_criterion_3_saturation_identity():
     grid."""
     worst_floor = 0.0
     for d1, d2, x0, y0, ox, oy in _saturation_grid():
-        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, UNBOUNDED)
+        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, None)
         worst_floor = max(worst_floor,
                           abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
     _report(3, "saturation identity", worst_floor <= 1e-12,
@@ -123,7 +122,7 @@ def test_criterion_4_case_boundary_continuity():
         y0 = d1 * x0 / d2
         exact_ties += d2 * y0 == d1 * x0
         saturation = max(d1 / y0, d2 / x0)
-        for rho in (UNBOUNDED, 0.7 * saturation, 0.2 * saturation):
+        for rho in (None, 0.7 * saturation, 0.2 * saturation):
             pa = avg_relay_power(RelayPolicy(d1, d2, x0, y0, ox, oy, rho))
             pb = avg_relay_power(RelayPolicy(d2, d1, y0, x0, oy, ox, rho))
             worst_power = max(worst_power, abs(pa - pb) / max(pa, pb))

@@ -9,7 +9,7 @@ import pytest
 from conftest import log_cutoff_oracle, scaled_gains
 from tdbcsim import endnode_policy
 from tdbcsim.endnode_policy import EndNodePolicy, solve_cutoff
-from tdbcsim.relay_policy import UNBOUNDED, RelayPolicy, cycle_powers
+from tdbcsim.relay_policy import RelayPolicy, cycle_powers
 from tdbcsim.specfun import BracketingError, exp_integral_e1
 
 #: Loads L = pbar * omega / delta from 1e-6 up to 665, the load of each end
@@ -99,7 +99,7 @@ class TestEndNodePolicy:
 
 def _policy(delta=1.0, cutoff=0.5, omega=1.0):
     """A system whose first end node has the given threshold and cutoff."""
-    return RelayPolicy(delta, 1.0, cutoff, 1.0, omega, 1.0, UNBOUNDED)
+    return RelayPolicy(delta, 1.0, cutoff, 1.0, omega, 1.0, None)
 
 
 def _power(policy, gain):

@@ -14,7 +14,7 @@ import pytest
 from tdbcsim import mc_engine
 from tdbcsim.mc_engine import CHUNK_TRIALS, SimReport, run_fpa, run_opa, simulate
 from tdbcsim.outage_analytics import FpaConfig, fpa_policy, min_outage, outage_fpa, outage_opa
-from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, cycle_powers, policies_from_config
+from tdbcsim.relay_policy import avg_relay_power, cycle_powers, policies_from_config
 from tdbcsim.scenario_cli import (_FPA_VALIDATION_SETS, db_to_linear, load_spec,
                                   validation_policies)
 from tdbcsim.specfun import exp_integral_e1
@@ -67,7 +67,7 @@ class TestPinnedReports:
     def test_report_is_pinned(self, label, capped, outages, powers, copies):
         """Each copy of the policy in one run gets the pinned report."""
         relay = _validation_sets()[label][1]
-        assert (relay.rho is not UNBOUNDED) == capped
+        assert (relay.rho is not None) == capped
         reports = simulate([relay] * copies, [], 300_001, 7)
         assert len(reports) == copies
         for report in reports:
@@ -188,7 +188,7 @@ def _demand_rule_outages(omega_x, omega_y, d1, d2, x0, y0, cap, sizes, seed):
         unit_x, unit_y = FadingSampler(seed, stream_index=i).sample_block(n)
         x, y = omega_x * unit_x, omega_y * unit_y
         served = (x >= x0) & (y >= y0)
-        if cap is not UNBOUNDED:
+        if cap is not None:
             with np.errstate(divide="ignore", over="ignore"):
                 served &= np.maximum(d1 / y, d2 / x) <= cap
         outages += n - int(np.count_nonzero(served))
@@ -213,7 +213,7 @@ class TestChunkedCounts:
     def test_policies_span_both_groups_and_caps(self):
         relays, baselines = self._policies()
         assert {(r.omega_x, r.omega_y) for r in relays} == {(1.0, 1.0), (2.0, 0.5)}
-        assert {r.rho is UNBOUNDED for r in relays} == {True, False}
+        assert {r.rho is None for r in relays} == {True, False}
         assert {(b.omega_x, b.omega_y) for b in baselines} == {(1.0, 1.0), (2.0, 0.5)}
 
     def test_outage_rates_do_not_depend_on_powers(self):
@@ -299,7 +299,7 @@ class TestSortedCorners:
         reports = (simulate(relays, stand_ins, self.TRIALS, self.SEED) if powers
                    else simulate([], relays + stand_ins, self.TRIALS, self.SEED))
         expected = [_rule_outages(r, self.SIZES, self.SEED) for r in relays]
-        expected += [_demand_rule_outages(ox, oy, 1.0, 1.0, a, b, UNBOUNDED, self.SIZES, self.SEED)
+        expected += [_demand_rule_outages(ox, oy, 1.0, 1.0, a, b, None, self.SIZES, self.SEED)
                      for ox, oy, a, b in corners]
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         expected = expected[len(relays):]
@@ -339,7 +339,7 @@ class TestSortedCorners:
         reports = (simulate(relays, stand_ins, self.TRIALS, self.SEED) if powers
                    else simulate([], relays + stand_ins, self.TRIALS, self.SEED))
         expected = [_rule_outages(r, self.SIZES, self.SEED) for r in relays]
-        expected += [_demand_rule_outages(ox, oy, 1.0, 1.0, a, a, UNBOUNDED, self.SIZES, self.SEED)
+        expected += [_demand_rule_outages(ox, oy, 1.0, 1.0, a, a, None, self.SIZES, self.SEED)
                      for ox, oy, a, _ in corners]
         assert [r.outage_rate for r in reports] == [k / self.TRIALS for k in expected]
         assert set(near) <= set(fallback)
@@ -410,7 +410,7 @@ class TestUniformWindows:
             near += [a, math.nextafter(a, -math.inf), math.nextafter(a, math.inf)]
             corners += [(omega, c) for c in [*near[-3:], 0.0, 5e-324, 0.5, math.inf]]
         corners += [(1e-10, c) for c in [0.0, 1e308, math.inf]]
-        expected = [_demand_rule_outages(omega, omega, 1.0, 1.0, a, a, UNBOUNDED,
+        expected = [_demand_rule_outages(omega, omega, 1.0, 1.0, a, a, None,
                                          self.SIZES, self.SEED) for omega, a in corners]
         trace = _trace_engine(monkeypatch)
         reports = simulate([], _stand_ins((omega, omega, a, a) for omega, a in corners),
@@ -441,7 +441,7 @@ class TestUniformWindows:
         count, and the count is the relay's rule."""
         u = FadingSampler(self.SEED, stream_index=0)._uniform_block(CHUNK_TRIALS, None)
         corners = [_corner_at(float(u[3 * 8192 + 700].min()), 1.0), 0.5]
-        expected = [_demand_rule_outages(1.0, 1.0, 1.0, 1.0, a, a, UNBOUNDED,
+        expected = [_demand_rule_outages(1.0, 1.0, 1.0, 1.0, a, a, None,
                                          self.SIZES, self.SEED) for a in corners]
         trace = _trace_engine(monkeypatch)
         reports = simulate([], _stand_ins((1.0, 1.0, a, a) for a in corners),
@@ -586,7 +586,7 @@ class TestOpaEstimates:
         4 sigma of 1 - exp(-0.4)."""
         config = _unbounded_config()
         _, _, relay = policies_from_config(config)
-        assert relay.rho is UNBOUNDED
+        assert relay.rho is None
         report = run_opa(relay, trials=1_000_000, seed=31)
         expected = min_outage(relay.x0, relay.y0, 1.0, 1.0)
         sigma = math.sqrt(expected * (1.0 - expected) / report.trials)
@@ -619,17 +619,12 @@ class TestOpaEstimates:
         assert report.avg_power_relay <= config.p_avg_relay * 1.01
         assert report.avg_power_relay == pytest.approx(avg_relay_power(relay), rel=0.01)
 
-    def test_sigma_field(self):
-        report = run_opa(_relay(_capped_config()), trials=N, seed=36)
-        r = report.outage_rate
-        assert report.binomial_sigma == pytest.approx(math.sqrt(r * (1 - r) / N), rel=1e-12)
-
     def test_outage_nonincreasing_in_budgets(self):
         """Raising any one budget cannot raise the outage rate (within one
         sigma of MC noise), probed on a coarse grid."""
         base = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.5, 0.5, 0.5)
         report = run_opa(_relay(base), trials=N, seed=37)
-        slack = report.binomial_sigma
+        slack = math.sqrt(report.outage_rate * (1.0 - report.outage_rate) / N)
         for bumped in (
             SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 0.5, 0.5),
             SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.5, 1.0, 0.5),

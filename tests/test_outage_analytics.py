@@ -15,7 +15,7 @@ from tdbcsim.outage_analytics import (
     outage_fpa,
     outage_opa,
 )
-from tdbcsim.relay_policy import UNBOUNDED, RelayPolicy, policies_from_config
+from tdbcsim.relay_policy import RelayPolicy, policies_from_config
 from tdbcsim.system_model import SystemConfig
 
 # Frozen: 1 - exp(-0.4) and 1 - exp(-0.2).
@@ -24,7 +24,7 @@ FPA_UNIT_EXAMPLE = 0.18126924692201815
 
 
 def _policy(delta1=1.0, delta2=1.0, x0=0.2, y0=0.2, omega_x=1.0, omega_y=1.0,
-            rho=UNBOUNDED):
+            rho=None):
     return RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
@@ -97,13 +97,13 @@ class TestOutageOpa:
         """Thresholds up to 1e3 and gains down to 1e-3 stay inside [0, 1]."""
         for d in (1e-3, 1.0, 1e3):
             for omega in (1e-3, 1.0, 1e3):
-                for rho in (UNBOUNDED, 1e-3, 1.0, 1e3):
+                for rho in (None, 1e-3, 1.0, 1e3):
                     policy = _policy(delta1=d, delta2=d, x0=0.5, y0=0.5,
                                      omega_x=omega, omega_y=omega, rho=rho)
                     p = outage_opa(policy).p_out
                     assert 0.0 <= p <= 1.0
 
-    @pytest.mark.parametrize("rho", [pytest.param(UNBOUNDED, id="unbounded"), 0.3, 3.0, 1e-3])
+    @pytest.mark.parametrize("rho", [pytest.param(None, id="unbounded"), 0.3, 3.0, 1e-3])
     def test_p_out_is_the_measure_outside_the_corners(self, rho):
         """The report's p_out is `min_outage` at the truncation corners, bit
         for bit, and the report holds the policy it was evaluated for."""
@@ -114,7 +114,7 @@ class TestOutageOpa:
                                           policy.omega_x, policy.omega_y)
 
     def test_floor_invariant(self):
-        for rho in (UNBOUNDED, 0.3, 3.0):
+        for rho in (None, 0.3, 3.0):
             policy = _policy(x0=0.4, y0=0.2, rho=rho)
             floor = min_outage(0.4, 0.2, 1.0, 1.0)
             assert outage_opa(policy).p_out >= floor - 1e-15
@@ -128,7 +128,7 @@ class TestOutageOpa:
             (1.0, 1.0, 0.2, 0.2, 1.0, 1.0, None),
         ]:
             policy = _policy(d1, d2, x0, y0, ox, oy,
-                             UNBOUNDED if rho is None else rho)
+                             rho)
             analytic = outage_opa(policy).p_out
             x, y = scaled_gains(4242, ox, oy, n)
             decoded = (x >= x0) & (y >= y0)
@@ -213,12 +213,13 @@ class TestOutageFpa:
             assert corner == pytest.approx(max(cutoff, delta / pr), rel=2.0 ** -52, abs=0.0)
 
     def test_cutoff_that_rounds_to_zero_is_rejected(self):
-        """At the smallest threshold, 2**-52 (rate 1e-16), a fixed power of
-        2**1023 or more puts the cutoff d1 / p1 at 0.0, which a relay policy
-        rejects with a one-line ValueError, not an outage from the other
-        threshold alone."""
+        """At a tiny threshold, 3e-16 ln 2 (rate 1e-16), a fixed power of
+        1e308 puts the cutoff d1 / p1 at 0.0, which a relay policy rejects
+        with a one-line ValueError, not an outage from the other threshold
+        alone."""
         config = self._config(1e-16)
-        assert config.delta1 == 2.0 ** -52 and config.delta1 / 1e308 == 0.0
+        assert config.delta1 == pytest.approx(3e-16 * math.log(2.0), rel=1e-15)
+        assert config.delta1 / 1e308 == 0.0
         with pytest.raises(ValueError, match=r"^x0 must be finite and > 0, got 0\.0$"):
             outage_fpa(config, FpaConfig(1e308, 1.0, 1.0))
 

@@ -82,7 +82,7 @@ def test_module_exports_resolve():
 
 
 def test_public_surface_does_not_grow():
-    assert len(tdbcsim.__all__) <= 21
+    assert len(tdbcsim.__all__) <= 19
 
 
 def _eager_numpy_imports(source: str) -> list[int]:
@@ -134,7 +134,7 @@ def design_calls():
     values = []
     for config in CONFIGS:
         relay = tdbcsim.policies_from_config(config)[2]
-        values.append([relay.rho is tdbcsim.UNBOUNDED, tdbcsim.outage_opa(relay).p_out,
+        values.append([relay.rho is None, tdbcsim.outage_opa(relay).p_out,
                        tdbcsim.avg_relay_power(relay), tdbcsim.outage_fpa(config, FPA)])
     return values
 
@@ -197,7 +197,7 @@ def test_benchmark_design_operations_check(monkeypatch, tmp_path):
     """One capped and one uncapped `design` operation of the benchmark run
     through the library and pass its checks: the benchmark pins the shapes
     it reads (a 3-tuple from policies_from_config whose end-node policies
-    have .cutoff, OutageReport.p_out, UNBOUNDED not being a float)."""
+    have .cutoff, OutageReport.p_out, and an uncapped `rho` is `None`)."""
     monkeypatch.setitem(sys.modules, "oracles", load_bench("oracles"))
     workloads = load_bench("workloads")
     rng = random.Random(0)

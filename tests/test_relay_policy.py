@@ -14,10 +14,8 @@ from tdbcsim import endnode_policy, relay_policy
 from tdbcsim.endnode_policy import solve_cutoff
 from tdbcsim.outage_analytics import outage_opa
 from tdbcsim.relay_policy import (
-    UNBOUNDED,
     RelayPolicy,
     avg_relay_power,
-    avg_relay_power_max,
     cycle_powers,
     cycle_totals,
     policies_from_config,
@@ -30,9 +28,13 @@ from tdbcsim.system_model import SystemConfig
 # Frozen from the quadrature oracle (rel 1e-13): 2 * E1(0.4).
 TWICE_E1_04 = 1.4047602377313249
 
+#: A finite cap and none; the uncapped case keeps the id pytest gives an
+#: object as the second value of `rho`.
+CAPPED_AND_UNCAPPED = [2.5, pytest.param(None, id="rho1")]
+
 
 def _policy(delta1=1.0, delta2=1.0, x0=0.1, y0=0.1, omega_x=1.0, omega_y=1.0,
-            rho=UNBOUNDED):
+            rho=None):
     return RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
@@ -153,7 +155,7 @@ class TestOptimalPower:
 
 
 class TestCyclePowers:
-    @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
+    @pytest.mark.parametrize("rho", CAPPED_AND_UNCAPPED)
     def test_served_set_is_the_outage_quadrant(self, rho):
         """The relay transmits exactly on the quadrant x >= lambda1,
         y >= lambda2 whose complement outage_opa integrates, and each end
@@ -175,7 +177,7 @@ class TestCyclePowers:
             assert tuple(float(s) for s in scalars) == tuple(a[i] for a in arrays)
 
     @pytest.mark.parametrize("cutoff", [0.3, 5e-324])
-    @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
+    @pytest.mark.parametrize("rho", CAPPED_AND_UNCAPPED)
     def test_silent_entries_are_positive_zero(self, cutoff, rho):
         """At a gain of 0 on either link every silent entry is exactly +0.0
         and nothing warns, down to the smallest cutoff; a clamp such as
@@ -235,7 +237,7 @@ class TestServedMasks:
         policies = []
         for (d1, d2), log_x0, log_y0, fraction in draws:
             x0, y0 = 10.0 ** log_x0, 10.0 ** log_y0
-            rho = UNBOUNDED if fraction is None else fraction * max(d1 / y0, d2 / x0)
+            rho = None if fraction is None else fraction * max(d1 / y0, d2 / x0)
             policies.append(_policy(d1, d2, x0, y0, 1.0, 1.5, rho))
         x, y = _CHUNK
         totals = cycle_totals(policies, x, y)
@@ -243,13 +245,13 @@ class TestServedMasks:
             decoded = (x >= policy.x0) & (y >= policy.y0)
             demand = np.zeros_like(x)
             demand[decoded] = np.maximum(policy.delta1 / y[decoded], policy.delta2 / x[decoded])
-            served = decoded if policy.rho is UNBOUNDED else decoded & (demand <= policy.rho)
+            served = decoded if policy.rho is None else decoded & (demand <= policy.rho)
             pr = cycle_powers(policy, x, y)[2]
             assert total[0] == x.size - int(np.count_nonzero(served))
             assert np.array_equal(pr > 0.0, served)
             assert np.array_equal(pr[served], demand[served])
 
-    @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
+    @pytest.mark.parametrize("rho", CAPPED_AND_UNCAPPED)
     def test_subnormal_and_normal_cutoffs_share_a_demand(self, rho):
         """Policies with subnormal and normal cutoffs share one demand, which
         divides by subnormal gains; the totals still match cycle_powers and
@@ -277,7 +279,7 @@ class TestServedMasks:
                     _policy(1.0, 3.0, 0.2, 0.2), _policy(0.26, 0.26, 0.2, 0.2)]
         assert cycle_totals(policies, x, y) == [_sums(p, x, y) for p in policies]
 
-    @pytest.mark.parametrize("rho", [2.5, UNBOUNDED])
+    @pytest.mark.parametrize("rho", CAPPED_AND_UNCAPPED)
     def test_zero_and_subnormal_gains_do_not_warn(self, rho):
         """With normal cutoffs, gains of 0 and subnormal gains divide the
         relay demand to inf or overflow it, silently: no RuntimeWarning."""
@@ -301,7 +303,7 @@ class TestServedMasks:
 
 _DELTAS = st.one_of(st.floats(2.2e-16, 1e-8), st.floats(0.01, 1e3))
 _CUTOFFS = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-6, 10.0))
-_CAPS = st.one_of(st.just(UNBOUNDED), st.floats(1e-3, 1e3), st.floats(1e-140, 1e-120),
+_CAPS = st.one_of(st.none(), st.floats(1e-3, 1e3), st.floats(1e-140, 1e-120),
                   st.floats(1e300, 1.7e308), st.floats(5e-324, 1e-305))
 
 
@@ -330,19 +332,19 @@ class TestPolicyCorners:
     @example(3.0, 1.0, 1e-6, 1e-6, 1e-130)              # delta / rho about 1e130
     @example(1e-9, 1e-9, 5e-324, 5e-324, 1.7e308)       # t at the smallest double
     @example(1e-15, 2e-15, 0.1, 0.1, 1e-310)            # a subnormal cap
-    @example(0.26, 0.26, 5e-324, 0.2, UNBOUNDED)
+    @example(0.26, 0.26, 5e-324, 0.2, None)
     def test_quadrant_is_the_demand_rule(self, delta1, delta2, x0, y0, rho):
         # A policy's corners are finite: delta / rho must not overflow.
-        assume(rho is UNBOUNDED or max(delta1, delta2) / rho < math.inf)
+        assume(rho is None or max(delta1, delta2) / rho < math.inf)
         policy = _policy(delta1, delta2, x0, y0, 1.0, 1.0, rho)
         a, b = policy.lambda1, policy.lambda2
-        quotients = [] if rho is UNBOUNDED else [delta1 / rho, delta2 / rho]
+        quotients = [] if rho is None else [delta1 / rho, delta2 / rho]
         gains = _neighbours([0.0, 5e-324, 1e-310, 0.5, 1e300, x0, y0, *quotients])
         x, y = (g.ravel() for g in np.meshgrid(gains, gains))
         with np.errstate(divide="ignore", over="ignore"):
             demand = np.maximum(delta1 / y, delta2 / x)
         rule = (x >= x0) & (y >= y0)
-        if rho is not UNBOUNDED:
+        if rho is not None:
             rule &= demand <= rho
         assert np.array_equal((x >= a) & (y >= b), rule)
 
@@ -362,7 +364,7 @@ class TestAveragePower:
     def test_symmetric_unbounded_closed_form(self):
         """Symmetric thresholds and unit gains collapse the saturation value
         to 2 * E1(0.4): the bracketed difference vanishes."""
-        value = avg_relay_power_max(1.0, 1.0, 0.2, 0.2, 1.0, 1.0)
+        value = avg_relay_power(_policy(1.0, 1.0, 0.2, 0.2, 1.0, 1.0))
         assert value == pytest.approx(2.0 * exp_integral_e1(0.4), rel=1e-14)
         assert value == pytest.approx(TWICE_E1_04, rel=1e-12)
 
@@ -380,7 +382,7 @@ class TestAveragePower:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_below_maximum(self):
-        p_max = avg_relay_power_max(1.0, 1.0, 0.4, 0.2, 1.0, 1.0)
+        p_max = avg_relay_power(_policy(1.0, 1.0, 0.4, 0.2, 1.0, 1.0))
         for rho in (0.5, 1.0, 3.0, 4.9):
             assert avg_relay_power(_policy(x0=0.4, y0=0.2, rho=rho)) <= p_max + 1e-12
 
@@ -395,7 +397,7 @@ class TestAveragePower:
             y0 = d1 * x0 / d2
             assert d2 * y0 == d1 * x0   # else both sides take one orientation
             saturation = max(d1 / y0, d2 / x0)
-            for cap in (UNBOUNDED, 0.6 * saturation, 0.15 * saturation):
+            for cap in (None, 0.6 * saturation, 0.15 * saturation):
                 a = avg_relay_power(_policy(d1, d2, x0, y0, ox, oy, cap))
                 b = avg_relay_power(_policy(d2, d1, y0, x0, oy, ox, cap))
                 assert a == pytest.approx(b, rel=1e-10)
@@ -407,13 +409,13 @@ class TestAveragePower:
         for _ in range(200):
             d1, d2, x0, y0, ox, oy = (float(v) for v in 10.0 ** rng.uniform(-1, 1, size=6))
             saturation = max(d1 / y0, d2 / x0)
-            for cap in (UNBOUNDED, float(rng.uniform(0.05, 1.0)) * saturation):
+            for cap in (None, float(rng.uniform(0.05, 1.0)) * saturation):
                 a = avg_relay_power(_policy(d1, d2, x0, y0, ox, oy, cap))
                 b = avg_relay_power(_policy(d2, d1, y0, x0, oy, ox, cap))
                 assert a == pytest.approx(b, rel=1e-14)
 
     @pytest.mark.parametrize("d1,d2,x0,y0,rho", [
-        (1.0, 1.0, 0.4, 0.2, UNBOUNDED),
+        (1.0, 1.0, 0.4, 0.2, None),
         (1.0, 1.0, 0.4, 0.2, 4.0),      # only the y-corner moved
         (1.0, 3.0, 0.2, 0.4, 3.0),      # the corner above the ray
     ], ids=["unbounded", "capped", "mirrored"])
@@ -436,7 +438,7 @@ class TestAveragePower:
     def test_matches_monte_carlo(self, d1, d2, x0, y0, ox, oy, rho):
         """The closed form equals the Monte Carlo expectation of the capped
         power rule within 1%, in every cap regime."""
-        policy = _policy(d1, d2, x0, y0, ox, oy, UNBOUNDED if rho is None else rho)
+        policy = _policy(d1, d2, x0, y0, ox, oy, rho)
         analytic = avg_relay_power(policy)
         n = 400_000
         x, y = scaled_gains(808, ox, oy, n)
@@ -470,7 +472,7 @@ class TestAgainstQuadrature:
         failures = []
         for label, relay in _oracle_designs():
             d1, d2, ox, oy = relay.delta1, relay.delta2, relay.omega_x, relay.omega_y
-            l1, l2 = ((relay.x0, relay.y0) if relay.rho is UNBOUNDED else
+            l1, l2 = ((relay.x0, relay.y0) if relay.rho is None else
                       (max(relay.x0, d2 / relay.rho), max(relay.y0, d1 / relay.rho)))
             for name, value, oracle in (
                     ("spend", avg_relay_power(relay), oracles.relay_spend(d1, d2, ox, oy, l1, l2)),
@@ -488,12 +490,12 @@ class TestSolveRho:
         assert solved == pytest.approx(3.0, rel=1e-6)
 
     def test_budget_at_maximum_is_unbounded(self):
-        p_max = avg_relay_power_max(1.0, 1.0, 0.4, 0.2, 1.0, 1.0)
-        assert solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, p_max) is UNBOUNDED
+        p_max = avg_relay_power(_policy(1.0, 1.0, 0.4, 0.2, 1.0, 1.0))
+        assert solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, p_max) is None
 
     def test_budget_above_maximum_is_unbounded(self):
-        p_max = avg_relay_power_max(1.0, 1.0, 0.4, 0.2, 1.0, 1.0)
-        assert solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, 2.0 * p_max) is UNBOUNDED
+        p_max = avg_relay_power(_policy(1.0, 1.0, 0.4, 0.2, 1.0, 1.0))
+        assert solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, 2.0 * p_max) is None
 
     def test_small_budgets_yield_deep_truncation(self):
         solved = solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, 0.05)
@@ -513,8 +515,8 @@ class TestSolveRho:
             policy = _policy(d1, d2, x0, y0, 1.3, 0.8, rho_true)
             p_avg = avg_relay_power(policy)
             solved = solve_rho(d1, d2, x0, y0, 1.3, 0.8, p_avg)
-            if solved is UNBOUNDED:
-                p_max = avg_relay_power_max(d1, d2, x0, y0, 1.3, 0.8)
+            if solved is None:
+                p_max = avg_relay_power(_policy(d1, d2, x0, y0, 1.3, 0.8))
                 assert p_avg >= p_max * (1.0 - 1e-12)
             else:
                 assert solved == pytest.approx(rho_true, rel=1e-6)
@@ -549,7 +551,7 @@ class TestSolveRho:
             config = SystemConfig(r1, r2, ox, oy, share, share, share)
             x0 = solve_cutoff(config.delta1, ox, share)
             y0 = solve_cutoff(config.delta2, oy, share)
-            p_max = avg_relay_power_max(config.delta1, config.delta2, x0, y0, ox, oy)
+            p_max = avg_relay_power(_policy(config.delta1, config.delta2, x0, y0, ox, oy))
             for fraction in (0.01, 0.1, 0.5, 0.9):
                 calls.clear()
                 solved = solve_rho(config.delta1, config.delta2, x0, y0, ox, oy,
@@ -571,7 +573,7 @@ class TestPoliciesFromConfig:
     def test_rich_relay_budget_goes_unbounded(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.8, 1.2, 50.0)
         _, _, relay = policies_from_config(config)
-        assert relay.rho is UNBOUNDED
+        assert relay.rho is None
 
     @staticmethod
     def _count_cutoff_solves(monkeypatch):

@@ -1,23 +1,28 @@
 """CLI front end: grid/config parsing, sweeps, validation, determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special
 
 import tdbcsim
 from conftest import load_bench, log_cutoff_oracle
 from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
-from tdbcsim.relay_policy import UNBOUNDED, avg_relay_power, policies_from_config
+from tdbcsim.relay_policy import avg_relay_power, policies_from_config
 from tdbcsim.scenario_cli import (
     MIN_TRIALS,
     ConfigError,
@@ -269,17 +274,23 @@ class TestPowerGains:
             / ((d2 / spec.omega_y) * exp_integral_e1(exponent))
         assert rows[0]["gain_s_dB"] == pytest.approx(10 * math.log10(gain_2), rel=1e-12)
 
-    @pytest.mark.parametrize("target,rate", [(1e-310, 1 / 3), (1e-250, 100.0)])
+    @pytest.mark.parametrize("target,rate", [(1e-310, 1 / 3), (1e-250, 100.0), (1e-311, 1 / 3),
+                                             (1e-312, 1 / 3), (1e-323, 1 / 3)])
     def test_tiny_targets_give_finite_gains(self, target, rate):
         """Where the fixed powers d / x0 overflow, the node gain is still
-        1 / (e E1(e)) at the exponent e = -log1p(-target) / 2."""
+        1 / (e E1(e)) at the exponent e = -log1p(-target) / 2, and the
+        relay's is 1 / (e 2 E1(2 e)) at equal rates and unit mean gains.
+        From 1e-311 down the products e E1(e) and e 2 E1(2 e) are
+        subnormal, where their reciprocals once overflowed to inf."""
         spec = ScenarioSpec(scenario="power_gains", grid=(target,), rate_1=rate,
                             rate_2=rate, **SMALL)
         _, [row] = scenario_power_gains(spec)
         e = -0.5 * math.log1p(-target)
-        assert row["gain_s_dB"] == pytest.approx(-10.0 * math.log10(e * special.exp1(e)),
+        e_db = 10.0 * math.log10(e)
+        assert row["gain_s_dB"] == pytest.approx(-e_db - 10.0 * math.log10(special.exp1(e)),
                                                  rel=1e-12)
-        assert math.isfinite(row["gain_r_dB"])
+        assert row["gain_r_dB"] == pytest.approx(
+            -e_db - 10.0 * math.log10(2.0 * special.exp1(2.0 * e)), rel=1e-12)
 
     def test_target_with_a_zero_cutoff_is_a_config_error(self, tmp_path, capsys):
         assert main(["power-gains", "--grid", "5e-324:5e-324:1",
@@ -301,7 +312,7 @@ class TestValidateScenario:
         seen = set()
         for _, _, relay in validation_policies():
             seen.add(("a" if relay.delta2 * relay.y0 <= relay.delta1 * relay.x0 else "b",
-                      "unbounded" if relay.rho is UNBOUNDED else "finite"))
+                      "unbounded" if relay.rho is None else "finite"))
         assert len(validation_policies()) >= 20
         assert seen == {("a", "finite"), ("a", "unbounded"),
                         ("b", "finite"), ("b", "unbounded")}
@@ -371,10 +382,10 @@ class TestValidateScenario:
          "rho_roundtrip"),
         ("outage_opa",
          lambda opa: lambda p: types.SimpleNamespace(p_out=opa(p).p_out + 1e-11)
-         if p.rho is UNBOUNDED else opa(p),
+         if p.rho is None else opa(p),
          "saturation_identity"),
         ("avg_relay_power",
-         lambda avg: lambda p: avg(p) - 1e-9 if p.rho is not UNBOUNDED and p.rho > 15.0
+         lambda avg: lambda p: avg(p) - 1e-9 if p.rho is not None and p.rho > 15.0
          else avg(p),
          "avg_power_monotone_in_cap"),
     ])
@@ -425,7 +436,7 @@ class TestValidateScenario:
         for p, m in cases:
             assert (m.delta1, m.delta2, m.x0, m.y0, m.omega_x, m.omega_y, m.rho) \
                 == (p.delta2, p.delta1, p.y0, p.x0, p.omega_y, p.omega_x, p.rho)
-            assert (p.lambda1 > p.x0 and p.lambda2 > p.y0) == (p.rho is not UNBOUNDED)
+            assert (p.lambda1 > p.x0 and p.lambda2 > p.y0) == (p.rho is not None)
 
     def test_validation_designs_are_pinned_bit_for_bit(self):
         """On the 24 validation sets, the cutoffs, rho, the served corners,
@@ -436,7 +447,7 @@ class TestValidateScenario:
         lines = []
         for label, config, relay in validation_policies():
             fpa = FpaConfig(config.pbar_s1, config.pbar_s2, config.p_avg_relay)
-            rho = "unbounded" if relay.rho is UNBOUNDED else relay.rho.hex()
+            rho = "unbounded" if relay.rho is None else relay.rho.hex()
             values = (relay.x0, relay.y0, relay.lambda1, relay.lambda2,
                       outage_opa(relay).p_out, avg_relay_power(relay), outage_fpa(config, fpa))
             lines.append(" ".join([label, rho, *(v.hex() for v in values)]))
@@ -615,8 +626,11 @@ class TestCsvAndCli:
         # the fixed-power cutoff delta / (10**-320 / 3) overflows to inf
         (["sweep-total-power", "--grid=-3200:-3200:1", "--trials", "1000"], None,
          "at P_T -3200.0 dB: x0 must be finite and > 0"),
-    ], ids=["cutoff-underflow", "rate-overflow", "trials-memory",
-            "validate-trials-memory", "db-overflow", "db-underflow", "fpa-cutoff-overflow"])
+        # 1 / 1e-310 overflows, and both relay powers of power-gains scale with it
+        (["power-gains", "--trials", "1000"], "[power_gains]\nomega_y = 1e-310\n",
+         "power_gains: delta / omega overflows a double"),
+    ], ids=["cutoff-underflow", "rate-overflow", "trials-memory", "validate-trials-memory",
+            "db-overflow", "db-underflow", "fpa-cutoff-overflow", "gains-peak-overflow"])
     def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini, names):
         argv = argv + ["--out", str(tmp_path / "s.csv")]
         if ini is not None:
@@ -720,3 +734,94 @@ class TestCsvAndCli:
         assert errs[2] == "tdbcsim: error: unrecognized arguments: --no-such-flag\n"
         rows = [len((tmp_path / f"here{k}.csv").read_text().splitlines()) - 1 for k in (0, 1)]
         assert rows == [3, len(parse_grid("-10:30:2"))]
+
+
+def _numbers(decades, *edges):
+    """Config text of a number log-uniform over `decades` or of one of
+    `edges`."""
+    return st.one_of(st.floats(*decades).map(lambda e: repr(10.0 ** e)), st.sampled_from(edges))
+
+
+_CONTRACT_KEYS = {
+    "rate_1": _numbers((-2.0, 2.5), "5e-324", "1e-300", "1e-17", "0.3333333333333333", "341.33"),
+    "rate_2": _numbers((-2.0, 2.5), "1e-17", "0.5", "341.34"),
+    "omega_x": _numbers((-3.0, 3.0), "5e-324", "1e-310", "1e-300", "1.7976931348623157e308"),
+    "omega_y": _numbers((-3.0, 3.0), "1e-310", "1", "1e300"),
+    "seed": st.sampled_from(["0", "1", str(2 ** 64 - 1), str(2 ** 64)]),
+}
+_MALFORMED = ("0", "-1", "nan", "inf", "1e999", "1.5", "x", "", "1:0:1", "0:1")
+_DB_POINTS = st.one_of(st.floats(-40.0, 30.0),
+                       st.sampled_from([-4000.0, -3200.0, -300.0, 33.0, 34.0, 3080.0, 3100.0]))
+_TARGETS = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.floats(-323.0, -1.0).map(lambda e: 10.0 ** e),
+                     st.sampled_from([5e-324, 1e-323, 1e-312, 1e-311, 1.0 - 2.0 ** -53]))
+
+
+@st.composite
+def _grids(draw, values):
+    """start:stop:step text of one to three points of `values`."""
+    points = sorted(set(draw(st.lists(values, min_size=1, max_size=3))))
+    step = (points[-1] - points[0]) / (len(points) - 1) if len(points) > 1 else 1.0
+    return f"{points[0]!r}:{points[-1]!r}:{step!r}"
+
+
+@st.composite
+def _cli_specs(draw):
+    """(command, INI text, flags): each config key set or not, to a value of
+    its accepted domain or at its edge, and now and then one malformed."""
+    # validate reads only the seed and costs the most: one draw in five
+    command = draw(st.sampled_from(["sweep-total-power", "power-gains"] * 2 + ["validate"]))
+    grid = _grids(_DB_POINTS if command == "sweep-total-power" else _TARGETS)
+    values = {key: draw(value) for key, value in {**_CONTRACT_KEYS, "grid": grid}.items()
+              if draw(st.booleans())}
+    if values and draw(st.integers(0, 7)) == 0:
+        values[draw(st.sampled_from(sorted(values)))] = draw(st.sampled_from(_MALFORMED))
+    ini = "".join(f"{key} = {value}\n" for key, value in values.items())
+    flags = ["--grid", draw(grid)] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        flags += ["--seed", str(draw(st.integers(0, 2 ** 64 - 1)))]
+    return command, f"[{command.replace('-', '_')}]\n{ini}", flags
+
+
+def _probabilities(row: dict) -> list[str]:
+    if "check" not in row:      # sweep-total-power and power-gains
+        return [value for name, value in row.items() if name.startswith("op_")]
+    return [row["analytic"], row["empirical"]] if row["check"].endswith("outage_mc") else []
+
+
+class TestCliContract:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_cli_specs())
+    @example(("power-gains", "", ["--grid", "1e-311:1e-311:1"]))
+    @example(("power-gains", "", ["--grid", "1e-312:1e-312:1"]))
+    @example(("power-gains", "[power_gains]\nomega_y = 1e-310\n", []))
+    @example(("power-gains", "[power_gains]\nrate_1 = 15.0\ngrid = 1e-323:1e-323:1\n", []))
+    def test_every_input_gives_a_csv_or_one_error_line(self, spec):
+        """Any spec, run in-process at MIN_TRIALS, exits 1 with exactly one
+        error line, or exits 0 or 2 with a CSV whose numbers are finite and
+        whose probabilities lie in [0, 1]; no exception escapes `main`.  The
+        examples once wrote inf or nan gains."""
+        command, ini, flags = spec
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = os.path.join(tmp, "spec.ini"), os.path.join(tmp, "out.csv")
+            pathlib.Path(config).write_text(ini, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", config, "--out", out,
+                             "--trials", str(MIN_TRIALS), *flags])
+            if code == 1:
+                [line] = err.getvalue().splitlines()
+                assert line.startswith("tdbcsim: error: ")
+                return
+            assert code in (0, 2) and err.getvalue() == ""
+            with open(out, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            for value in row.values():
+                try:
+                    number = float(value)
+                except ValueError:      # a label: params or status
+                    continue
+                assert math.isfinite(number), row
+            assert all(0.0 <= float(p) <= 1.0 for p in _probabilities(row)), row

@@ -31,6 +31,27 @@ class TestDeltaOfRate:
     def test_vanishes_with_rate(self):
         assert 0.0 < delta_of_rate(1e-12) < 1e-10
 
+    def test_small_rates_match_mpmath(self):
+        """2**(3r) - 1 cancels as r shrinks (relative error 2.3e-7 at 1e-10,
+        0.0 at 1e-17 with the plain formula); expm1 keeps it within 4e-16
+        relative of 40-digit mpmath on 2,000 log-spaced rates from 1e-300 to
+        1/3 (2.2e-16 is the worst)."""
+        mp = pytest.importorskip("mpmath")
+        rates = [*map(float, np.logspace(-300.0, math.log10(1.0 / 3.0), 2000)), 1e-17, 1.0 / 3.0]
+        with mp.workdps(40):
+            exact = [mp.expm1(3 * mp.mpf(r) * mp.ln2) for r in rates]
+            worst = max(abs(delta_of_rate(r) - e) / e for r, e in zip(rates, exact))
+        assert worst <= 4e-16
+
+    @pytest.mark.parametrize("rate, bits", [
+        (0.1, "0x1.d9623dffc1948p-3"), (0.2, "0x1.080c007655cbap-1"),
+        (1.0 / 3.0, "0x1.0000000000000p+0"), (0.5, "0x1.d413cccfe779ap+0"),
+        (2.0 / 3.0, "0x1.8000000000000p+1")])
+    def test_shipped_rates_keep_their_bits(self, rate, bits):
+        """The rates of the CLI defaults and the validate table give the bits
+        of 2.0 ** (3 * rate) - 1.0, so no CSV moves."""
+        assert delta_of_rate(rate).hex() == bits
+
     def test_strictly_increasing_in_rate(self):
         rates = np.linspace(0.01, 3.0, 200)
         values = [delta_of_rate(float(r)) for r in rates]
