@@ -28,9 +28,9 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
     """The unique c > 0 with (delta / omega) * E1(c / omega) = pbar.
 
     The left side falls continuously from +inf to 0 as c grows, so a root
-    exists and is unique for any positive budget.  Raises BracketingError
-    when the cutoff falls below the smallest normal double, about
-    exp(-708), where it keeps too few significant bits to be solved.
+    exists and is unique for any positive budget.  Raises BracketingError if
+    delta / omega overflows, or if the cutoff falls below the smallest normal
+    double, about exp(-708), where it keeps too few bits to be solved.
     """
     delta = require_positive(delta, "delta")
     omega = require_positive(omega, "omega")
@@ -49,6 +49,8 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
     z_hi = math.exp(1.0 - EULER_GAMMA - load) if load >= 0.5 else max(1.0, neg_log_load)
     z_lo = max(math.exp(-EULER_GAMMA - load), neg_log_load - math.log1p(z_hi))
     try:
+        if scale == math.inf:
+            raise BracketingError("delta / omega overflows a double")
         if omega * z_lo < sys.float_info.min:
             raise BracketingError("the cutoff falls below the smallest normal double")
         return solve_monotone(avg_power, pbar, omega * z_lo, omega * z_hi, "decreasing")

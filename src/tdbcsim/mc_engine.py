@@ -194,12 +194,11 @@ def _count_outside(x, y, a: float, b: float, masks) -> int:
     return len(x) - int(np.count_nonzero(served))
 
 
-def run_opa(policy: RelayPolicy, trials: int = 1_000_000, seed: int = 0) -> SimReport:
+def run_opa(policy: RelayPolicy, trials: int, seed: int) -> SimReport:
     """`simulate` of one adaptive policy."""
     return simulate([policy], [], trials, seed)[0]
 
 
-def run_fpa(config: SystemConfig, fpa: FpaConfig, trials: int = 1_000_000,
-            seed: int = 0) -> SimReport:
+def run_fpa(config: SystemConfig, fpa: FpaConfig, trials: int, seed: int) -> SimReport:
     """`simulate` of one fixed-power baseline, outage only."""
     return simulate([], [fpa_policy(config, fpa)], trials, seed)[0]

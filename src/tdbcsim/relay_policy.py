@@ -58,6 +58,11 @@ def _least_gain(delta: float, rho: float) -> float:
     return t
 
 
+def _check_quotients(delta1: float, delta2: float, omega_x: float, omega_y: float) -> None:
+    if max(delta1 / omega_y, delta2 / omega_x) == math.inf:    # the spend scales with both
+        raise ValueError("delta / omega overflows a double")
+
+
 @dataclass(frozen=True)
 class RelayPolicy:
     """Complete relay transmission rule for one system configuration.
@@ -71,7 +76,8 @@ class RelayPolicy:
     Rounded division is monotone, so delta / x <= rho holds from a least
     double on, which replaces the quotient delta / rho.  Every closed form
     and the Monte Carlo count read these corners, the fixed-power baseline's
-    too (`outage_analytics.fpa_policy`).
+    too (`outage_analytics.fpa_policy`).  Raises ValueError if
+    delta1 / omega_y or delta2 / omega_x overflows a double.
     """
 
     delta1: float
@@ -87,6 +93,7 @@ class RelayPolicy:
     def __post_init__(self) -> None:
         for name in ("delta1", "delta2", "x0", "y0", "omega_x", "omega_y"):
             object.__setattr__(self, name, require_positive(getattr(self, name), name))
+        _check_quotients(self.delta1, self.delta2, self.omega_x, self.omega_y)
         corners = (self.x0, self.y0)
         if self.rho is not None:
             object.__setattr__(self, "rho", require_positive(self.rho, "rho"))
@@ -236,11 +243,13 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
     above the saturation value return None: no cap.  Below it the
     cap is solved on a bracket whose ends provably spend at most and at least
     `p_avg`, so the solver's expansion only mends an end rounding misplaced.
+    Raises ValueError if delta1 / omega_y or delta2 / omega_x overflows.
     """
     p_avg = require_positive(p_avg, "p_avg")
     delta1, delta2, x0, y0, omega_x, omega_y = map(
         require_positive, (delta1, delta2, x0, y0, omega_x, omega_y),
         ("delta1", "delta2", "x0", "y0", "omega_x", "omega_y"))
+    _check_quotients(delta1, delta2, omega_x, omega_y)
     e1 = functools.cache(exp_integral_e1)     # a corner on its cutoff keeps its E1 terms
     p_max = _avg_power(delta1, delta2, omega_x, omega_y, x0, y0, e1)
     if p_avg >= p_max:

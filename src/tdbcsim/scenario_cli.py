@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass
 
 from .endnode_policy import solve_cutoff
-from .mc_engine import simulate
-from .outage_analytics import FpaConfig, fpa_policy, min_outage, outage_fpa, outage_opa
+from .mc_engine import SimReport, simulate
+from .outage_analytics import FpaConfig, fpa_policy, min_outage, outage_opa
 from .relay_policy import RelayPolicy, avg_relay_power, policies_from_config, solve_rho
 from .specfun import ConvergenceError, exp_integral_e1, require_positive, solve_monotone
 from .system_model import SystemConfig, delta_of_rate
@@ -219,30 +219,22 @@ def scenario_total_power(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
     P_T/3 per node and the baseline fixed powers P_T/3 per node; analytic and
     Monte Carlo outage are reported for both."""
     fieldnames = ["P_T_dB", "op_opa_analytic", "op_opa_mc", "op_fpa_analytic", "op_fpa_mc"]
-    points = []
+    relays, baselines = [], []
     for p_t_db in spec.grid:
         share = db_to_linear(p_t_db) / 3.0
         try:
             config = SystemConfig(spec.rate_1, spec.rate_2, spec.omega_x, spec.omega_y,
                                   share, share, share)
-            fpa = FpaConfig(share, share, share)
-            points.append((float(p_t_db), config, fpa, policies_from_config(config)[2],
-                           fpa_policy(config, fpa)))
+            relays.append(policies_from_config(config)[2])
+            baselines.append(fpa_policy(config, FpaConfig(share, share, share)))
         except (ValueError, ArithmeticError, ConvergenceError) as exc:
             exc.args = (f"at P_T {p_t_db!r} dB: {exc}",)     # same type, one line
             raise
-    reports = simulate([], [relay for *_, relay, _ in points]
-                       + [baseline for *_, baseline in points], spec.trials, spec.seed)
-    rows = []
-    for k, (p_t_db, config, fpa, relay, _) in enumerate(points):
-        rows.append({
-            "P_T_dB": p_t_db,
-            "op_opa_analytic": outage_opa(relay).p_out,
-            "op_opa_mc": reports[k].outage_rate,
-            "op_fpa_analytic": outage_fpa(config, fpa),
-            "op_fpa_mc": reports[len(points) + k].outage_rate,
-        })
-    return fieldnames, rows
+    reports = simulate([], relays + baselines, spec.trials, spec.seed)
+    points = zip(spec.grid, relays, reports, baselines, reports[len(relays):])
+    return fieldnames, [dict(zip(fieldnames, (p_t_db, outage_opa(relay).p_out, opa.outage_rate,
+                                              outage_opa(baseline).p_out, fpa.outage_rate)))
+                        for p_t_db, relay, opa, baseline, fpa in points]
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +251,16 @@ def scenario_power_gains(spec: ScenarioSpec) -> tuple[list[str], list[dict]]:
     d1 = delta_of_rate(spec.rate_1)
     d2 = delta_of_rate(spec.rate_2)
     peak = max(d1 / spec.omega_y, d2 / spec.omega_x)   # both relay powers scale with it
-    if peak == math.inf:
-        raise ConfigError("power_gains: delta / omega overflows a double")
     rows = []
     for target in spec.grid:
         exponent = -0.5 * math.log1p(-target)   # x0/omega_x = y0/omega_y
         x0 = spec.omega_x * exponent
         y0 = spec.omega_y * exponent
-        if x0 == 0.0 or y0 == 0.0:
-            raise ConfigError(f"power_gains target {target!r} is too small: a cutoff rounds to 0")
+        if x0 == 0.0 or y0 == 0.0:      # the smaller mean gain's is: blame it if subnormal
+            omega, name = min((spec.omega_x, "omega_x"), (spec.omega_y, "omega_y"))
+            culprit = (f"mean gain {name} {omega!r}" if omega < sys.float_info.min
+                       else f"target {target!r}")
+            raise ConfigError(f"power_gains {culprit} is too small: a cutoff rounds to 0")
         # Fixed over adaptive powers, divided through by the exponent so that
         # no quotient overflows; node 1's gain equals node 2's under this split.
         p_r_avg_max = avg_relay_power(RelayPolicy(d1, d2, x0, y0, spec.omega_x, spec.omega_y, None))
@@ -352,21 +345,22 @@ def _rel_dev(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _outage_row(check: str, label: str, policy: RelayPolicy, report: SimReport) -> dict:
+    """The closed-form outage of `policy` against its Monte Carlo rate, to 4 sigma."""
+    analytic, rate = outage_opa(policy).p_out, report.outage_rate
+    sigma = math.sqrt(max(analytic * (1.0 - analytic), 1e-12) / report.trials)
+    return _row(check, label, analytic, rate, abs(rate - analytic), 4.0 * sigma)
+
+
 def _mc_consistency_rows(spec: ScenarioSpec) -> list[dict]:
     opa_sets = validation_policies()
-    fpa_sets = [(label, SystemConfig(rate_1, rate_2, omega_x, omega_y, 1.0, 1.0, 1.0),
-                 FpaConfig(*powers))
-                for label, (rate_1, rate_2, omega_x, omega_y), powers in _FPA_VALIDATION_SETS]
-    reports = simulate([relay for _, _, relay in opa_sets],
-                       [fpa_policy(config, fpa) for _, config, fpa in fpa_sets],
-                       spec.trials, spec.seed)
+    baselines = [fpa_policy(SystemConfig(*link, 1.0, 1.0, 1.0), FpaConfig(*powers))
+                 for _, link, powers in _FPA_VALIDATION_SETS]
+    reports = simulate([relay for _, _, relay in opa_sets], baselines, spec.trials, spec.seed)
     rows = []
     for (label, config, relay), report in zip(opa_sets, reports):
-        analytic_op = outage_opa(relay).p_out
         analytic_pr = avg_relay_power(relay)
-        sigma = math.sqrt(max(analytic_op * (1.0 - analytic_op), 1e-12) / spec.trials)
-        rows.append(_row("outage_mc", label, analytic_op, report.outage_rate,
-                         abs(report.outage_rate - analytic_op), 4.0 * sigma))
+        rows.append(_outage_row("outage_mc", label, relay, report))
         rows.append(_row("power_s1_mc", label, config.pbar_s1, report.avg_power_s1,
                          _rel_dev(config.pbar_s1, report.avg_power_s1), 0.01))
         rows.append(_row("power_s2_mc", label, config.pbar_s2, report.avg_power_s2,
@@ -376,11 +370,9 @@ def _mc_consistency_rows(spec: ScenarioSpec) -> list[dict]:
         overspend = max(0.0, report.avg_power_relay / config.p_avg_relay - 1.0)
         rows.append(_row("relay_budget", label, config.p_avg_relay,
                          report.avg_power_relay, overspend, 0.01))
-    for (label, config, fpa), report in zip(fpa_sets, reports[len(opa_sets):]):
-        analytic_op = outage_fpa(config, fpa)
-        sigma = math.sqrt(max(analytic_op * (1.0 - analytic_op), 1e-12) / spec.trials)
-        rows.append(_row("fpa_outage_mc", label, analytic_op, report.outage_rate,
-                         abs(report.outage_rate - analytic_op), 4.0 * sigma))
+    for (label, *_), baseline, report in zip(_FPA_VALIDATION_SETS, baselines,
+                                             reports[len(opa_sets):]):
+        rows.append(_outage_row("fpa_outage_mc", label, baseline, report))
     return rows
 
 

@@ -108,30 +108,24 @@ class FadingSampler:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_index,))
         self._rng = np.random.Generator(np.random.PCG64(ss))
 
-    def sample_block(self, n: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def sample_block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw the next `n` unit-mean channel states as the columns (x, y)
-        of an (n, 2) array: `out`, C-contiguous float64, if given.
+        of a fresh (n, 2) array.
 
         Row i uses the next two uniforms u of the stream (x first), mapped
         in place to -log1p(-u): equal seeds, stream indices and block sizes
         give bit-identical output.
         """
-        out = self._log_step(self._uniform_block(n, out))
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        out = self._log_step(self._uniform_block(n, None))
         out *= -1.0
         return out[:, 0], out[:, 1]
 
     def _uniform_block(self, n: int, out: np.ndarray | None) -> np.ndarray:
-        """The next (n, 2) uniforms u of the stream, before `_log_step`."""
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        import numpy as np
-        if out is None:
-            out = np.empty((n, 2))
-        elif not (isinstance(out, np.ndarray) and out.shape == (n, 2)
-                  and out.dtype == np.float64 and out.flags.c_contiguous):
-            raise ValueError(f"out must be a C-contiguous float64 array of shape ({n}, 2)")
-        self._rng.random(out=out)
-        return out
+        """The next (n, 2) uniforms u of the stream, before `_log_step`: in
+        `out`, a C-contiguous (n, 2) float64 array, if given."""
+        return self._rng.random((n, 2), out=out)
 
     @staticmethod
     def _log_step(u: np.ndarray) -> np.ndarray:

@@ -70,6 +70,17 @@ class TestSolveCutoff:
         with pytest.raises(BracketingError, match="below the smallest normal double"):
             solve_cutoff(1.0, 1.0, 720.0)
 
+    @pytest.mark.parametrize("delta,omega,pbar", [(1.0, 1e-310, 0.0333), (3.0, 1e-309, 1.0),
+                                                  (1.0, 2e-309, 0.5)])
+    def test_delta_over_omega_overflow_is_named(self, delta, omega, pbar):
+        """delta / omega overflows a double here.  The solve once returned
+        1.807e-307, 1.796e-306 and 3.586e-306 with no error, about 2.5 times
+        the roots 7.106e-308, 7.060e-307 and 1.410e-306 that mpmath finds."""
+        with pytest.raises(BracketingError, match="delta / omega overflows a double"):
+            solve_cutoff(delta, omega, pbar)
+        with pytest.raises(BracketingError, match="delta / omega overflows a double"):
+            EndNodePolicy(delta, omega, pbar)
+
     @pytest.mark.parametrize("delta,omega,pbar", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0),
                                                   (1.0, 1.0, 0.0)])
     def test_rejects_bad_inputs(self, delta, omega, pbar):

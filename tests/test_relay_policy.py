@@ -636,6 +636,19 @@ class TestPoliciesFromConfig:
         assert isinstance(rho, float)
         assert calls and len(set(calls)) == len(calls)
 
+    @pytest.mark.parametrize("build", [
+        lambda: policies_from_config(SystemConfig(10.0, 1 / 3, 1.0, 1e-300, 1e9, 1.0, 1.0)),
+        lambda: solve_rho(2.0 ** 30 - 1.0, 1.0, 1.0, 1.0, 1.0, 1e-300, 1.0),
+        lambda: RelayPolicy(1.0, 1.0, 1.0, 1.0, 1e-310, 1.0, None),
+        lambda: RelayPolicy(1.0, 1.0, 1.0, 1.0, 1.0, 1e-310, 2.0),
+    ], ids=["config", "solve_rho", "delta2-omega_x", "delta1-omega_y"])
+    def test_delta_over_omega_overflow_is_named(self, build):
+        """Where delta1 / omega_y or delta2 / omega_x overflows, building or
+        solving the relay says so.  Each spend once raised E1's `x must be
+        finite and > 0, got inf` instead."""
+        with pytest.raises(ValueError, match="^delta / omega overflows a double$"):
+            build()
+
     def test_equal_failing_end_nodes_raise_as_before(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 730.0, 730.0, 730.0)
         with pytest.raises(BracketingError) as info:

@@ -22,7 +22,7 @@ from scipy import optimize, special
 import tdbcsim
 from conftest import load_bench, log_cutoff_oracle
 from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
-from tdbcsim.relay_policy import avg_relay_power, policies_from_config
+from tdbcsim.relay_policy import RelayPolicy, avg_relay_power, policies_from_config
 from tdbcsim.scenario_cli import (
     MIN_TRIALS,
     ConfigError,
@@ -227,6 +227,19 @@ class TestTotalPowerSweep:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "25d8cfa5983ac95a1eaf6362143bb23f5e4639552e9f971e6ef0663ddfa9953e")
+
+    def test_default_sweep_builds_two_policies_per_point(self, monkeypatch):
+        """A default sweep builds the adaptive relay and the fixed-power
+        baseline once per grid point, and reads both analytic columns from
+        them: 42 `RelayPolicy` constructions in all (63 while the baseline
+        column built its policy a second time)."""
+        built = []
+        post_init = RelayPolicy.__post_init__
+        monkeypatch.setattr(RelayPolicy, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        spec = load_spec("sweep_total_power", trials=MIN_TRIALS)
+        scenario_total_power(spec)
+        assert len(spec.grid) == 21 and len(built) == 42
 
     def test_vanishing_power_forces_outage(self):
         spec = ScenarioSpec(scenario="sweep_total_power", grid=(-30.0,), **SMALL)
@@ -628,9 +641,33 @@ class TestCsvAndCli:
          "at P_T -3200.0 dB: x0 must be finite and > 0"),
         # 1 / 1e-310 overflows, and both relay powers of power-gains scale with it
         (["power-gains", "--trials", "1000"], "[power_gains]\nomega_y = 1e-310\n",
-         "power_gains: delta / omega overflows a double"),
+         "tdbcsim: error: delta / omega overflows a double\n"),
+        # 1 / 1e-310 overflows in end node 1's cutoff solve, which once returned
+        # a wrong cutoff that the relay's spend then failed on inside E1
+        (["sweep-total-power", "--grid=-10:-10:1", "--trials", "1000"],
+         "[sweep_total_power]\nomega_x = 1e-310\n",
+         "tdbcsim: error: at P_T -10.0 dB: cutoff solve for budget 0.03333333333333333: "
+         "delta / omega overflows a double\n"),
+        # delta1 / omega_y = (2**30 - 1) / 1e-300 overflows in the relay alone
+        (["sweep-total-power", "--grid=-10:-10:1", "--trials", "1000"],
+         "[sweep_total_power]\nrate_1 = 10\nomega_y = 1e-300\n",
+         "tdbcsim: error: at P_T -10.0 dB: delta / omega overflows a double\n"),
+        # a subnormal mean gain, not the target, rounds the cutoff to 0
+        (["power-gains", "--grid", "0.5:0.5:1", "--trials", "1000"],
+         "[power_gains]\nomega_x = 5e-324\nrate_2 = 1e-300\n",
+         "tdbcsim: error: power_gains mean gain omega_x 5e-324 is too small: "
+         "a cutoff rounds to 0\n"),
+        (["power-gains", "--grid", "0.5:0.5:1", "--trials", "1000"],
+         "[power_gains]\nomega_y = 5e-324\nrate_1 = 1e-300\n",
+         "tdbcsim: error: power_gains mean gain omega_y 5e-324 is too small: "
+         "a cutoff rounds to 0\n"),
+        # the target's own exponent rounds to 0
+        (["power-gains", "--grid", "5e-324:5e-324:1", "--trials", "1000"], None,
+         "tdbcsim: error: power_gains target 5e-324 is too small: a cutoff rounds to 0\n"),
     ], ids=["cutoff-underflow", "rate-overflow", "trials-memory", "validate-trials-memory",
-            "db-overflow", "db-underflow", "fpa-cutoff-overflow", "gains-peak-overflow"])
+            "db-overflow", "db-underflow", "fpa-cutoff-overflow", "gains-peak-overflow",
+            "cutoff-quotient-overflow", "relay-quotient-overflow", "gains-x-mean-gain",
+            "gains-y-mean-gain", "gains-target-underflow"])
     def test_numerical_error_is_one_line(self, tmp_path, capsys, argv, ini, names):
         argv = argv + ["--out", str(tmp_path / "s.csv")]
         if ini is not None:
@@ -796,6 +833,10 @@ class TestCliContract:
     @example(("power-gains", "", ["--grid", "1e-312:1e-312:1"]))
     @example(("power-gains", "[power_gains]\nomega_y = 1e-310\n", []))
     @example(("power-gains", "[power_gains]\nrate_1 = 15.0\ngrid = 1e-323:1e-323:1\n", []))
+    @example(("sweep-total-power", "[sweep_total_power]\nomega_x = 1e-310\n",
+              ["--grid=-10:-10:1"]))
+    @example(("power-gains", "[power_gains]\nomega_x = 5e-324\nrate_2 = 1e-300\n",
+              ["--grid", "0.5:0.5:1"]))
     def test_every_input_gives_a_csv_or_one_error_line(self, spec):
         """Any spec, run in-process at MIN_TRIALS, exits 1 with exactly one
         error line, or exits 0 or 2 with a CSV whose numbers are finite and

@@ -154,17 +154,15 @@ class TestFadingSampler:
         with pytest.raises(ValueError):
             sampler.sample_block(0)
 
-    def test_block_into_a_buffer_is_bit_identical(self):
-        """A block drawn into a caller's buffer, also a reused one and a
-        row-slice of a larger one, holds the bits of a freshly allocated
-        block, and the returned columns are views of the buffer."""
+    def test_uniform_block_into_a_reused_buffer_is_bit_identical(self):
+        """The engine's uniforms drawn into a row slice of a reused buffer
+        hold the bits of a freshly allocated block, in that buffer."""
         buf = np.full((100, 2), np.nan)
         a, b = FadingSampler(9, stream_index=4), FadingSampler(9, stream_index=4)
         for n in (100, 37):
-            x, y = a.sample_block(n, out=buf[:n])
-            fresh_x, fresh_y = b.sample_block(n)
-            assert np.shares_memory(x, buf) and np.shares_memory(y, buf)
-            assert x.tobytes() == fresh_x.tobytes() and y.tobytes() == fresh_y.tobytes()
+            u = a._uniform_block(n, buf[:n])
+            assert np.shares_memory(u, buf)
+            assert u.tobytes() == b._uniform_block(n, None).tobytes()
 
     def test_log_block_negated_is_the_block(self):
         """The engine's private step log1p(-u), negated, is `sample_block`
@@ -192,11 +190,3 @@ class TestFadingSampler:
             for v, log in zip(u.ravel().tolist(), logs.ravel().tolist()):
                 exact = mpmath.log1p(-mpmath.mpf(v))
                 assert abs(log - exact) <= 2.0 ** -45 * abs(exact)
-
-    @pytest.mark.parametrize("out", [np.empty((8, 2)), np.empty((9, 3)), np.empty(18),
-                                     np.empty((9, 2), dtype=np.float32),
-                                     np.empty((2, 9)).T, [[0.0, 0.0]] * 9],
-                             ids=["rows", "columns", "flat", "float32", "fortran", "list"])
-    def test_rejects_a_wrong_buffer(self, out):
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            FadingSampler(1).sample_block(9, out=out)
