@@ -6,15 +6,15 @@ policy's outages as the states outside its served quadrant, whose corner is
 its `RelayPolicy`'s (lambda1, lambda2), the fixed-power baseline's
 (`outage_analytics.fpa_policy`) included; average powers are the sums of
 `relay_policy.cycle_totals`.  Chunks run one after another,
-each in blocks of at most 8,192 trials on one 0.28 MB set of buffers that a
-per-process free list keeps, and chunk i of a run always consumes fading
-substream (seed, i), so a report depends only on the policies, trials and
-seed.  The unit-mean draws of a chunk are shared by every policy, scaled to
-each pair of mean gains (common random numbers; inverse-CDF draws scale
-exactly, so each report equals a run of its policy alone).  Groups of equal
-mean gains and square corners (a == b) alone are counted from sorted float32
-keys of the uniforms instead (see `simulate`).  numpy is imported by
-`simulate`, not when this module loads.
+each in blocks of at most 8,192 trials on the run's one 0.28 MB set of
+buffers, and chunk i of a run always consumes fading substream (seed, i), so
+a report depends only on the policies, trials and seed.  The unit-mean draws
+of a chunk are shared by every policy, scaled to each pair of mean gains
+(common random numbers; inverse-CDF draws scale exactly, so each report
+equals a run of its policy alone).  Groups of equal mean gains and square
+corners (a == b) alone are counted from sorted float32 keys of the uniforms
+instead (see `simulate`).  numpy is imported by `simulate`, not when this
+module loads.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ CHUNK_TRIALS = 1 << 16
 #: Most trials per block: each float64 temporary of `cycle_totals` is then
 #: 64 KiB, below glibc's mmap threshold, so it is reused, not faulted in anew.
 _BLOCK_TRIALS = 1 << 13
-
-#: Free _BLOCK_TRIALS-sized sets of `simulate`'s (draw, gains, masks) buffers.
-_FREE_BUFFERS: list[tuple] = []
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,7 @@ def simulate(policies: Sequence[RelayPolicy], outage_only: Sequence[RelayPolicy]
     relative, so the count is a `searchsorted` position (rounding is
     monotone); else the gains are built and that corner takes the quadrant
     test for the block.  Chunks run in numpy's pairwise-summation blocks
-    (`_pairwise`); one 278,528-byte buffer set comes from a per-process
-    free list, made only when none is free (a first run, or runs overlap).
+    (`_pairwise`) on one 278,528-byte buffer set of the run's own.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -117,11 +113,8 @@ def simulate(policies: Sequence[RelayPolicy], outage_only: Sequence[RelayPolicy]
             plans.append((omega, powered, rest))
     u_c = -np.expm1(-np.array([corners[j][0] / every[j].omega_x for j in u_square]))
     u_lo, u_hi = ((u_c * (1.0 + s * 2.0 ** -40)).astype(np.float32) for s in (-1, 1))
-    try:
-        draw, gains, masks = _FREE_BUFFERS.pop()
-    except IndexError:
-        n = _BLOCK_TRIALS
-        draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
+    n = _BLOCK_TRIALS
+    draw, gains, masks = np.empty((n, 2)), np.empty((2, n)), np.empty((2, n), dtype=bool)
     outages = np.zeros(len(every), dtype=np.int64)
     square = np.array(u_square, dtype=np.intp)
     sums = []   # each chunk's (n_powered, 3) power sums
@@ -149,12 +142,9 @@ def simulate(policies: Sequence[RelayPolicy], outage_only: Sequence[RelayPolicy]
                 outages[j] += _count_outside(x, y, *corners[j], masks[:, :m])
         return block_sums
 
-    try:
-        for i, m in enumerate(sizes):
-            sampler = FadingSampler(seed, stream_index=i)
-            sums.append(_pairwise(m, block))
-    finally:
-        _FREE_BUFFERS.append((draw, gains, masks))
+    for i, m in enumerate(sizes):
+        sampler = FadingSampler(seed, stream_index=i)
+        sums.append(_pairwise(m, block))
     rates = [count / trials for count in outages.tolist()]
     return ([SimReport(trials, rates[j],
                        *(math.fsum(chunk[j, k] for chunk in sums) / trials for k in range(3)))

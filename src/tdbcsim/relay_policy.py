@@ -208,13 +208,14 @@ def _wedge_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
     is e^(-l1 / omega_x) E1(c l1) - E1(k l1) with k = 1 / omega_x + c.  Above
     it the relay sends delta2 / x, over {x >= l1, y >= (delta1 / delta2) x}:
     (delta2 / omega_x) E1(k l1).  The two E1(k l1) terms sum to
-    delta2 k E1(k l1).  `e1` evaluates E1.
+    delta2 k E1(k l1).  `e1` evaluates E1; a term whose E1 argument
+    overflows is 0, as E1 is 0.0 from about 745 on (never inf * 0).
     """
-    c = delta1 / (delta2 * omega_y)
+    c = delta1 / (delta2 * omega_y) if delta2 * omega_y else delta1 / delta2 / omega_y
     k = 1.0 / omega_x + c
-    return (delta1 / omega_y * math.exp(-l1 / omega_x)
-            * (e1(l2 / omega_y) - e1(c * l1))
-            + delta2 * k * e1(k * l1))
+    e1_c, e1_k = (e1(z) if z < math.inf else 0.0 for z in (c * l1, k * l1))
+    return (delta1 / omega_y * math.exp(-l1 / omega_x) * (e1(l2 / omega_y) - e1_c)
+            + (delta2 * k * e1_k if e1_k else 0.0))
 
 
 def _avg_power(delta1: float, delta2: float, omega_x: float, omega_y: float,

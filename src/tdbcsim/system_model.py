@@ -10,7 +10,7 @@ imported inside the sampler's methods, not when this module loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .specfun import require_positive
@@ -53,7 +53,8 @@ class SystemConfig:
     rate_1 / rate_2 are the fixed information rates of the two sessions
     (bits per channel use); omega_x / omega_y are the mean squared channel
     amplitudes of the two source-relay links; the three budgets are long-term
-    average transmit powers of the end nodes and the relay.
+    average transmit powers of the end nodes and the relay.  delta1 / delta2
+    are the sessions' thresholds `delta_of_rate`, which may raise ValueError.
     """
 
     rate_1: float
@@ -63,21 +64,15 @@ class SystemConfig:
     pbar_s1: float
     pbar_s2: float
     p_avg_relay: float
+    delta1: float = field(init=False)
+    delta2: float = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("rate_1", "rate_2", "omega_x", "omega_y",
                      "pbar_s1", "pbar_s2", "p_avg_relay"):
             object.__setattr__(self, name, require_positive(getattr(self, name), name))
-
-    @property
-    def delta1(self) -> float:
-        """SNR threshold of the session originating at the first end node."""
-        return delta_of_rate(self.rate_1)
-
-    @property
-    def delta2(self) -> float:
-        """SNR threshold of the session originating at the second end node."""
-        return delta_of_rate(self.rate_2)
+        object.__setattr__(self, "delta1", delta_of_rate(self.rate_1))
+        object.__setattr__(self, "delta2", delta_of_rate(self.rate_2))
 
 
 class FadingSampler:

@@ -491,58 +491,48 @@ def test_block_plan_sums_like_ndarray_sum(trials):
     assert sum(blocks) == trials and max(blocks) <= 8192
 
 
-def test_default_sweep_allocates_no_new_buffer(monkeypatch):
+def _traced_peak(*run) -> int:
+    """Traced peak memory of `simulate(*run)`, in bytes."""
+    tracemalloc.start()
+    try:
+        simulate(*run)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_sweep_allocates_no_new_buffer():
     """Traced peak of an outage-only `simulate` of the default sweep at 1M
-    trials on an empty free list, bounded 5% above the 363,192 bytes it
-    took: the one 278,528-byte set of draw, gains and masks it keeps, plus
-    the run's bookkeeping."""
+    trials, bounded 5% above the 363,192 bytes it took: the run's one
+    278,528-byte set of draw, gains and masks, plus its bookkeeping."""
     relays, baselines = _default_sweep()
     policies = relays + baselines
     simulate([], policies, 1_000, 20240915)    # imports numpy
-    monkeypatch.setattr(mc_engine, "_FREE_BUFFERS", [])
-    tracemalloc.start()
-    try:
-        simulate([], policies, 1_000_000, 20240915)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [sum(a.nbytes for a in buffers) for buffers in mc_engine._FREE_BUFFERS] == [278_528]
-    assert peak <= 1.05 * 363_192
+    assert _traced_peak([], policies, 1_000_000, 20240915) <= 1.05 * 363_192
 
 
 def test_validate_run_allocates_no_new_buffer():
     """Traced peak of a `simulate` with powers of the 24 validate policies
-    and its four fixed-power baselines over three chunks, bounded 5% above the
-    429,844 bytes it took once chunks ran in blocks of 8,192 trials
-    (5,121,950 when the engine could run chunks on threads)."""
+    and its four fixed-power baselines over three chunks, less the run's one
+    278,528-byte buffer set, bounded 5% above the 429,844 bytes it took once
+    chunks ran in blocks of 8,192 trials (5,121,950 when the engine could run
+    chunks on threads)."""
     relays = [relay for _, _, relay in validation_policies()]
     baselines = [fpa_policy(SystemConfig(*links, 1.0, 1.0, 1.0), FpaConfig(*powers))
                  for _, links, powers in _FPA_VALIDATION_SETS]
     trials = 2 * CHUNK_TRIALS + 123
     simulate(relays, baselines, trials, 20240915)
-    tracemalloc.start()
-    try:
-        simulate(relays, baselines, trials, 20240915)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.05 * 429_844
+    assert _traced_peak(relays, baselines, trials, 20240915) - 278_528 <= 1.05 * 429_844
 
 
-def test_second_default_sweep_reuses_the_chunk_buffers():
-    """A second outage-only `simulate` of the default sweep at 1M trials
-    takes its block buffers from the free list: its traced peak is the
-    per-run bookkeeping, not the 0.28 MB set."""
+def test_second_default_sweep_peaks_as_the_first():
+    """`simulate` keeps nothing between runs: a second outage-only run of the
+    default sweep at 1M trials takes the first's traced peak within 5%."""
     relays, baselines = _default_sweep()
-    policies = relays + baselines
-    simulate([], policies, 1_000_000, 20240915)
-    tracemalloc.start()
-    try:
-        simulate([], policies, 1_000_000, 20240915)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 256_000
+    run = ([], relays + baselines, 1_000_000, 20240915)
+    simulate([], run[1], 1_000, 20240915)      # imports numpy
+    first = _traced_peak(*run)
+    assert abs(_traced_peak(*run) - first) <= 0.05 * first
 
 
 def test_concurrent_runs_use_their_own_buffers(monkeypatch):

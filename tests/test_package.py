@@ -62,7 +62,7 @@ def test_cli_reaches_no_private_sibling_name():
     assert _private_sibling_reads("from tdbcsim.specfun import _G_ABOVE_8", siblings)
     assert _private_sibling_reads("from . import mc_engine\ndef f():\n    mc_engine._pairwise",
                                   siblings)
-    assert _private_sibling_reads("import tdbcsim.mc_engine as m\nm._FREE_BUFFERS", siblings)
+    assert _private_sibling_reads("import tdbcsim.mc_engine as m\nm._BLOCK_TRIALS", siblings)
     assert not _private_sibling_reads("from .mc_engine import simulate\nx._y", siblings)
     source = (SRC / "scenario_cli.py").read_text(encoding="utf-8")
     assert _private_sibling_reads(source, siblings) == []

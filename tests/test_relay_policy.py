@@ -23,7 +23,7 @@ from tdbcsim.relay_policy import (
 )
 from tdbcsim.scenario_cli import validation_policies
 from tdbcsim.specfun import BracketingError, exp_integral_e1
-from tdbcsim.system_model import SystemConfig
+from tdbcsim.system_model import SystemConfig, delta_of_rate
 
 # Frozen from the quadrature oracle (rel 1e-13): 2 * E1(0.4).
 TWICE_E1_04 = 1.4047602377313249
@@ -480,6 +480,21 @@ class TestAgainstQuadrature:
                 if oracles.rel_dev(value, oracle) > 1e-12:
                     failures.append(f"{label}: {name} {value!r}, oracle {oracle!r}")
         assert not failures, failures
+
+    def test_spend_whose_e1_arguments_overflow(self):
+        """At a tiny delta2, c = delta1 / (delta2 omega_y) and k overflow in
+        the wedge, and their E1 terms are 0: the spend is exactly the
+        oracle's 0.0 where the corner lies far out on y, and within 1e-12 of
+        it at power-gains' design for rate_2 = 1e-300, omega_y = 1e-10 and
+        the target 0.5.  Both once raised inside E1 on inf."""
+        oracles = load_bench("oracles")
+        relay = RelayPolicy(1.0, 1e-300, 0.5, 0.5, 1.0, 1e-10, None)
+        assert avg_relay_power(relay) == 0.0 == oracles.relay_spend(1.0, 1e-300, 1.0, 1e-10,
+                                                                     0.5, 0.5)
+        d1, d2, e = delta_of_rate(1.0 / 3.0), delta_of_rate(1e-300), -0.5 * math.log1p(-0.5)
+        spend = avg_relay_power(RelayPolicy(d1, d2, e, 1e-10 * e, 1.0, 1e-10, None))
+        oracle = oracles.relay_spend(d1, d2, 1.0, 1e-10, e, 1e-10 * e)
+        assert oracles.rel_dev(spend, oracle) <= 1e-12
 
 
 class TestSolveRho:

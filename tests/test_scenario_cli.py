@@ -311,6 +311,21 @@ class TestPowerGains:
         [line] = capsys.readouterr().err.splitlines()
         assert "target 5e-324" in line
 
+    @pytest.mark.parametrize("omega_y", [1e-10, 1e-30])
+    def test_tiny_second_rate_prices_the_relay(self, omega_y):
+        """At rate_2 = 1e-300 the relay spends only below the ray, delta1 /
+        omega_y e^(-e) E1(e) at the exponent e of the target 0.5, and its
+        fixed power is delta1 / (omega_y e): gain_r_dB is -10 log10(e e^(-e)
+        E1(e)), with scipy's exp1.  These once exited 1: E1 of an inf
+        argument (omega_y = 1e-10), and a division by 0 (omega_y = 1e-30,
+        where delta2 * omega_y underflows)."""
+        spec = ScenarioSpec(scenario="power_gains", grid=(0.5,), rate_2=1e-300,
+                            omega_y=omega_y, **SMALL)
+        _, [row] = scenario_power_gains(spec)
+        e = -0.5 * math.log1p(-0.5)
+        assert row["gain_r_dB"] == pytest.approx(
+            -10.0 * math.log10(e * math.exp(-e) * float(special.exp1(e))), rel=1e-12)
+
     def test_default_gains_are_pinned(self, tmp_path):
         """The default grid at seed 1, byte for byte as written before the
         relay rule and the fixed-power corner were each written once."""
@@ -624,7 +639,8 @@ class TestCsvAndCli:
          "cutoff solve"),
         # 2**(3 * 400) overflows a double
         (["sweep-total-power", "--grid", "0:0:1", "--trials", "1000"],
-         "[sweep_total_power]\nrate_1 = 400\n", "rate"),
+         "[sweep_total_power]\nrate_1 = 400\n",
+         "tdbcsim: error: at P_T 0.0 dB: rate 400.0 too large: 2**(3 * rate) overflows a double\n"),
         # the chunk plan of 10**23 trials is refused before anything is allocated
         (["sweep-total-power", "--grid", "0:0:1", "--trials", str(10 ** 23)], None,
          f"out of memory planning the chunks of {10 ** 23} trials"),
@@ -836,6 +852,8 @@ class TestCliContract:
     @example(("sweep-total-power", "[sweep_total_power]\nomega_x = 1e-310\n",
               ["--grid=-10:-10:1"]))
     @example(("power-gains", "[power_gains]\nomega_x = 5e-324\nrate_2 = 1e-300\n",
+              ["--grid", "0.5:0.5:1"]))
+    @example(("power-gains", "[power_gains]\nrate_2 = 1e-300\nomega_y = 1e-10\n",
               ["--grid", "0.5:0.5:1"]))
     def test_every_input_gives_a_csv_or_one_error_line(self, spec):
         """Any spec, run in-process at MIN_TRIALS, exits 1 with exactly one

@@ -69,6 +69,20 @@ class TestSystemConfig:
         assert config.delta1 == pytest.approx(1.0)
         assert config.delta2 == 7.0
 
+    @pytest.mark.parametrize("rate_1, rate_2", [
+        (1.0 / 3.0, 1.0 / 3.0), (0.5, 0.2), (1e-300, 2.0 / 3.0), (341.33, 0.1)])
+    def test_thresholds_are_delta_of_rate(self, rate_1, rate_2):
+        """delta1 and delta2 hold the bits of delta_of_rate(rate_1) and
+        delta_of_rate(rate_2), derived when the config is built."""
+        config = SystemConfig(rate_1, rate_2, 1.0, 2.0, 0.5, 0.5, 0.5)
+        assert (config.delta1.hex(), config.delta2.hex()) \
+            == (delta_of_rate(rate_1).hex(), delta_of_rate(rate_2).hex())
+
+    def test_overflowing_threshold_fails_when_built(self):
+        with pytest.raises(ValueError, match=r"^rate 400.0 too large: 2\*\*\(3 \* rate\) "
+                                             r"overflows a double$"):
+            SystemConfig(400, 1.0 / 3.0, 1, 1, 1, 1, 1)
+
     @pytest.mark.parametrize("field", range(7))
     def test_rejects_non_positive_fields(self, field):
         values = [1.0] * 7
