@@ -13,7 +13,6 @@ from .endnode_policy import solve_cutoff
 from .mc_engine import SimReport, run_opa, simulate
 from .outage_analytics import (
     FpaConfig,
-    min_outage,
     outage_fpa,
     outage_opa,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "cycle_powers",
     "delta_of_rate",
     "exp_integral_e1",
-    "min_outage",
     "outage_fpa",
     "outage_opa",
     "policies_from_config",

@@ -37,8 +37,8 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
     pbar = require_positive(pbar, "pbar")
     scale = delta / omega
 
-    def avg_power(cutoff: float) -> float:
-        return scale * exp_integral_e1(cutoff / omega)
+    def neg_avg_power(cutoff: float) -> float:     # increasing, as the solver takes it
+        return -scale * exp_integral_e1(cutoff / omega)
 
     # z = c / omega solves E1(z) = L.  As E1(z) + gamma + ln z lies in (0, z),
     # z > exp(-gamma - L), and z < e times that once L >= 1/2; below that,
@@ -53,7 +53,7 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
             raise BracketingError("delta / omega overflows a double")
         if omega * z_lo < sys.float_info.min:
             raise BracketingError("the cutoff falls below the smallest normal double")
-        return solve_monotone(avg_power, pbar, omega * z_lo, omega * z_hi, "decreasing")
+        return solve_monotone(neg_avg_power, -pbar, omega * z_lo, omega * z_hi)
     except BracketingError as exc:
         raise BracketingError(f"cutoff solve for budget {pbar!r}: {exc}") from None
 

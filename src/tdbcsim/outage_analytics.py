@@ -20,7 +20,6 @@ from .system_model import SystemConfig
 __all__ = [
     "OutageReport",
     "FpaConfig",
-    "min_outage",
     "outage_opa",
     "fpa_policy",
     "outage_fpa",
@@ -29,16 +28,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OutageReport:
-    """A relay policy and its outage probability, the fading measure outside
-    its served quadrant (see `outage_opa`)."""
+    """A relay policy and its outage probability 1 - exp(-lambda1 / omega_x -
+    lambda2 / omega_y), the fading measure outside its served quadrant (see
+    `outage_opa`); uncapped, the floor that no relay budget can lower."""
 
     policy: RelayPolicy
     p_out: float = field(init=False)
 
     def __post_init__(self) -> None:
         policy = self.policy
-        object.__setattr__(self, "p_out", min_outage(policy.lambda1, policy.lambda2,
-                                                     policy.omega_x, policy.omega_y))
+        object.__setattr__(self, "p_out", -math.expm1(-(policy.lambda1 / policy.omega_x
+                                                        + policy.lambda2 / policy.omega_y)))
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,6 @@ class FpaConfig:
     def __post_init__(self) -> None:
         for name in ("p_s1_fix", "p_s2_fix", "p_r_fix"):
             object.__setattr__(self, name, require_positive(getattr(self, name), name))
-
-
-def min_outage(x0: float, y0: float, omega_x: float, omega_y: float) -> float:
-    """Fading measure of the complement of the quadrant {x >= x0, y >= y0}:
-    1 - exp(-x0/omega_x) * exp(-y0/omega_y).  At the end-node cutoffs this
-    is the outage floor that no relay budget can lower."""
-    x0 = require_positive(x0, "x0")
-    y0 = require_positive(y0, "y0")
-    omega_x = require_positive(omega_x, "omega_x")
-    omega_y = require_positive(omega_y, "omega_y")
-    return -math.expm1(-(x0 / omega_x + y0 / omega_y))
 
 
 def outage_opa(policy: RelayPolicy) -> OutageReport:

@@ -213,8 +213,8 @@ def _wedge_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
     """
     c = delta1 / (delta2 * omega_y) if delta2 * omega_y else delta1 / delta2 / omega_y
     k = 1.0 / omega_x + c
-    e1_c, e1_k = (e1(z) if z < math.inf else 0.0 for z in (c * l1, k * l1))
-    return (delta1 / omega_y * math.exp(-l1 / omega_x) * (e1(l2 / omega_y) - e1_c)
+    e1_l, e1_c, e1_k = (e1(z) if z < math.inf else 0.0 for z in (l2 / omega_y, c * l1, k * l1))
+    return (delta1 / omega_y * math.exp(-l1 / omega_x) * (e1_l - e1_c)
             + (delta2 * k * e1_k if e1_k else 0.0))
 
 
@@ -279,8 +279,7 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
         return math.log(max(spend, sys.float_info.min))
 
     try:
-        return solve_monotone(log_spend, math.log(p_avg), min(rho_lo, 0.5 * rho_hi), rho_hi,
-                              "increasing")
+        return solve_monotone(log_spend, math.log(p_avg), min(rho_lo, 0.5 * rho_hi), rho_hi)
     except BracketingError as exc:
         raise BracketingError(f"cap solve for relay budget {p_avg!r}: {exc}") from None
 

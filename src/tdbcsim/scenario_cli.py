@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .endnode_policy import solve_cutoff
 from .mc_engine import SimReport, simulate
-from .outage_analytics import FpaConfig, fpa_policy, min_outage, outage_opa
+from .outage_analytics import FpaConfig, fpa_policy, outage_opa
 from .relay_policy import RelayPolicy, avg_relay_power, policies_from_config, solve_rho
 from .specfun import ConvergenceError, exp_integral_e1, require_positive, solve_monotone
 from .system_model import SystemConfig, delta_of_rate
@@ -157,11 +157,12 @@ _CONFIG_KEYS = ("grid", *(key for key, _, _ in _CONFIG_FIELDS))
 
 
 def load_spec(scenario: str, config_path: str | None = None, *,
-              grid: str | None = None, trials: int | None = None,
-              seed: int | None = None, out: str | None = None) -> ScenarioSpec:
+              grid: str | None = None, trials: int | str | None = None,
+              seed: int | str | None = None, out: str | None = None) -> ScenarioSpec:
     """Resolve a ScenarioSpec from an optional INI file plus flag overrides
-    (flags win).  The file section matching the scenario name is read; keys
-    are rate_1, rate_2, omega_x, omega_y, grid, trials, seed, out."""
+    (flags win), each parsed from its text as a file value is.  The file
+    section matching the scenario name is read; keys are rate_1, rate_2,
+    omega_x, omega_y, grid, trials, seed, out."""
     if scenario not in _SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; expected one of {tuple(_SCENARIOS)}")
     raw: dict[str, str] = {}
@@ -170,17 +171,18 @@ def load_spec(scenario: str, config_path: str | None = None, *,
         try:
             with open(config_path, encoding="utf-8") as fh:
                 parser.read_file(fh)
+            items = parser.items(scenario) if parser.has_section(scenario) else []
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path!r}: {exc}") from None
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {config_path!r}: {exc}") from None
-        if parser.has_section(scenario):
-            for key, value in parser.items(scenario):
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(
-                        f"unknown key {key!r} in section [{scenario}] of {config_path!r}"
-                    )
-                raw[key] = value
+        except configparser.Error as exc:     # items() interpolates; the text may span lines
+            detail = "; ".join(line.strip() for line in str(exc).splitlines())
+            raise ConfigError(f"malformed config file {config_path!r}: {detail}") from None
+        for key, value in items:
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(
+                    f"unknown key {key!r} in section [{scenario}] of {config_path!r}"
+                )
+            raw[key] = value
     for key, value in (("grid", grid), ("trials", trials), ("seed", seed), ("out", out)):
         if value is not None:
             raw[key] = str(value)
@@ -383,7 +385,7 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
     dev = 0.0
     for d1, d2, x0, y0, ox, oy in _SATURATION_GRID:
         policy = RelayPolicy(d1, d2, x0, y0, ox, oy, None)
-        dev = max(dev, abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
+        dev = max(dev, abs(outage_opa(policy).p_out + math.expm1(-(x0 / ox + y0 / oy))))
     rows.append(_row("saturation_identity", f"{len(_SATURATION_GRID)} pts", 0.0, dev, dev, 1e-12))
 
     # A policy and its mirror evaluate the two wedge orientations only where
@@ -406,8 +408,8 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
     dev = 0.0
     for _ in range(50):
         x_true = float(10.0 ** rng.uniform(-4, math.log10(20.0)))
-        solved = solve_monotone(exp_integral_e1, exp_integral_e1(x_true),
-                                1e-6, 10.0, "decreasing")
+        solved = solve_monotone(lambda x: -exp_integral_e1(x), -exp_integral_e1(x_true),
+                                1e-6, 10.0)
         dev = max(dev, abs(solved - x_true) / x_true)
     rows.append(_row("e1_solver_roundtrip", "50 random points", 0.0, dev, dev, 1e-9))
 
@@ -491,9 +493,9 @@ def _build_parser() -> _CliParser:
         p.add_argument("--config", metavar="PATH", default=None,
                        help="INI config file; section per scenario")
         p.add_argument("--out", metavar="PATH", default=None, help="output CSV path")
-        p.add_argument("--trials", metavar="N", type=int, default=None,
+        p.add_argument("--trials", metavar="N", default=None,
                        help=f"Monte Carlo trials per point (default {DEFAULT_TRIALS})")
-        p.add_argument("--seed", metavar="N", type=int, default=None,
+        p.add_argument("--seed", metavar="N", default=None,
                        help=f"base random seed (default {DEFAULT_SEED})")
         p.add_argument("--grid", metavar="START:STOP:STEP", default=None,
                        help="sweep grid (dB for powers, probability for outage targets)")

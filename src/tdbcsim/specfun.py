@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Callable, Literal
+from typing import Callable
 
 __all__ = [
     "EULER_GAMMA",
@@ -45,7 +45,7 @@ SOLVER_WIDTH_TOL = 1e-14
 #: First factor applied when an end of the bracket misses the target.
 BRACKET_GROWTH = 4.0
 
-#: Brent step cap; reaching it means the function was not monotone as declared.
+#: Brent step cap; reaching it means the function was not increasing.
 MAX_ITERATIONS = 200
 
 # Chebyshev coefficients c_0..c_{n-1}, in t = (x - mid) / half on a finite
@@ -197,9 +197,6 @@ _F_WALK, *_G_WALKS = map(_walk, (_F_ON_0_HALF, _G_ON_HALF_1, _G_ON_1_2, _G_ON_2_
                                  _G_ON_4_8, _G_ABOVE_8))
 
 
-Direction = Literal["increasing", "decreasing"]
-
-
 def _log_offset(x: float, y: float) -> float:
     """ln(x / y) for positive x and y, also where x / y leaves the doubles."""
     ratio = x / y
@@ -216,9 +213,9 @@ def solve_monotone(
     target: float,
     bracket_lo: float,
     bracket_hi: float,
-    direction: Direction,
 ) -> float:
-    """Solve f(x) = target for a continuous, strictly monotone f on x > 0.
+    """Solve f(x) = target for a continuous, strictly increasing f on x > 0.
+    Solve a decreasing g as -g = -target: negation is exact, so every bit holds.
 
     The bracket must satisfy 0 < bracket_lo < bracket_hi < inf.  If it does
     not straddle the target, the deficient end is scaled outward, by
@@ -235,10 +232,8 @@ def solve_monotone(
     cannot straddle the target (it is outside the function's range, or an
     end would have to leave the positive doubles) and ConvergenceError when
     the bracket closes on two adjacent subnormal doubles or MAX_ITERATIONS
-    is hit, which indicates a non-monotone f.
+    is hit, which indicates an f that is not increasing.
     """
-    if direction not in ("increasing", "decreasing"):
-        raise ValueError(f"direction must be 'increasing' or 'decreasing', got {direction!r}")
     lo = float(bracket_lo)
     hi = float(bracket_hi)
     if not 0.0 < lo < hi < math.inf:
@@ -246,12 +241,8 @@ def solve_monotone(
                          f"got [{bracket_lo!r}, {bracket_hi!r}]")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
-    sign = 1.0 if direction == "increasing" else -1.0
 
-    def residual(x: float) -> float:
-        return sign * (f(x) - target)
-
-    r_lo, r_hi = residual(lo), residual(hi)
+    r_lo, r_hi = f(lo) - target, f(hi) - target
     # The factor squares each step, so within ten steps it overflows and the
     # moving end leaves the doubles: the loop always ends.
     factor = BRACKET_GROWTH
@@ -265,9 +256,9 @@ def solve_monotone(
                                   f"(target {target!r})")
         factor *= factor
         if r_lo > 0.0:
-            r_lo = residual(lo)
+            r_lo = f(lo) - target
         else:
-            r_hi = residual(hi)
+            r_hi = f(hi) - target
 
     # Brent's method (zeroin): b is the best point, c holds the residual's
     # other sign, a is the previous b.  Positions enter only as offsets from
@@ -302,9 +293,9 @@ def solve_monotone(
             d = e = m                     # bisection
         a, r_a = b, r_b
         b = _log_step(b, d if abs(d) > tol else math.copysign(tol, m))
-        r_b = residual(b) if b != a else r_a    # a step too small to move b
+        r_b = f(b) - target if b != a else r_a    # a step too small to move b
         if (r_b > 0.0) == (r_c > 0.0):
             c, r_c = a, r_a
             d = e = _log_offset(b, a)
     raise ConvergenceError("Brent iteration failed to converge; "
-                           "is the function strictly monotone on the bracket?")
+                           "is the function strictly increasing on the bracket?")

@@ -10,8 +10,9 @@ import time
 
 import numpy as np
 
+from conftest import load_bench
 from tdbcsim.endnode_policy import solve_cutoff
-from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
+from tdbcsim.outage_analytics import FpaConfig, outage_fpa, outage_opa
 from tdbcsim.mc_engine import run_opa
 from tdbcsim.relay_policy import (
     RelayPolicy,
@@ -97,11 +98,12 @@ def _saturation_grid():
 def test_criterion_3_saturation_identity():
     """Unbounded cap reproduces the outage floor to 1e-12 on a 20-point
     grid."""
+    quadrant_outage = load_bench("oracles").quadrant_outage
     worst_floor = 0.0
     for d1, d2, x0, y0, ox, oy in _saturation_grid():
         policy = RelayPolicy(d1, d2, x0, y0, ox, oy, None)
         worst_floor = max(worst_floor,
-                          abs(outage_opa(policy).p_out - min_outage(x0, y0, ox, oy)))
+                          abs(outage_opa(policy).p_out - quadrant_outage(x0, y0, ox, oy)))
     _report(3, "saturation identity", worst_floor <= 1e-12,
             f"floor dev {worst_floor:.3e} (tol 1e-12)")
 

@@ -11,9 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import load_bench
 from tdbcsim import mc_engine
 from tdbcsim.mc_engine import CHUNK_TRIALS, SimReport, run_fpa, run_opa, simulate
-from tdbcsim.outage_analytics import FpaConfig, fpa_policy, min_outage, outage_fpa, outage_opa
+from tdbcsim.outage_analytics import FpaConfig, fpa_policy, outage_fpa, outage_opa
 from tdbcsim.relay_policy import avg_relay_power, cycle_powers, policies_from_config
 from tdbcsim.scenario_cli import (_FPA_VALIDATION_SETS, db_to_linear, load_spec,
                                   validation_policies)
@@ -578,7 +579,7 @@ class TestOpaEstimates:
         _, _, relay = policies_from_config(config)
         assert relay.rho is None
         report = run_opa(relay, trials=1_000_000, seed=31)
-        expected = min_outage(relay.x0, relay.y0, 1.0, 1.0)
+        expected = load_bench("oracles").quadrant_outage(relay.x0, relay.y0, 1.0, 1.0)
         sigma = math.sqrt(expected * (1.0 - expected) / report.trials)
         assert abs(report.outage_rate - expected) <= 4.0 * sigma
 

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scaled_gains
+from conftest import load_bench, scaled_gains
 from tdbcsim.outage_analytics import (
     FpaConfig,
     fpa_policy,
-    min_outage,
     outage_fpa,
     outage_opa,
 )
 from tdbcsim.relay_policy import RelayPolicy, policies_from_config
 from tdbcsim.system_model import SystemConfig
+
+#: The independent reference: the measure outside the quadrant x >= l1, y >= l2.
+quadrant_outage = load_bench("oracles").quadrant_outage
 
 # Frozen: 1 - exp(-0.4) and 1 - exp(-0.2).
 FLOOR_02_02 = 0.3296799539643607
@@ -28,18 +30,23 @@ def _policy(delta1=1.0, delta2=1.0, x0=0.2, y0=0.2, omega_x=1.0, omega_y=1.0,
     return RelayPolicy(delta1, delta2, x0, y0, omega_x, omega_y, rho)
 
 
+def _floor(x0, y0, omega_x, omega_y):
+    """The minimum outage: that of an uncapped relay at the cutoffs."""
+    return outage_opa(_policy(x0=x0, y0=y0, omega_x=omega_x, omega_y=omega_y)).p_out
+
+
 class TestMinOutage:
     def test_frozen_value(self):
-        assert min_outage(0.2, 0.2, 1.0, 1.0) == pytest.approx(FLOOR_02_02, rel=1e-12)
+        assert _floor(0.2, 0.2, 1.0, 1.0) == pytest.approx(FLOOR_02_02, rel=1e-12)
 
     def test_vanishes_with_cutoffs(self):
-        assert min_outage(1e-12, 1e-12, 1.0, 1.0) < 1e-11
+        assert _floor(1e-12, 1e-12, 1.0, 1.0) < 1e-11
 
     def test_monotone_in_normalized_cutoff(self):
-        assert min_outage(0.2, 0.2, 2.0, 1.0) < min_outage(0.2, 0.2, 1.0, 1.0)
+        assert _floor(0.2, 0.2, 2.0, 1.0) < _floor(0.2, 0.2, 1.0, 1.0)
 
     def test_tiny_cutoffs_keep_precision(self):
-        assert min_outage(1e-140, 1e-140, 1.0, 1.0) == pytest.approx(2e-140, rel=1e-12)
+        assert _floor(1e-140, 1e-140, 1.0, 1.0) == pytest.approx(2e-140, rel=1e-12)
 
 
 class TestOutageOpa:
@@ -58,7 +65,7 @@ class TestOutageOpa:
             policy = _policy(float(d1), float(d2), float(x0), float(y0),
                              float(ox), float(oy))
             assert outage_opa(policy).p_out == pytest.approx(
-                min_outage(float(x0), float(y0), float(ox), float(oy)), abs=1e-12)
+                quadrant_outage(float(x0), float(y0), float(ox), float(oy)), abs=1e-12)
 
     def test_tail_terms_cancel_when_x_corner_fixed(self):
         """Finite cap inside the window where only the y-corner has moved:
@@ -77,7 +84,7 @@ class TestOutageOpa:
 
     def test_converges_to_floor_as_cap_grows(self):
         """Outage decreases with the cap and lands on the floor within 1e-9."""
-        floor = min_outage(0.4, 0.2, 1.0, 1.0)
+        floor = quadrant_outage(0.4, 0.2, 1.0, 1.0)
         values = [outage_opa(_policy(x0=0.4, y0=0.2, rho=float(r))).p_out
                   for r in np.linspace(0.5, 6.0, 40)]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
@@ -105,18 +112,18 @@ class TestOutageOpa:
 
     @pytest.mark.parametrize("rho", [pytest.param(None, id="unbounded"), 0.3, 3.0, 1e-3])
     def test_p_out_is_the_measure_outside_the_corners(self, rho):
-        """The report's p_out is `min_outage` at the truncation corners, bit
+        """The report's p_out is the quadrant outage at the truncation corners, bit
         for bit, and the report holds the policy it was evaluated for."""
         policy = _policy(1.0, 3.0, 0.4, 0.2, 2.0, 0.5, rho)
         report = outage_opa(policy)
         assert report.policy is policy
-        assert report.p_out == min_outage(policy.lambda1, policy.lambda2,
-                                          policy.omega_x, policy.omega_y)
+        assert report.p_out == quadrant_outage(policy.lambda1, policy.lambda2,
+                                               policy.omega_x, policy.omega_y)
 
     def test_floor_invariant(self):
         for rho in (None, 0.3, 3.0):
             policy = _policy(x0=0.4, y0=0.2, rho=rho)
-            floor = min_outage(0.4, 0.2, 1.0, 1.0)
+            floor = quadrant_outage(0.4, 0.2, 1.0, 1.0)
             assert outage_opa(policy).p_out >= floor - 1e-15
 
     def test_matches_monte_carlo_in_every_regime(self):

@@ -82,7 +82,7 @@ def test_module_exports_resolve():
 
 
 def test_public_surface_does_not_grow():
-    assert len(tdbcsim.__all__) <= 19
+    assert len(tdbcsim.__all__) <= 18
 
 
 def _eager_numpy_imports(source: str) -> list[int]:

@@ -2,6 +2,7 @@
 truncation), construction, averages."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -550,6 +551,21 @@ class TestSolveRho:
             solved = solve_rho(1.0, 1.0, x0, y0, 1.0, 1.0, p_avg)
             assert solved == pytest.approx(rho_true, rel=1e-11), fraction
 
+    @pytest.mark.parametrize("p_avg", [1e-308, 1e-310, 5e-324])
+    def test_subnormal_budgets_are_a_bracketing_failure(self, p_avg):
+        """Below about 3e-308 the bracket's lower end sinks until both
+        quotient corners overflow to inf, where the spend is 0: the solve
+        says the bracket underflowed.  These budgets once raised E1's `x must
+        be finite and > 0, got inf` from the E1(lambda2 / omega_y) term."""
+        with pytest.raises(BracketingError, match=re.escape(
+                f"cap solve for relay budget {p_avg!r}: bracket end underflowed "
+                f"to 0 or overflowed (target ")):
+            solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, p_avg)
+
+    def test_smallest_normal_budget_still_solves(self):
+        cap = solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, 3e-308)
+        assert cap.hex() == "0x1.754cac87736d3p-9"      # 0.002848049221689
+
     def test_e1_calls_per_capped_solve(self, count_e1):
         """A capped solve costs at most 60 E1 calls (3 per spend, and 3 for
         the saturation spend) on the rate and mean-gain pairs of the
@@ -663,6 +679,12 @@ class TestPoliciesFromConfig:
         finite and > 0, got inf` instead."""
         with pytest.raises(ValueError, match="^delta / omega overflows a double$"):
             build()
+
+    def test_subnormal_relay_budget_is_a_bracketing_failure(self):
+        config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 1.0, 1e-310)
+        with pytest.raises(BracketingError, match=re.escape(
+                "cap solve for relay budget 1e-310: bracket end underflowed")):
+            policies_from_config(config)
 
     def test_equal_failing_end_nodes_raise_as_before(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 730.0, 730.0, 730.0)

@@ -21,7 +21,7 @@ from scipy import optimize, special
 
 import tdbcsim
 from conftest import load_bench, log_cutoff_oracle
-from tdbcsim.outage_analytics import FpaConfig, min_outage, outage_fpa, outage_opa
+from tdbcsim.outage_analytics import FpaConfig, OutageReport, outage_fpa, outage_opa
 from tdbcsim.relay_policy import RelayPolicy, avg_relay_power, policies_from_config
 from tdbcsim.scenario_cli import (
     MIN_TRIALS,
@@ -87,6 +87,15 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError):
             ScenarioSpec(scenario="plot", grid=(0.0,))
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ConfigError, match="^grid must not be empty$"):
+            ScenarioSpec(scenario="validate", grid=())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ConfigError, match="^grid contains non-finite values$"):
+            ScenarioSpec(scenario="sweep_total_power", grid=(0.0, bad))
+
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ConfigError):
             ScenarioSpec(scenario="sweep_total_power", grid=(1.0, 1.0))
@@ -148,6 +157,51 @@ class TestLoadSpec:
         with pytest.raises(ConfigError, match="^grid"):
             load_spec("validate", str(path), grid="0:1")
 
+    def test_unknown_scenario_is_diagnosed(self):
+        with pytest.raises(ConfigError) as info:
+            load_spec("plot")
+        assert str(info.value) == ("unknown scenario 'plot'; expected one of "
+                                   "('sweep_total_power', 'power_gains', 'validate')")
+
+    def test_key_outside_any_section_is_malformed(self, tmp_path, capsys):
+        """configparser's message spans three lines; the error is one."""
+        path = tmp_path / "exp.ini"
+        path.write_text("trials = 5000\n[validate]\n")
+        expected = (f"malformed config file {str(path)!r}: File contains no section "
+                    f"headers.; file: {str(path)!r}, line: 1; 'trials = 5000\\n'")
+        with pytest.raises(ConfigError) as info:
+            load_spec("validate", str(path))
+        assert str(info.value) == expected
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"tdbcsim: error: {expected}\n"
+
+    @pytest.mark.parametrize("value, detail", [
+        ("50%.csv", "'%' must be followed by '%' or '(', found: '%.csv'"),
+        ("%(x)s.csv", "Bad value substitution: option 'out' in section 'validate' contains "
+                      "an interpolation key 'x' which is not a valid option name. "
+                      "Raw value: '%(x)s.csv'"),
+    ], ids=["bare-percent", "missing-key"])
+    def test_bad_interpolation_is_malformed(self, tmp_path, value, detail):
+        """configparser interpolates a value as it is read: an error there is
+        a malformed file, not a traceback."""
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[validate]\nout = {value}\n")
+        with pytest.raises(ConfigError) as info:
+            load_spec("validate", str(path))
+        assert str(info.value) == f"malformed config file {str(path)!r}: {detail}"
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    def test_flag_and_file_integers_share_one_error(self, tmp_path, capsys, key):
+        """An integer flag is parsed from its text as the file's value is, so
+        one mistake reads the same from either."""
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[validate]\n{key} = 1e6\n")
+        assert main(["validate", f"--{key}", "1e6"]) == 1
+        assert main(["validate", "--config", str(path)]) == 1
+        flag_line, file_line = capsys.readouterr().err.splitlines()
+        assert flag_line == file_line \
+            == f"tdbcsim: error: field {key!r}: expected an integer, got '1e6'"
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_spec("validate", "/nonexistent/path.ini")
@@ -189,6 +243,13 @@ class TestTotalPowerSweep:
         assert main(["sweep-total-power", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "9b7bd2d9f15acdb6496de1ae4abaf234536944786e14bec4698ac0b879df1424")
+
+    def test_default_sweep_at_seed_1_is_pinned(self, tmp_path):
+        """The default grid and 1M trials at seed 1, byte for byte."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-total-power", "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ab6afd6c6ed0933a491028eb9cc24414ff5f02dea57d415ae19be038c9a9b3fd")
 
     def test_symmetric_non_unit_gain_sweep_is_pinned(self, tmp_path):
         """Mean gains (0.37, 0.37) on the default grid, trials and seed 1,
@@ -254,11 +315,12 @@ class TestPowerGains:
         reproduces each target to 1e-12."""
         spec = ScenarioSpec(scenario="power_gains", grid=(0.001, 0.1, 0.5, 0.9),
                             omega_x=2.0, omega_y=0.5, **SMALL)
+        quadrant_outage = load_bench("oracles").quadrant_outage
         for target in spec.grid:
             exponent = -0.5 * math.log1p(-target)
             x0 = spec.omega_x * exponent
             y0 = spec.omega_y * exponent
-            assert min_outage(x0, y0, spec.omega_x, spec.omega_y) \
+            assert quadrant_outage(x0, y0, spec.omega_x, spec.omega_y) \
                 == pytest.approx(target, abs=1e-12)
 
     def test_gains_positive_and_diverging(self):
@@ -378,16 +440,18 @@ class TestValidateScenario:
                 assert row["status"] == "PASS", row
 
     def test_outage_rows_catch_swapped_mean_gains(self, monkeypatch):
-        """With `min_outage`, as outage_analytics reads it, swapping omega_x
-        and omega_y, fpa_outage_mc reads FAIL on fpa02 and fpa03 and
-        outage_mc on the unequal-gain sets set06 and set24; on equal gains
+        """With `OutageReport`'s outage swapping omega_x and omega_y,
+        fpa_outage_mc reads FAIL on fpa02 and fpa03 and outage_mc on the
+        unequal-gain sets set06 and set24; on equal gains
         the swap changes nothing and the rows pass.  The closed forms and the
         count read the same policy corners, so these rows catch a fault in
         the closed form or in the count, not one in the corners."""
-        from tdbcsim import outage_analytics
-        min_outage = outage_analytics.min_outage
-        monkeypatch.setattr(outage_analytics, "min_outage",
-                            lambda x0, y0, omega_x, omega_y: min_outage(x0, y0, omega_y, omega_x))
+        def swapped(report):
+            policy = report.policy
+            object.__setattr__(report, "p_out", -math.expm1(
+                -(policy.lambda1 / policy.omega_y + policy.lambda2 / policy.omega_x)))
+
+        monkeypatch.setattr(OutageReport, "__post_init__", swapped)
         spec = ScenarioSpec(scenario="validate", grid=(0.0,), **SMALL)
         status = {(row["check"], row["params"]): row["status"]
                   for row in scenario_validate(spec)[1]}
@@ -493,6 +557,18 @@ class TestValidateScenario:
                      "--out", str(out)]) == 2
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "6237483ad428b23647ebdfe298794d2857ee0e0b0fc715500f114586a954490e")
+
+    @pytest.mark.parametrize("seed, digest", [
+        (None, "a9c26f0bd6615e84ae52745caec44488e7d13b0a4e845e1e585baeb10a1925b1"),
+        ("1", "6e30b086aad8ec777ea7972f396f255be63aeb58bbd40570901afcffa21d0729"),
+    ], ids=["default-seed", "seed-1"])
+    def test_validate_csv_at_default_trials_is_pinned(self, tmp_path, seed, digest):
+        """The default 1M trials at the default seed and at seed 1, byte for
+        byte; every check passes at both."""
+        out = tmp_path / "validate.csv"
+        seed_flags = [] if seed is None else ["--seed", seed]
+        assert main(["validate", *seed_flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestPrintedClosedForms:
@@ -855,11 +931,12 @@ class TestCliContract:
               ["--grid", "0.5:0.5:1"]))
     @example(("power-gains", "[power_gains]\nrate_2 = 1e-300\nomega_y = 1e-10\n",
               ["--grid", "0.5:0.5:1"]))
+    @example(("validate", "[validate]\nout = 50%.csv\n", []))
     def test_every_input_gives_a_csv_or_one_error_line(self, spec):
         """Any spec, run in-process at MIN_TRIALS, exits 1 with exactly one
         error line, or exits 0 or 2 with a CSV whose numbers are finite and
         whose probabilities lie in [0, 1]; no exception escapes `main`.  The
-        examples once wrote inf or nan gains."""
+        examples once wrote inf or nan gains, or (the last) a traceback."""
         command, ini, flags = spec
         with tempfile.TemporaryDirectory() as tmp:
             config, out = os.path.join(tmp, "spec.ini"), os.path.join(tmp, "out.csv")

@@ -255,41 +255,46 @@ class TestRequirePositive:
             require_positive(bad, "v")
 
 
+def neg_e1(x):
+    """-E1, increasing: the solver takes a decreasing function negated."""
+    return -exp_integral_e1(x)
+
+
 class TestSolveMonotone:
     def test_identity_function(self):
-        assert solve_monotone(lambda v: v, 3.0, 0.5, 10.0, "increasing") \
+        assert solve_monotone(lambda v: v, 3.0, 0.5, 10.0) \
             == pytest.approx(3.0, abs=1e-12)
 
     def test_e1_round_trip_from_spec_bracket(self):
         target = exp_integral_e1(0.5)
-        got = solve_monotone(exp_integral_e1, target, 1e-6, 10.0, "decreasing")
+        got = solve_monotone(neg_e1, -target, 1e-6, 10.0)
         assert got == pytest.approx(0.5, rel=1e-9)
 
     def test_bracketing_failure_for_unreachable_target(self):
         with pytest.raises(BracketingError):
-            solve_monotone(exp_integral_e1, -1.0, 1e-6, 10.0, "decreasing")
+            solve_monotone(neg_e1, 1.0, 1e-6, 10.0)
 
     def test_underflowing_lower_end_is_a_bracketing_failure(self):
         """E1 reaches 1000 only below the smallest double; the lower end
         underflows to 0, where E1 is undefined, and the solver says so
         instead of evaluating it."""
         with pytest.raises(BracketingError, match="underflowed"):
-            solve_monotone(exp_integral_e1, 1000.0, 1e-300, 1.0, "decreasing")
+            solve_monotone(neg_e1, -1000.0, 1e-300, 1.0)
 
     def test_expansion_reaches_root_outside_bracket(self):
-        got = solve_monotone(lambda v: v, 250.0, 0.5, 1.0, "increasing")
+        got = solve_monotone(lambda v: v, 250.0, 0.5, 1.0)
         assert got == pytest.approx(250.0, rel=1e-12)
-        got = solve_monotone(lambda v: v, 1e-5, 0.5, 1.0, "increasing")
+        got = solve_monotone(lambda v: v, 1e-5, 0.5, 1.0)
         assert got == pytest.approx(1e-5, rel=1e-12)
         with pytest.raises(BracketingError):      # a root below 0 is out of reach
-            solve_monotone(lambda v: v, -250.0, 0.5, 1.0, "increasing")
+            solve_monotone(lambda v: v, -250.0, 0.5, 1.0)
 
     def test_tiny_positive_roots_keep_relative_accuracy(self):
         """Positive brackets bisect in log space, so roots near the bottom of
         the double range still come back to ~1e-14 relative."""
         for x_true in (1e-140, 1e-60, 1e-9):
             target = exp_integral_e1(x_true)
-            got = solve_monotone(exp_integral_e1, target, 1e-300, 50.0, "decreasing")
+            got = solve_monotone(neg_e1, -target, 1e-300, 50.0)
             assert got == pytest.approx(x_true, rel=1e-11)
 
     def test_subnormal_root_stops_early(self):
@@ -299,12 +304,12 @@ class TestSolveMonotone:
         iterations with a message about monotonicity."""
         evaluations = []
 
-        def e1(x):
+        def logged_neg_e1(x):
             evaluations.append(x)
-            return exp_integral_e1(x)
+            return neg_e1(x)
 
         with pytest.raises(ConvergenceError, match="subnormal"):
-            solve_monotone(e1, 720.0, 1e-300, 1.0, "decreasing")
+            solve_monotone(logged_neg_e1, -720.0, 1e-300, 1.0)
         assert len(evaluations) <= 50
         assert len(set(evaluations)) == len(evaluations)    # none evaluated twice
 
@@ -312,23 +317,23 @@ class TestSolveMonotone:
     def test_exact_subnormal_roots_still_converge(self, root):
         """A step may fail to move a subnormal best point, yet a later one
         can land on the root exactly; that solve still returns it."""
-        assert solve_monotone(lambda v: v, root, 1e-300, 1.0, "increasing") == root
+        assert solve_monotone(lambda v: v, root, 1e-300, 1.0) == root
 
     @given(st.floats(min_value=-4.0, max_value=math.log10(20.0)))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_property(self, exponent):
         x_true = 10.0 ** exponent
-        got = solve_monotone(exp_integral_e1, exp_integral_e1(x_true),
-                             1e-6, 10.0, "decreasing")
+        got = solve_monotone(neg_e1, -exp_integral_e1(x_true), 1e-6, 10.0)
         assert got == pytest.approx(x_true, rel=1e-9)
 
-    def test_direction_validation(self):
-        with pytest.raises(ValueError):
-            solve_monotone(lambda v: v, 1.0, 0.5, 1.0, "sideways")
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_target_validation(self, target):
+        with pytest.raises(ValueError, match=r"^target must be finite, got "):
+            solve_monotone(lambda v: v, target, 0.5, 1.0)
 
     def test_bracket_validation(self):
         """Only brackets with 0 < lo < hi < inf are accepted."""
         for lo, hi in [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
                        (1.0, math.inf), (math.nan, 1.0), (0.5, math.nan)]:
             with pytest.raises(ValueError):
-                solve_monotone(lambda v: v, 1.0, lo, hi, "increasing")
+                solve_monotone(lambda v: v, 1.0, lo, hi)
