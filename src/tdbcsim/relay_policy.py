@@ -15,9 +15,10 @@ served quadrant once per axis.  The corners are
 
 made exact in floating point.  The quadrant is split along the ray
 y = (delta1 / delta2) x, and the average power over it reduces to three E1
-terms; the cap is pinned by inverting that closed form.  numpy is imported
-inside the functions that build arrays, so policy solves and closed forms
-run without it.
+terms, or to one where the cap sets both corners, on the ray; the cap is
+pinned by inverting that closed form, there an end node's cutoff equation.
+numpy is imported inside the functions that build arrays, so policy solves
+and closed forms run without it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .endnode_policy import EndNodePolicy
+from .endnode_policy import EndNodePolicy, solve_cutoff
 from .specfun import BracketingError, exp_integral_e1, require_positive, solve_monotone
 from .system_model import SystemConfig
 
@@ -59,7 +60,7 @@ def _least_gain(delta: float, rho: float) -> float:
 
 
 def _check_quotients(delta1: float, delta2: float, omega_x: float, omega_y: float) -> None:
-    if max(delta1 / omega_y, delta2 / omega_x) == math.inf:    # the spend scales with both
+    if delta1 / omega_y + delta2 / omega_x == math.inf:    # the spend scales with the sum
         raise ValueError("delta / omega overflows a double")
 
 
@@ -77,7 +78,7 @@ class RelayPolicy:
     double on, which replaces the quotient delta / rho.  Every closed form
     and the Monte Carlo count read these corners, the fixed-power baseline's
     too (`outage_analytics.fpa_policy`).  Raises ValueError if
-    delta1 / omega_y or delta2 / omega_x overflows a double.
+    delta1 / omega_y + delta2 / omega_x overflows a double.
     """
 
     delta1: float
@@ -196,6 +197,13 @@ def _inverse(delta: float, gain: np.ndarray, sends: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ray_power(k: float, z: float, e1: Callable[[float], float]) -> float:
+    """k E1(z), the spend over a quadrant whose corner lies on the ray; 0
+    where z overflows, as E1 is 0.0 from about 745 on (never inf * 0)."""
+    e1_z = e1(z) if z < math.inf else 0.0
+    return k * e1_z if e1_z else 0.0
+
+
 def _wedge_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
                  l1: float, l2: float, e1: Callable[[float], float]) -> float:
     """Average broadcast power over the quadrant x >= l1, y >= l2 whose
@@ -208,18 +216,20 @@ def _wedge_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
     is e^(-l1 / omega_x) E1(c l1) - E1(k l1) with k = 1 / omega_x + c.  Above
     it the relay sends delta2 / x, over {x >= l1, y >= (delta1 / delta2) x}:
     (delta2 / omega_x) E1(k l1).  The two E1(k l1) terms sum to
-    delta2 k E1(k l1).  `e1` evaluates E1; a term whose E1 argument
-    overflows is 0, as E1 is 0.0 from about 745 on (never inf * 0).
+    delta2 k E1(k l1), the spend above the ray's point (l1, c omega_y l1).
+    `e1` evaluates E1; a term whose E1 argument overflows is 0.
     """
     c = delta1 / (delta2 * omega_y) if delta2 * omega_y else delta1 / delta2 / omega_y
     k = 1.0 / omega_x + c
-    e1_l, e1_c, e1_k = (e1(z) if z < math.inf else 0.0 for z in (l2 / omega_y, c * l1, k * l1))
+    e1_l, e1_c = (e1(z) if z < math.inf else 0.0 for z in (l2 / omega_y, c * l1))
     return (delta1 / omega_y * math.exp(-l1 / omega_x) * (e1_l - e1_c)
-            + (delta2 * k * e1_k if e1_k else 0.0))
+            + _ray_power(delta2 * k, k * l1, e1))
 
 
-def _avg_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
-               l1: float, l2: float, e1: Callable[[float], float]) -> float:
+def _avg_power(delta1: float, delta2: float, omega_x: float, omega_y: float, x0: float,
+               y0: float, l1: float, l2: float, e1: Callable[[float], float]) -> float:
+    if l1 > x0 and l2 > y0:     # the cap set both corners, which lie on the ray
+        return _ray_power(delta1 / omega_y + delta2 / omega_x, l1 / omega_x + l2 / omega_y, e1)
     if delta2 * l2 <= delta1 * l1:
         return _wedge_power(delta1, delta2, omega_x, omega_y, l1, l2, e1)
     # The corner above the ray is the one below it with the end nodes swapped.
@@ -229,22 +239,27 @@ def _avg_power(delta1: float, delta2: float, omega_x: float, omega_y: float,
 def avg_relay_power(policy: RelayPolicy) -> float:
     """Closed-form expectation of the relay power of cycle_powers over the
     fading law: the average of max(delta1 / y, delta2 / x) over the quadrant
-    above the policy's corners."""
-    return _avg_power(policy.delta1, policy.delta2, policy.omega_x, policy.omega_y,
-                      policy.lambda1, policy.lambda2, exp_integral_e1)
+    above the policy's corners.  Where the cap sets both corners it is one
+    E1 term, bit for bit the same with the end nodes swapped."""
+    return _avg_power(policy.delta1, policy.delta2, policy.omega_x, policy.omega_y, policy.x0,
+                      policy.y0, policy.lambda1, policy.lambda2, exp_integral_e1)
 
 
 def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
               omega_x: float, omega_y: float, p_avg: float) -> float | None:
     """Cap that makes the average broadcast power spend exactly `p_avg`.
 
-    The average is continuous and nondecreasing in the cap, vanishing as the
-    cap shrinks (the served region empties) and saturating at the uncapped
-    spend once the cap clears max(delta1 / y0, delta2 / x0).  Budgets at or
-    above the saturation value return None: no cap.  Below it the
-    cap is solved on a bracket whose ends provably spend at most and at least
-    `p_avg`, so the solver's expansion only mends an end rounding misplaced.
-    Raises ValueError if delta1 / omega_y or delta2 / omega_x overflows.
+    The spend is continuous and nondecreasing in the cap, vanishing as the
+    cap shrinks and saturating once it clears rho_sat = max(delta2 / x0,
+    delta1 / y0); budgets at or above saturation return None: no cap.  Up to
+    rho_b = min(delta2 / x0, delta1 / y0) the cap sets both corners and the
+    spend is K E1(K / rho), K = delta1 / omega_y + delta2 / omega_x, so a
+    budget up to K E1(K / rho_b), or any capped one at a tie rho_b == rho_sat,
+    solves the cutoff equation K E1(z) = p_avg and the cap is K / z.  Other
+    caps are solved on the regime's ends [rho_b, rho_sat].  Raises
+    BracketingError if a solve fails, or if the cap overflows or spends over
+    p_avg by more than 1e-9 relative (where the served quadrant's probability
+    underflows), and ValueError if K overflows.
     """
     p_avg = require_positive(p_avg, "p_avg")
     delta1, delta2, x0, y0, omega_x, omega_y = map(
@@ -252,34 +267,27 @@ def solve_rho(delta1: float, delta2: float, x0: float, y0: float,
         ("delta1", "delta2", "x0", "y0", "omega_x", "omega_y"))
     _check_quotients(delta1, delta2, omega_x, omega_y)
     e1 = functools.cache(exp_integral_e1)     # a corner on its cutoff keeps its E1 terms
-    p_max = _avg_power(delta1, delta2, omega_x, omega_y, x0, y0, e1)
-    if p_avg >= p_max:
+
+    def spend(rho: float) -> float:     # quotient corners: a policy's exact ones cost a walk
+        return _avg_power(delta1, delta2, omega_x, omega_y, x0, y0,
+                          max(x0, delta2 / rho), max(y0, delta1 / rho), e1)
+
+    k = delta1 / omega_y + delta2 / omega_x
+    rho_b, rho_sat = sorted((delta2 / x0, delta1 / y0))
+    # A budget within the spend at rho_b is below saturation, whose three terms it skips.
+    on_ray = 0.0 < rho_b < rho_sat and p_avg <= _ray_power(k, k / rho_b, e1)
+    if not on_ray and p_avg >= spend(math.inf):
         return None
-
-    # d spend / d ln rho is P, the probability of the served quadrant, times
-    # delta2 / omega_x while delta2 / rho > x0 plus delta1 / omega_y while
-    # delta1 / rho > y0.  Walking p_max - p_avg down from saturation at these
-    # slopes with P = 1 ends on rho_hi, which spends at least p_avg; with k the
-    # sum of both slopes, spend <= rho * P <= rho * exp(-k / rho), so rho_lo
-    # spends at most p_avg.
-    (k_a, s_a), (k_b, s_b) = sorted(((delta2 / x0, delta2 / omega_x),
-                                     (delta1 / y0, delta1 / omega_y)), reverse=True)
-    k = s_a + s_b
-    gap = p_max - p_avg
-    first = s_a * math.log(k_a / k_b)
-    log_rho = (math.log(k_a) - gap / s_a if gap <= first
-               else math.log(k_b) - (gap - first) / k)
-    rho_hi = math.exp(min(max(log_rho, -708.0), 709.0))
-    rho_lo = k / math.log1p(min(k / p_avg, sys.float_info.max))
-
-    def log_spend(rho: float) -> float:   # nearer linear in ln rho than the spend
-        # The quotient corners: a policy's exact ones cost a walk per step.
-        spend = _avg_power(delta1, delta2, omega_x, omega_y,
-                           max(x0, delta2 / rho), max(y0, delta1 / rho), e1)
-        return math.log(max(spend, sys.float_info.min))
-
     try:
-        return solve_monotone(log_spend, math.log(p_avg), min(rho_lo, 0.5 * rho_hi), rho_hi)
+        if on_ray or rho_b == rho_sat:
+            rho = k / solve_cutoff(k, 1.0, p_avg)
+        else:   # in log spend, nearer linear in ln rho; a quotient may leave the doubles
+            rho = solve_monotone(lambda r: math.log(max(spend(r), sys.float_info.min)),
+                                 math.log(p_avg), rho_b or math.ulp(0.0),
+                                 min(rho_sat, sys.float_info.max))
+        if (spent := spend(rho)) > p_avg * (1.0 + 1e-9) or rho == math.inf:
+            raise BracketingError(f"the cap {rho!r} spends {spent!r}")
+        return rho
     except BracketingError as exc:
         raise BracketingError(f"cap solve for relay budget {p_avg!r}: {exc}") from None
 

@@ -310,7 +310,7 @@ _FPA_VALIDATION_SETS = (
     ("fpa04", (ONE_THIRD, ONE_THIRD, 1.0, 1.0), (3.0, 1.0, 50.0)),
 )
 
-_SATURATION_GRID = tuple(
+_RAY_GRID = tuple(
     (d1, d2, x0, x0 * ratio, ox, oy)
     for d1, d2 in ((1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (0.5, 2.0), (2.0, 0.5))
     for x0, ratio, ox, oy in ((0.2, 1.0, 1.0, 1.0), (0.5, 0.4, 2.0, 0.5),
@@ -382,15 +382,19 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
     import numpy as np
     rows = []
 
+    # Half of min(delta2 / x0, delta1 / y0) caps both corners, one E1 term; the
+    # uncapped policy on the same corners takes three.  A case off the ray fails.
     dev = 0.0
-    for d1, d2, x0, y0, ox, oy in _SATURATION_GRID:
-        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, None)
-        dev = max(dev, abs(outage_opa(policy).p_out + math.expm1(-(x0 / ox + y0 / oy))))
-    rows.append(_row("saturation_identity", f"{len(_SATURATION_GRID)} pts", 0.0, dev, dev, 1e-12))
+    for d1, d2, x0, y0, ox, oy in _RAY_GRID:
+        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, 0.5 * min(d2 / x0, d1 / y0))
+        wedge = RelayPolicy(d1, d2, policy.lambda1, policy.lambda2, ox, oy, None)
+        dev = max(dev, _rel_dev(avg_relay_power(policy), avg_relay_power(wedge))
+                  if policy.lambda1 > x0 and policy.lambda2 > y0 else math.inf)
+    rows.append(_row("ray_identity", f"{len(_RAY_GRID)} pts", 0.0, dev, dev, 1e-12))
 
-    # A policy and its mirror evaluate the two wedge orientations only where
-    # the corners tie, delta2 * lambda2 == delta1 * lambda1: a case that
-    # misses the tie fails the row.
+    # Uncapped, a policy and its mirror evaluate the two wedge orientations
+    # only where the corners tie, delta2 * lambda2 == delta1 * lambda1 (capped,
+    # both take the one E1 term): a case that misses the tie fails the row.
     dev = max(_rel_dev(avg_relay_power(policy), avg_relay_power(mirror))
               if policy.delta2 * policy.lambda2 == policy.delta1 * policy.lambda1 else math.inf
               for policy, mirror in _tie_cases())
@@ -426,7 +430,7 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
     count = 0
     for d1, d2, x0, ox, oy in _TIE_GRID[:5]:
         y0 = 1.3 * d1 * x0 / d2
-        for fraction in (0.35, 0.75):
+        for fraction in (0.35, 0.75, 0.9):    # rho_b is 0.77 of saturation
             count += 1
             rho_true = fraction * max(d1 / y0, d2 / x0)
             policy = RelayPolicy(d1, d2, x0, y0, ox, oy, rho_true)

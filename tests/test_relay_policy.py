@@ -22,7 +22,7 @@ from tdbcsim.relay_policy import (
     policies_from_config,
     solve_rho,
 )
-from tdbcsim.scenario_cli import validation_policies
+from tdbcsim.scenario_cli import _TIE_GRID, validation_policies
 from tdbcsim.specfun import BracketingError, exp_integral_e1
 from tdbcsim.system_model import SystemConfig, delta_of_rate
 
@@ -425,6 +425,32 @@ class TestAveragePower:
         avg_relay_power(_policy(d1, d2, x0, y0, 2.0, 0.5, rho))
         assert len(calls) == 3
 
+    def test_doubly_capped_spend_is_one_e1_term(self, count_e1):
+        """Where the cap sets both corners they lie on the ray, and the spend
+        is K E1(z) with K = delta1 / omega_y + delta2 / omega_x and z the
+        corner's lambda1 / omega_x + lambda2 / omega_y: one E1 call, within
+        1e-15 of the three-term wedge at the same corners."""
+        policy = _policy(1.0, 3.0, 0.2, 0.4, 2.0, 0.5, rho=1.5)
+        assert policy.lambda1 > policy.x0 and policy.lambda2 > policy.y0
+        calls = count_e1(relay_policy)
+        spend = avg_relay_power(policy)
+        assert calls == [policy.lambda1 / 2.0 + policy.lambda2 / 0.5]
+        assert spend == (1.0 / 0.5 + 3.0 / 2.0) * exp_integral_e1(calls[0])
+        wedge = _policy(1.0, 3.0, policy.lambda1, policy.lambda2, 2.0, 0.5)
+        assert avg_relay_power(wedge) == pytest.approx(spend, rel=1e-15)
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), st.floats(0.01, 0.99))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_doubly_capped_mirror_is_bit_exact(self, logs, fraction):
+        """A doubly capped policy and its mirror (end nodes swapped) spend
+        the same double: K and z are each a sum of the same two quotients.
+        The three-term wedge differed by up to 1.4e-14 on such pairs."""
+        d1, d2, x0, y0, ox, oy = (10.0 ** v for v in logs)
+        cap = fraction * min(d2 / x0, d1 / y0)
+        policy, mirror = _policy(d1, d2, x0, y0, ox, oy, cap), _policy(d2, d1, y0, x0, oy, ox, cap)
+        assert policy.lambda1 > x0 and policy.lambda2 > y0
+        assert avg_relay_power(policy) == avg_relay_power(mirror)
+
     @pytest.mark.parametrize("d1,d2,x0,y0,ox,oy,rho", [
         # both wedge geometries, saturated / windowed / deeply truncated caps
         (1.0, 1.0, 0.4, 0.2, 1.0, 1.0, None),
@@ -552,31 +578,123 @@ class TestSolveRho:
             assert solved == pytest.approx(rho_true, rel=1e-11), fraction
 
     @pytest.mark.parametrize("p_avg", [1e-308, 1e-310, 5e-324])
-    def test_subnormal_budgets_are_a_bracketing_failure(self, p_avg):
-        """Below about 3e-308 the bracket's lower end sinks until both
-        quotient corners overflow to inf, where the spend is 0: the solve
-        says the bracket underflowed.  These budgets once raised E1's `x must
-        be finite and > 0, got inf` from the E1(lambda2 / omega_y) term."""
-        with pytest.raises(BracketingError, match=re.escape(
-                f"cap solve for relay budget {p_avg!r}: bracket end underflowed "
-                f"to 0 or overflowed (target ")):
-            solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, p_avg)
+    def test_subnormal_budgets_solve_on_the_ray(self, p_avg):
+        """Budgets below about 3e-308 are doubly capped, so the cap is the
+        cutoff solve K E1(z) = p_avg: a cap whose outage rounds to 1 and
+        which spends at most its budget, within the 1e-9 that solve_rho
+        allows (1e-308 spends 8.7e-13 more, 5e-324 spends 0.0).  The
+        Brent solve on the three-term spend raised BracketingError here, its
+        bracket end underflowed."""
+        cap = solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, p_avg)
+        policy = _policy(x0=0.4, y0=0.2, rho=cap)
+        assert policy.lambda1 > policy.x0 and policy.lambda2 > policy.y0
+        assert outage_opa(policy).p_out == 1.0
+        assert avg_relay_power(policy) <= p_avg * (1.0 + 1e-9)
 
     def test_smallest_normal_budget_still_solves(self):
         cap = solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, 3e-308)
-        assert cap.hex() == "0x1.754cac87736d3p-9"      # 0.002848049221689
+        assert cap.hex() == "0x1.754cac87736dbp-9"      # 0.002848049221689
+
+    def test_regime_split_never_takes_e1_of_inf(self, count_e1):
+        """K / rho_b overflows here (K about 1e200, rho_b = 1e-150): the
+        regime test's term counts as 0, as _wedge_power's do, so the budget
+        goes to the solve on [rho_b, rho_sat] with no E1 of inf."""
+        args = (1.0, 1e-150, 1.0, 1e-200, 1.0, 1e-200)
+        p_avg = 0.5 * avg_relay_power(RelayPolicy(*args, None))
+        calls = count_e1(relay_policy)
+        cap = solve_rho(*args, p_avg)
+        assert calls and max(calls) < math.inf
+        assert avg_relay_power(RelayPolicy(*args, cap)) == pytest.approx(p_avg, rel=1e-12)
+
+    @pytest.mark.parametrize("y0,p_avg", [(1e-309, 1418.9), (1e-308, 1415.8)],
+                             ids=["tie", "ray"])
+    def test_cutoff_solve_failure_names_the_cap_solve(self, y0, p_avg):
+        """A doubly capped budget whose cutoff solve fails (z would fall
+        below the smallest normal double) raises that solve's error under
+        the cap solve's prefix: at a tie rho_b == rho_sat == inf, and with
+        rho_b = 1e308 below rho_sat = inf, where the budget is under
+        K E1(K / rho_b) = 1415.85."""
+        with pytest.raises(BracketingError) as info:
+            solve_rho(1.0, 1.0, 1e-309, y0, 1.0, 1.0, p_avg)
+        assert str(info.value) == (f"cap solve for relay budget {p_avg!r}: cutoff solve for "
+                                   f"budget {p_avg!r}: the cutoff falls below the smallest "
+                                   f"normal double")
+
+    def test_ties_return_a_cap_with_no_empty_bracket(self, monkeypatch):
+        """With the cutoffs on the ray (_TIE_GRID), rho_b == rho_sat on 7
+        of the 10 points and every capped budget is doubly capped: budgets
+        from 1 - 1e-13 to 1 - 1e-15 of saturation each return a cap that
+        spends them, and no bracket reaches solve_monotone empty."""
+        solve = relay_policy.solve_monotone
+        brackets = []
+
+        def checked(f, target, lo, hi):
+            brackets.append((lo, hi))
+            return solve(f, target, lo, hi)
+
+        monkeypatch.setattr(relay_policy, "solve_monotone", checked)
+        ties = 0
+        for d1, d2, x0, ox, oy in _TIE_GRID:
+            y0 = d1 * x0 / d2
+            ties += d2 / x0 == d1 / y0
+            p_max = avg_relay_power(_policy(d1, d2, x0, y0, ox, oy))
+            for shortfall in (1e-13, 1e-14, 1e-15):
+                p_avg = (1.0 - shortfall) * p_max
+                cap = solve_rho(d1, d2, x0, y0, ox, oy, p_avg)
+                spend = avg_relay_power(_policy(d1, d2, x0, y0, ox, oy, cap))
+                assert spend == pytest.approx(p_avg, rel=1e-9)
+        assert ties == 7 and all(lo < hi for lo, hi in brackets)
+
+    @pytest.mark.parametrize("args,message", [
+        ((1e10, 1e10, 1e-300, 1e-300, 1.0, 1.0), "the cap inf spends "),
+        ((1.0, 1.0, 1e-309, 1e-308, 1.0, 1.0), "bracket end underflowed to 0 or overflowed"),
+    ], ids=["tie", "ray"])
+    def test_cap_past_the_doubles_is_a_bracketing_failure(self, args, message):
+        """Where delta / x0 overflows, the cap of a budget just below
+        saturation lies past the doubles: at a tie rho_b == rho_sat == inf
+        K / z overflows, and off it the solve on [rho_b, inf) cannot reach
+        it.  Each says so, rather than return inf, which no RelayPolicy
+        takes, or reject its own bracket."""
+        p_avg = 0.999 * avg_relay_power(RelayPolicy(*args, None))
+        with pytest.raises(BracketingError, match=re.escape(
+                f"cap solve for relay budget {p_avg!r}: {message}")):
+            solve_rho(*args, p_avg)
+
+    def test_underflowing_rho_b_solves(self):
+        """delta2 / x0 = 1e-400 rounds to 0, so no cap sets both corners:
+        the budget is solved on [5e-324, rho_sat], not divided by 0."""
+        args = (1.0, 1e-200, 1e200, 1.0, 1e200, 1.0)
+        p_avg = 0.5 * avg_relay_power(RelayPolicy(*args, None))
+        cap = solve_rho(*args, p_avg)
+        assert avg_relay_power(RelayPolicy(*args, cap)) == pytest.approx(p_avg, rel=1e-12)
+
+    def test_overspending_cap_is_a_bracketing_failure(self):
+        """Here the served quadrant's probability, about e^-738, underflows:
+        the spend jumps from 0.0 to 6.8e-92 and the solve closed on the
+        jump's upper side, a cap of 8.77e289 spending 88 orders of magnitude
+        over the 3.9e-180 budget, with no error.  The cap solve now checks
+        the spend of the cap it returns."""
+        config = SystemConfig(2.8674114463833064e-08, 1.3639812646956466e-07,
+                              4.3787380687329926e-300, 9.461586574222575e-72,
+                              6.111902792195348e-16, 45.54113245304412, 3.872866444380722e-180)
+        with pytest.raises(BracketingError, match=re.escape(
+                "cap solve for relay budget 3.872866444380722e-180: the cap ")):
+            policies_from_config(config)
 
     def test_e1_calls_per_capped_solve(self, count_e1):
-        """A capped solve costs at most 60 E1 calls (3 per spend, and 3 for
-        the saturation spend) on the rate and mean-gain pairs of the
-        validation table, from -10 to 20 dB and on the sweep's 30-33 dB
-        cutoffs, at relay budgets from 1% to 90% of the saturation spend."""
-        calls = count_e1(relay_policy)
+        """A capped solve costs at most 15 E1 calls, its inner cutoff solve's
+        included, and at most 13 where the cap sets both corners (18 to 25
+        there while the three-term spend was solved for every cap), on the
+        rate and mean-gain pairs of the validation table, from -10 to 20 dB
+        and on the sweep's 30-33 dB cutoffs, at relay budgets from 1% to 90%
+        of the saturation spend."""
         designs = [(r1, r2, ox, oy, p_t_db)
                    for r1, r2 in ((1 / 3, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1 / 3), (0.5, 0.2))
                    for ox, oy in ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0))
                    for p_t_db in (-10.0, 0.0, 10.0, 20.0)]
         designs += [(1 / 3, 1 / 3, 1.0, 1.0, p_t_db) for p_t_db in (30.0, 31.0, 32.0, 33.0)]
+        calls = count_e1(relay_policy), count_e1(endnode_policy)
+        doubly = 0
         for r1, r2, ox, oy, p_t_db in designs:
             share = 10.0 ** (p_t_db / 10.0) / 3.0
             config = SystemConfig(r1, r2, ox, oy, share, share, share)
@@ -584,11 +702,17 @@ class TestSolveRho:
             y0 = solve_cutoff(config.delta2, oy, share)
             p_max = avg_relay_power(_policy(config.delta1, config.delta2, x0, y0, ox, oy))
             for fraction in (0.01, 0.1, 0.5, 0.9):
-                calls.clear()
+                for made in calls:
+                    made.clear()
                 solved = solve_rho(config.delta1, config.delta2, x0, y0, ox, oy,
                                    fraction * p_max)
                 assert isinstance(solved, float)
-                assert len(calls) <= 60, (r1, r2, ox, oy, p_t_db, fraction)
+                policy = _policy(config.delta1, config.delta2, x0, y0, ox, oy, solved)
+                on_ray = policy.lambda1 > x0 and policy.lambda2 > y0
+                doubly += on_ray
+                assert sum(map(len, calls)) <= (13 if on_ray else 15), \
+                    (r1, r2, ox, oy, p_t_db, fraction)
+        assert doubly == 102
 
 
 class TestPoliciesFromConfig:
@@ -637,15 +761,18 @@ class TestPoliciesFromConfig:
     CAPPED = SystemConfig(1 / 3, 2 / 3, 2.0, 0.5, 0.8, 1.2, 0.6)     # unequal end nodes
 
     @pytest.mark.parametrize("config,count", [
-        (SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.7, 0.7, 0.6), 23),     # equal end nodes
-        (CAPPED, 28),
+        (SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.7, 0.7, 0.6), 20),     # equal end nodes
+        (CAPPED, 27),
         (SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 0.8, 1.2, 50.0), 19),    # unequal, unbounded
     ], ids=["equal", "capped", "unbounded"])
     def test_e1_calls_are_the_solves_alone(self, count_e1, config, count):
         """policies_from_config evaluates E1 only in one cutoff solve per
         distinct end node and in the cap solve: nothing re-checks a cutoff.
         The counts were 32, 43 and 19 while the cap solve re-evaluated the
-        E1 terms of a corner sitting on its cutoff at every step."""
+        E1 terms of a corner sitting on its cutoff at every step, and 23, 28
+        and 19 while it solved the three-term spend from a slope-walk
+        bracket.  The equal end nodes' cap sets both corners, so their cap
+        is a cutoff solve of its own, called by name in relay_policy."""
         node_calls, relay_calls = count_e1(endnode_policy), count_e1(relay_policy)
         node1, node2, relay = policies_from_config(config)
         made = len(node_calls) + len(relay_calls)
@@ -672,19 +799,25 @@ class TestPoliciesFromConfig:
         lambda: solve_rho(2.0 ** 30 - 1.0, 1.0, 1.0, 1.0, 1.0, 1e-300, 1.0),
         lambda: RelayPolicy(1.0, 1.0, 1.0, 1.0, 1e-310, 1.0, None),
         lambda: RelayPolicy(1.0, 1.0, 1.0, 1.0, 1.0, 1e-310, 2.0),
-    ], ids=["config", "solve_rho", "delta2-omega_x", "delta1-omega_y"])
+        lambda: solve_rho(1e308, 1e308, 1.0, 1.0, 1.0, 1.0, 1.0),
+    ], ids=["config", "solve_rho", "delta2-omega_x", "delta1-omega_y", "sum"])
     def test_delta_over_omega_overflow_is_named(self, build):
-        """Where delta1 / omega_y or delta2 / omega_x overflows, building or
-        solving the relay says so.  Each spend once raised E1's `x must be
-        finite and > 0, got inf` instead."""
+        """Where delta1 / omega_y or delta2 / omega_x overflows, or their sum
+        K, building or solving the relay says so.  Each spend once raised
+        E1's `x must be finite and > 0, got inf` instead, and a cap solve on
+        the ray would have passed K = inf to the cutoff solve."""
         with pytest.raises(ValueError, match="^delta / omega overflows a double$"):
             build()
 
-    def test_subnormal_relay_budget_is_a_bracketing_failure(self):
+    def test_subnormal_relay_budget_solves(self):
+        """A relay budget of 1e-310 sets both corners, and its cap is the
+        cutoff solve K E1(z) = 1e-310; the three-term solve raised
+        BracketingError, its bracket end underflowed."""
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 1.0, 1e-310)
-        with pytest.raises(BracketingError, match=re.escape(
-                "cap solve for relay budget 1e-310: bracket end underflowed")):
-            policies_from_config(config)
+        _, _, relay = policies_from_config(config)
+        assert relay.lambda1 > relay.x0 and relay.lambda2 > relay.y0
+        assert outage_opa(relay).p_out == 1.0
+        assert avg_relay_power(relay) <= 1e-310 * (1.0 + 1e-9)
 
     def test_equal_failing_end_nodes_raise_as_before(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 730.0, 730.0, 730.0)
