@@ -382,6 +382,13 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
     import numpy as np
     rows = []
 
+    # Uncapped, the corners are the cutoffs and the outage is 1 - exp(-(x0/ox + y0/oy)).
+    dev = 0.0
+    for d1, d2, x0, y0, ox, oy in _RAY_GRID:
+        policy = RelayPolicy(d1, d2, x0, y0, ox, oy, None)
+        dev = max(dev, abs(outage_opa(policy).p_out + math.expm1(-(x0 / ox + y0 / oy))))
+    rows.append(_row("saturation_identity", f"{len(_RAY_GRID)} pts", 0.0, dev, dev, 1e-12))
+
     # Half of min(delta2 / x0, delta1 / y0) caps both corners, one E1 term; the
     # uncapped policy on the same corners takes three.  A case off the ray fails.
     dev = 0.0

@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -430,7 +431,7 @@ class TestValidateScenario:
         spec = ScenarioSpec(scenario="validate", grid=(0.0,), trials=50_000, seed=777)
         fieldnames, rows = scenario_validate(spec)
         assert fieldnames[0] == "check" and fieldnames[-1] == "status"
-        identity_checks = {"ray_identity", "tie_avg_power", "e1_bracket", "e1_solver_roundtrip", "cutoff_roundtrip",
+        identity_checks = {"saturation_identity", "ray_identity", "tie_avg_power", "e1_bracket", "e1_solver_roundtrip", "cutoff_roundtrip",
                            "rho_roundtrip", "avg_power_monotone_in_cap"}
         by_check = {row["check"] for row in rows}
         assert identity_checks <= by_check
@@ -471,6 +472,10 @@ class TestValidateScenario:
          "cutoff_roundtrip"),
         ("solve_rho", lambda solve: lambda *args: solve(*args) * (1.0 + 1e-5),
          "rho_roundtrip"),
+        ("outage_opa",
+         lambda opa: lambda p: types.SimpleNamespace(p_out=opa(p).p_out + 1e-11)
+         if p.rho is None else opa(p),
+         "saturation_identity"),
         ("avg_relay_power",
          lambda avg: lambda p: avg(p) * (1.0 + 1e-11) if p.rho is None else avg(p),
          "ray_identity"),
@@ -549,20 +554,21 @@ class TestValidateScenario:
         Chebyshev tables on (0, 1] too; that moved only the last digits of
         e1_solver_roundtrip's empirical value and of five deviations
         (e1_solver_roundtrip, outage_mc set01, set04 and set21,
-        power_relay_mc set14).  The cap solve on the ray then replaced the
-        saturation_identity row by ray_identity, gave rho_roundtrip 15
+        power_relay_mc set14).  The cap solve on the ray then added the
+        ray_identity row after saturation_identity, gave rho_roundtrip 15
         policies, lowered tie_avg_power (its capped cases now agree bit for
-        bit) and moved the last digit of the outage_mc set21 deviation.  At this trial count five Monte Carlo
-        power rows miss their 1% tolerance, so the run exits 2."""
+        bit) and moved the last digit of the outage_mc set21 deviation.  At
+        this trial count five Monte Carlo power rows miss their 1% tolerance,
+        so the run exits 2."""
         out = tmp_path / "validate.csv"
         assert main(["validate", "--trials", "100000", "--seed", "1",
                      "--out", str(out)]) == 2
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "ade06c9c0ed233a1a9a57899498f9cf66f0bad31d1772816959eb8aac06eecfc")
+            "456c0b908a063b1acbc64194c29f4332e76c418a3b6a64580fd2b9abe06ecf45")
 
     @pytest.mark.parametrize("seed, digest", [
-        (None, "3bc0376dc2334db34e72457554b12350c295c99e70b790495916fa71a2ad9115"),
-        ("1", "1c066835ba19790e379049f5790605e303e477a7fb8ed7d2a85f328483358e79"),
+        (None, "8dd889eeecb94ecc8fb495bf0254abd5ea09f451aabfc3353b597f5a04f2b566"),
+        ("1", "3b60e746218731ba8ea94f7282687a1ed58acf52003cd289b8d67fa1dd705835"),
     ], ids=["default-seed", "seed-1"])
     def test_validate_csv_at_default_trials_is_pinned(self, tmp_path, seed, digest):
         """The default 1M trials at the default seed and at seed 1, byte for
