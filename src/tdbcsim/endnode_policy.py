@@ -28,9 +28,11 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
     """The unique c > 0 with (delta / omega) * E1(c / omega) = pbar.
 
     The left side falls continuously from +inf to 0 as c grows, so a root
-    exists and is unique for any positive budget.  Raises BracketingError if
-    delta / omega overflows, or if the cutoff falls below the smallest normal
-    double, about exp(-708), where it keeps too few bits to be solved.
+    exists and is unique for any positive budget.  Where the root keeps its
+    bits the bracket straddles it; elsewhere this raises BracketingError:
+    where delta / omega overflows, where the load pbar * omega / delta (E1 at
+    the cutoff) or the cutoff falls below the smallest normal double, or
+    where cutoff / omega keeps fewer than 24 bits.
     """
     delta = require_positive(delta, "delta")
     omega = require_positive(omega, "omega")
@@ -43,17 +45,24 @@ def solve_cutoff(delta: float, omega: float, pbar: float) -> float:
     # z = c / omega solves E1(z) = L.  As E1(z) + gamma + ln z lies in (0, z),
     # z > exp(-gamma - L), and z < e times that once L >= 1/2; below that,
     # exp(-z) / (z + 1) < E1(z) < exp(-z) (z >= 1) brackets z by z_hi and
-    # -ln L - ln(1 + z_hi).
+    # -ln L - ln(1 + z_hi).  The first lower end, tight for a large L, is formed
+    # in logs (exp(-gamma - L) may be subnormal) and widened by 1e-7, more than
+    # a cutoff / omega of 24 bits rounds by.
     load = pbar * omega / delta
     neg_log_load = math.log(delta) - math.log(omega) - math.log(pbar)
     z_hi = math.exp(1.0 - EULER_GAMMA - load) if load >= 0.5 else max(1.0, neg_log_load)
-    z_lo = max(math.exp(-EULER_GAMMA - load), neg_log_load - math.log1p(z_hi))
+    c_lo = max(math.exp(math.log(omega) - EULER_GAMMA - load - 1e-7),
+               omega * (neg_log_load - math.log1p(z_hi)))
     try:
         if scale == math.inf:
             raise BracketingError("delta / omega overflows a double")
-        if omega * z_lo < sys.float_info.min:
+        if neg_log_load > -math.log(sys.float_info.min):
+            raise BracketingError("the load falls below the smallest normal double")
+        if c_lo < sys.float_info.min:
             raise BracketingError("the cutoff falls below the smallest normal double")
-        return solve_monotone(neg_avg_power, -pbar, omega * z_lo, omega * z_hi)
+        if c_lo / omega < 2.0 ** -1050:
+            raise BracketingError("cutoff / omega keeps fewer than 24 bits")
+        return solve_monotone(neg_avg_power, -pbar, c_lo, omega * z_hi)
     except BracketingError as exc:
         raise BracketingError(f"cutoff solve for budget {pbar!r}: {exc}") from None
 

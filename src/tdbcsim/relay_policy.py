@@ -240,7 +240,10 @@ def avg_relay_power(policy: RelayPolicy) -> float:
     """Closed-form expectation of the relay power of cycle_powers over the
     fading law: the average of max(delta1 / y, delta2 / x) over the quadrant
     above the policy's corners.  Where the cap sets both corners it is one
-    E1 term, bit for bit the same with the end nodes swapped."""
+    E1 term, bit for bit the same with the end nodes swapped.  Raises
+    ValueError where a corner over its mean gain rounds to 0."""
+    if not (policy.lambda1 / policy.omega_x and policy.lambda2 / policy.omega_y):
+        raise ValueError("the relay spend is unbounded: a corner over its mean gain rounds to 0")
     return _avg_power(policy.delta1, policy.delta2, policy.omega_x, policy.omega_y, policy.x0,
                       policy.y0, policy.lambda1, policy.lambda2, exp_integral_e1)
 

@@ -420,7 +420,7 @@ def _identity_rows(spec: ScenarioSpec) -> list[dict]:
     for _ in range(50):
         x_true = float(10.0 ** rng.uniform(-4, math.log10(20.0)))
         solved = solve_monotone(lambda x: -exp_integral_e1(x), -exp_integral_e1(x_true),
-                                1e-6, 10.0)
+                                1e-6, 50.0)
         dev = max(dev, abs(solved - x_true) / x_true)
     rows.append(_row("e1_solver_roundtrip", "50 random points", 0.0, dev, dev, 1e-9))
 

@@ -27,7 +27,6 @@ from typing import Callable
 __all__ = [
     "EULER_GAMMA",
     "SOLVER_WIDTH_TOL",
-    "BRACKET_GROWTH",
     "MAX_ITERATIONS",
     "BracketingError",
     "ConvergenceError",
@@ -41,9 +40,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 #: Bracket-width stop of solve_monotone, relative to the root.
 SOLVER_WIDTH_TOL = 1e-14
-
-#: First factor applied when an end of the bracket misses the target.
-BRACKET_GROWTH = 4.0
 
 #: Brent step cap; reaching it means the function was not increasing.
 MAX_ITERATIONS = 200
@@ -119,7 +115,7 @@ _G_ABOVE_8 = (
 
 
 class BracketingError(ValueError):
-    """The target is outside the function's range on any expandable bracket."""
+    """The target is outside the function's range on the given bracket."""
 
 
 class ConvergenceError(RuntimeError):
@@ -217,53 +213,31 @@ def solve_monotone(
     """Solve f(x) = target for a continuous, strictly increasing f on x > 0.
     Solve a decreasing g as -g = -target: negation is exact, so every bit holds.
 
-    The bracket must satisfy 0 < bracket_lo < bracket_hi < inf.  If it does
-    not straddle the target, the deficient end is scaled outward, by
-    BRACKET_GROWTH and then by the square of the previous factor, and the
-    end it leaves becomes the other end; so the solver never leaves the
-    positive doubles and crosses their range in ten steps.
+    The bracket must satisfy 0 < bracket_lo < bracket_hi < inf and must
+    straddle the target: f(bracket_lo) <= target <= f(bracket_hi).  Brent's
+    method then closes it to a relative width below SOLVER_WIDTH_TOL.  It
+    works in log coordinates measured from a bracket point b,
+    v = ln(x / b), so roots of any magnitude keep that relative accuracy (an
+    ulp of ln x alone exceeds it once x passes ~1e32).
 
-    Brent's method then closes the bracket to a relative width below
-    SOLVER_WIDTH_TOL.  It works in log coordinates measured from a bracket
-    point b, v = ln(x / b), so roots of any magnitude keep that relative
-    accuracy (an ulp of ln x alone exceeds it once x passes ~1e32).
-
-    Raises ValueError on a bad bracket, BracketingError when expansion
-    cannot straddle the target (it is outside the function's range, or an
-    end would have to leave the positive doubles) and ConvergenceError when
-    the bracket closes on two adjacent subnormal doubles or MAX_ITERATIONS
-    is hit, which indicates an f that is not increasing.
+    Raises ValueError on a bad bracket, BracketingError when the bracket
+    does not straddle the target, and ConvergenceError when the bracket
+    closes on two adjacent subnormal doubles or MAX_ITERATIONS is hit, which
+    indicates an f that is not increasing.
     """
-    lo = float(bracket_lo)
-    hi = float(bracket_hi)
-    if not 0.0 < lo < hi < math.inf:
+    a, b = float(bracket_lo), float(bracket_hi)
+    if not 0.0 < a < b < math.inf:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, "
                          f"got [{bracket_lo!r}, {bracket_hi!r}]")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
-
-    r_lo, r_hi = f(lo) - target, f(hi) - target
-    # The factor squares each step, so within ten steps it overflows and the
-    # moving end leaves the doubles: the loop always ends.
-    factor = BRACKET_GROWTH
-    while r_lo > 0.0 or r_hi < 0.0:
-        if r_lo > 0.0:
-            lo, hi, r_hi = lo / factor, lo, r_lo
-        else:
-            lo, hi, r_lo = hi, hi * factor, r_hi
-        if lo == 0.0 or hi == math.inf:
-            raise BracketingError(f"bracket end underflowed to 0 or overflowed "
-                                  f"(target {target!r})")
-        factor *= factor
-        if r_lo > 0.0:
-            r_lo = f(lo) - target
-        else:
-            r_hi = f(hi) - target
+    r_a, r_b = f(a) - target, f(b) - target
+    if r_a > 0.0 or r_b < 0.0:
+        raise BracketingError(f"[{a!r}, {b!r}] does not straddle the target {target!r}")
 
     # Brent's method (zeroin): b is the best point, c holds the residual's
     # other sign, a is the previous b.  Positions enter only as offsets from
     # b, so log coordinates keep full precision as the bracket closes.
-    a, r_a, b, r_b = lo, r_lo, hi, r_hi
     c, r_c = a, r_a
     d = e = _log_offset(b, a)
     tol = 0.5 * SOLVER_WIDTH_TOL

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import log_cutoff_oracle, scaled_gains
 from tdbcsim import endnode_policy
@@ -63,6 +65,21 @@ class TestSolveCutoff:
             solve_cutoff(1.0, 1.0, load)
             assert len(calls) <= 12, load
 
+    @pytest.mark.parametrize("delta,omega,pbar", [
+        (0.5157165665103982, 2.0, 12.85608158334132),
+        (0.5157165665103982, 1.0, 20.461554299132803),
+        (0.5157165665103982, 2.0, 62.392975194469585),
+        (7.018824836903701e-07, 1.2399194749734645e+43, 4.0783663909486997e-47),
+    ], ids=["load-50", "load-40", "load-242", "load-720"])
+    def test_tight_lower_end_still_straddles(self, delta, omega, pbar):
+        """Above a load of about 30, exp(-gamma - L) is the root to within
+        rounding, and at a load of 720 it is subnormal, though omega times
+        it is not: the widened lower end straddles each root, so the solve
+        returns it.  The first three are end nodes of the benchmark's
+        design rounds, whose brackets once missed by rounding."""
+        cutoff = solve_cutoff(delta, omega, pbar)
+        assert delta / omega * exp_integral_e1(cutoff / omega) == pytest.approx(pbar, rel=1e-13)
+
     def test_cutoff_below_smallest_normal_double(self):
         """From a load of about 708 the cutoff would be subnormal; the solve
         says so rather than return a value with few significant bits."""
@@ -86,6 +103,39 @@ class TestSolveCutoff:
     def test_rejects_bad_inputs(self, delta, omega, pbar):
         with pytest.raises(ValueError):
             solve_cutoff(delta, omega, pbar)
+
+
+def _log_uniform(low: float, high: float):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0 ** e)
+
+
+class TestSolveCutoffContract:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_log_uniform(1e-12, 1e30), _log_uniform(1e-300, 1e300), _log_uniform(1e-300, 1e300))
+    # a load of 720: exp(-gamma - L) is subnormal, omega times it is not
+    @example(7.018824836903701e-07, 1.2399194749734645e+43, 4.0783663909486997e-47)
+    # subnormal loads: cutoffs once returned that spend 4.3e268 times the
+    # budget (46% low) and 0.29% over it (88% high)
+    @example(7.243579311784026e+25, 2.25938280964016e-282, 1.8514696446890474e-285)
+    @example(2.3999265151689734e+23, 1.368032903847613e-163, 5.4802183160704825e-136)
+    # a load of 742, where cutoff / omega is 4.4e-323, 9 ulps of 0: a cutoff
+    # once returned that spends 5.5e-5 off the budget
+    @example(2293433445944.0547, 4.0760410623298705e+127, 4.1729956534466603e-113)
+    def test_every_budget_gives_its_cutoff_or_one_error_line(self, delta, omega, pbar):
+        """Over the whole double range each solve raises BracketingError or
+        ValueError with a one-line message, or returns a cutoff whose spend,
+        (delta / omega) E1(cutoff / omega) in 30-digit mpmath at the exact
+        quotient, is within 1e-9 of the budget."""
+        mp = pytest.importorskip("mpmath")
+        try:
+            cutoff = solve_cutoff(delta, omega, pbar)
+        except ValueError as exc:      # BracketingError is a ValueError
+            assert len(str(exc).splitlines()) == 1
+            return
+        with mp.workdps(30):
+            ratio = mp.mpf(omega)
+            spend = mp.mpf(delta) / ratio * mp.e1(mp.mpf(cutoff) / ratio)
+            assert abs(spend / mp.mpf(pbar) - 1) <= 1e-9
 
 
 class TestEndNodePolicy:

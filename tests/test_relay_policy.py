@@ -3,6 +3,7 @@ truncation), construction, averages."""
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -451,6 +452,21 @@ class TestAveragePower:
         assert policy.lambda1 > x0 and policy.lambda2 > y0
         assert avg_relay_power(policy) == avg_relay_power(mirror)
 
+    @pytest.mark.parametrize("x0,y0,oy", [(5e-324, 5e-324, 10.0), (5e-324, 0.5, 1.0)],
+                             ids=["both", "x"])
+    def test_corner_rounding_to_zero_is_one_line(self, x0, y0, oy):
+        """x0 / omega_x = 5e-324 / 10 rounds to 0, where E1 and so the spend
+        are unbounded: avg_relay_power says so in one line instead of
+        raising E1's `x must be finite and > 0, got 0.0`.  The policy's
+        outage and its Monte Carlo count do not need E1 and stay valid."""
+        policy = RelayPolicy(1.0, 1.0, x0, y0, 10.0, oy, None)
+        with pytest.raises(ValueError, match="^the relay spend is unbounded: a corner over "
+                                             "its mean gain rounds to 0$"):
+            avg_relay_power(policy)
+        p_out = outage_opa(policy).p_out
+        assert p_out == pytest.approx(-math.expm1(-y0 / oy), rel=1e-15)
+        assert cycle_totals([policy], [0.0, 1.0], [1.0, 1.0])[0][0] == 1
+
     @pytest.mark.parametrize("d1,d2,x0,y0,ox,oy,rho", [
         # both wedge geometries, saturated / windowed / deeply truncated caps
         (1.0, 1.0, 0.4, 0.2, 1.0, 1.0, None),
@@ -577,23 +593,30 @@ class TestSolveRho:
             solved = solve_rho(1.0, 1.0, x0, y0, 1.0, 1.0, p_avg)
             assert solved == pytest.approx(rho_true, rel=1e-11), fraction
 
-    @pytest.mark.parametrize("p_avg", [1e-308, 1e-310, 5e-324])
-    def test_subnormal_budgets_solve_on_the_ray(self, p_avg):
-        """Budgets below about 3e-308 are doubly capped, so the cap is the
-        cutoff solve K E1(z) = p_avg: a cap whose outage rounds to 1 and
-        which spends at most its budget, within the 1e-9 that solve_rho
-        allows (1e-308 spends 8.7e-13 more, 5e-324 spends 0.0).  The
-        Brent solve on the three-term spend raised BracketingError here, its
-        bracket end underflowed."""
+    @pytest.mark.parametrize("p_avg", [3e-308, 1e-308, 1e-310, 5e-324])
+    def test_subnormal_loads_are_a_bracketing_failure(self, p_avg):
+        """Budgets below 2 * 2.2e-308 are doubly capped, so the cap is the
+        cutoff solve K E1(z) = p_avg with K = 2: its load p_avg / K is
+        subnormal, where E1 at the cutoff keeps too few bits, and the
+        cutoff solve says so under the cap solve's prefix.  These solved to
+        an outage of 1.0 while the solver expanded its brackets."""
+        with pytest.raises(BracketingError) as info:
+            solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, p_avg)
+        assert str(info.value) == (f"cap solve for relay budget {p_avg!r}: cutoff solve for "
+                                   f"budget {p_avg!r}: the load falls below the smallest "
+                                   f"normal double")
+
+    def test_smallest_normal_budget_still_solves(self):
+        """A load of exactly the smallest normal double is in the domain: a
+        doubly capped cap whose outage rounds to 1 and which spends its
+        budget within the 1e-9 that solve_rho allows."""
+        p_avg = 2.0 * sys.float_info.min
         cap = solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, p_avg)
+        assert cap.hex() == "0x1.75824a424585cp-9"      # 0.0028496471069372874
         policy = _policy(x0=0.4, y0=0.2, rho=cap)
         assert policy.lambda1 > policy.x0 and policy.lambda2 > policy.y0
         assert outage_opa(policy).p_out == 1.0
-        assert avg_relay_power(policy) <= p_avg * (1.0 + 1e-9)
-
-    def test_smallest_normal_budget_still_solves(self):
-        cap = solve_rho(1.0, 1.0, 0.4, 0.2, 1.0, 1.0, 3e-308)
-        assert cap.hex() == "0x1.754cac87736dbp-9"      # 0.002848049221689
+        assert avg_relay_power(policy) == pytest.approx(p_avg, rel=1e-9)
 
     def test_regime_split_never_takes_e1_of_inf(self, count_e1):
         """K / rho_b overflows here (K about 1e200, rho_b = 1e-150): the
@@ -647,14 +670,15 @@ class TestSolveRho:
 
     @pytest.mark.parametrize("args,message", [
         ((1e10, 1e10, 1e-300, 1e-300, 1.0, 1.0), "the cap inf spends "),
-        ((1.0, 1.0, 1e-309, 1e-308, 1.0, 1.0), "bracket end underflowed to 0 or overflowed"),
+        ((1.0, 1.0, 1e-309, 1e-308, 1.0, 1.0),
+         "[1e+308, 1.7976931348623157e+308] does not straddle the target "),
     ], ids=["tie", "ray"])
     def test_cap_past_the_doubles_is_a_bracketing_failure(self, args, message):
         """Where delta / x0 overflows, the cap of a budget just below
         saturation lies past the doubles: at a tie rho_b == rho_sat == inf
-        K / z overflows, and off it the solve on [rho_b, inf) cannot reach
-        it.  Each says so, rather than return inf, which no RelayPolicy
-        takes, or reject its own bracket."""
+        K / z overflows, and off it the bracket [rho_b, the largest double]
+        does not straddle it.  Each says so, rather than return inf, which no
+        RelayPolicy takes, or reject its own bracket."""
         p_avg = 0.999 * avg_relay_power(RelayPolicy(*args, None))
         with pytest.raises(BracketingError, match=re.escape(
                 f"cap solve for relay budget {p_avg!r}: {message}")):
@@ -809,15 +833,15 @@ class TestPoliciesFromConfig:
         with pytest.raises(ValueError, match="^delta / omega overflows a double$"):
             build()
 
-    def test_subnormal_relay_budget_solves(self):
+    def test_subnormal_relay_load_is_a_bracketing_failure(self):
         """A relay budget of 1e-310 sets both corners, and its cap is the
-        cutoff solve K E1(z) = 1e-310; the three-term solve raised
-        BracketingError, its bracket end underflowed."""
+        cutoff solve K E1(z) = 1e-310, whose load 1e-310 / K is subnormal:
+        the cap solve says so."""
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 1.0, 1.0, 1e-310)
-        _, _, relay = policies_from_config(config)
-        assert relay.lambda1 > relay.x0 and relay.lambda2 > relay.y0
-        assert outage_opa(relay).p_out == 1.0
-        assert avg_relay_power(relay) <= 1e-310 * (1.0 + 1e-9)
+        with pytest.raises(BracketingError, match=re.escape(
+                "cap solve for relay budget 1e-310: cutoff solve for budget 1e-310: "
+                "the load falls below the smallest normal double")):
+            policies_from_config(config)
 
     def test_equal_failing_end_nodes_raise_as_before(self):
         config = SystemConfig(1 / 3, 1 / 3, 1.0, 1.0, 730.0, 730.0, 730.0)

@@ -275,19 +275,27 @@ class TestSolveMonotone:
             solve_monotone(neg_e1, 1.0, 1e-6, 10.0)
 
     def test_underflowing_lower_end_is_a_bracketing_failure(self):
-        """E1 reaches 1000 only below the smallest double; the lower end
-        underflows to 0, where E1 is undefined, and the solver says so
-        instead of evaluating it."""
-        with pytest.raises(BracketingError, match="underflowed"):
+        """E1 reaches 1000 only below the smallest double, so no positive
+        bracket straddles it: the solver names the bracket and the target
+        instead of searching past the doubles."""
+        with pytest.raises(BracketingError,
+                           match=r"^\[1e-300, 1.0\] does not straddle the target -1000.0$"):
             solve_monotone(neg_e1, -1000.0, 1e-300, 1.0)
 
-    def test_expansion_reaches_root_outside_bracket(self):
-        got = solve_monotone(lambda v: v, 250.0, 0.5, 1.0)
-        assert got == pytest.approx(250.0, rel=1e-12)
-        got = solve_monotone(lambda v: v, 1e-5, 0.5, 1.0)
-        assert got == pytest.approx(1e-5, rel=1e-12)
-        with pytest.raises(BracketingError):      # a root below 0 is out of reach
-            solve_monotone(lambda v: v, -250.0, 0.5, 1.0)
+    @pytest.mark.parametrize("target", [250.0, 1e-5, -250.0])
+    def test_bracket_must_straddle_the_target(self, target):
+        """A root outside the bracket, on either side, is the caller's
+        error: the solver evaluates both ends once and says so."""
+        evaluations = []
+
+        def logged(v):
+            evaluations.append(v)
+            return v
+
+        with pytest.raises(BracketingError, match=f"^\\[0.5, 1.0\\] does not straddle the "
+                                                  f"target {target!r}$"):
+            solve_monotone(logged, target, 0.5, 1.0)
+        assert evaluations == [0.5, 1.0]
 
     def test_tiny_positive_roots_keep_relative_accuracy(self):
         """Positive brackets bisect in log space, so roots near the bottom of
@@ -309,7 +317,7 @@ class TestSolveMonotone:
             return neg_e1(x)
 
         with pytest.raises(ConvergenceError, match="subnormal"):
-            solve_monotone(logged_neg_e1, -720.0, 1e-300, 1.0)
+            solve_monotone(logged_neg_e1, -720.0, 5e-324, 1.0)
         assert len(evaluations) <= 50
         assert len(set(evaluations)) == len(evaluations)    # none evaluated twice
 
@@ -317,13 +325,13 @@ class TestSolveMonotone:
     def test_exact_subnormal_roots_still_converge(self, root):
         """A step may fail to move a subnormal best point, yet a later one
         can land on the root exactly; that solve still returns it."""
-        assert solve_monotone(lambda v: v, root, 1e-300, 1.0) == root
+        assert solve_monotone(lambda v: v, root, 5e-324, 1.0) == root
 
     @given(st.floats(min_value=-4.0, max_value=math.log10(20.0)))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_property(self, exponent):
         x_true = 10.0 ** exponent
-        got = solve_monotone(neg_e1, -exp_integral_e1(x_true), 1e-6, 10.0)
+        got = solve_monotone(neg_e1, -exp_integral_e1(x_true), 1e-6, 50.0)
         assert got == pytest.approx(x_true, rel=1e-9)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
